@@ -8,13 +8,13 @@ Commands
     Run one experiment by registry id and print its report
     (e.g. ``python -m repro run fig4``); ``--metrics`` appends the
     run's collected counters/histograms (see :mod:`repro.obs`);
-    ``--backend`` selects the kernel backend (numpy/cnative/numba/auto,
-    see :mod:`repro.backends`) — an execution detail only, results are
-    bit-identical across backends.  The argument may also name a
-    resilience run (``zgb-rsm`` ...), a zoo scenario (``zgb``,
-    ``no-co`` ... — see ``scenarios``) or a scenario file
-    (``path/to/scenario.toml``); scenario runs accept ``--sweep`` and
-    the checkpoint/resume options.
+    ``--backend`` selects the kernel backend (numpy/cnative/auto, see
+    :mod:`repro.backends`; an unknown name exits 2) — an execution
+    detail only, results are bit-identical across backends.  The
+    argument may also name a resilience run (``zgb-rsm`` ...), a zoo
+    scenario (``zgb``, ``no-co`` ... — see ``scenarios``) or a
+    scenario file (``path/to/scenario.toml``); scenario runs accept
+    ``--sweep`` and the checkpoint/resume options.
 ``sweep <scenario>... [--jobs N] [--journal DIR] [--resume]``
     Crash-safe batch orchestration of scenario sweeps: expand the
     declared ``[sweep]`` grids into a job set, execute it on supervised
@@ -34,11 +34,11 @@ Commands
     ``--json`` writes schema-validated ``BENCH_<engine>.json`` reports
     (``BENCH_<engine>-<backend>.json`` for non-numpy backends),
     ``--check`` validates existing report files (the CI gate).
-``lint [--model NAME] [--tiling M:C0,C1] [--shape LxM] [--kernels] [--native] [--json] [--strict]``
+``lint [--model NAME] [--tiling M:C0,C1] [--shape LxM] [--kernels] [--protocol] [--json] [--strict]``
     Static verification: model sanity, symbolic partition race proofs,
     RNG draw audit, the kernel-level scatter-aliasing/effect-contract
-    pass (``--kernels``) and the native-tier C/numba verifier
-    (``--native``, SR060-SR064) — see :mod:`repro.lint`;
+    pass (``--kernels``) and the protocol verifier (``--protocol``,
+    SR070-SR078) — see :mod:`repro.lint`;
     ``--list-codes`` prints the full SR registry.  Exit code 1 on
     findings — the CI gate.
 ``info``
@@ -78,20 +78,22 @@ def _cmd_list(_args) -> int:
 def _cmd_run(args) -> int:
     from contextlib import ExitStack
 
+    if args.backend is not None:
+        from repro.backends import check_backend_name
+
+        try:
+            check_backend_name(args.backend)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+
     import repro.experiments as experiments
     from repro.resilience.runs import RUNS, run_resilience
 
     with ExitStack() as stack:
         if args.backend is not None:
-            from repro.backends import backend_names, resolve_backend, use_backend
+            from repro.backends import resolve_backend, use_backend
 
-            if args.backend != "auto" and args.backend not in backend_names():
-                print(
-                    f"unknown backend {args.backend!r}; "
-                    f"known: {sorted(backend_names()) + ['auto']}",
-                    file=sys.stderr,
-                )
-                return 2
             stack.enter_context(use_backend(resolve_backend(args.backend)))
         return _cmd_run_inner(args, experiments, RUNS, run_resilience)
 
@@ -334,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_run.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="kernel backend for the run (numpy, cnative, numba, auto); "
+        help="kernel backend for the run (numpy, cnative, auto); "
         "default: the ambient selection.  Backends are an execution "
         "detail — trajectories and checkpoints are bit-identical across "
         "them, so a run checkpointed under one backend resumes under "

@@ -1,10 +1,9 @@
-"""Pluggable compiled-kernel backends (``numpy`` / ``cnative`` / ``numba``).
+"""Pluggable compiled-kernel backends (``numpy`` / ``cnative``).
 
 See :mod:`repro.backends.registry` for the selection model and the
-bit-identity guarantee, :mod:`repro.backends.cnative` and
-:mod:`repro.backends.numba_jit` for the compiled tiers, and
-:mod:`repro.backends.fuzz` for the contract-driven differential
-harness that enforces the guarantee.
+bit-identity guarantee, :mod:`repro.backends.cnative` for the compiled
+tier, and :mod:`repro.backends.fuzz` for the contract-driven
+differential harness that enforces the guarantee.
 """
 
 from .registry import (
@@ -14,6 +13,7 @@ from .registry import (
     KernelSet,
     available_backends,
     backend_names,
+    check_backend_name,
     current_backend,
     get_backend,
     register_backend,
@@ -21,9 +21,8 @@ from .registry import (
     use_backend,
 )
 
-# importing the tiers registers them
+# importing the compiled tier registers it
 from . import cnative as _cnative  # noqa: E402,F401
-from . import numba_jit as _numba_jit  # noqa: E402,F401
 
 __all__ = [
     "DISPATCH_KERNELS",
@@ -32,6 +31,7 @@ __all__ = [
     "KernelSet",
     "available_backends",
     "backend_names",
+    "check_backend_name",
     "current_backend",
     "get_backend",
     "register_backend",

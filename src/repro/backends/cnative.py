@@ -44,7 +44,7 @@ dtype/contiguity of the state and table arrays, equal stream lengths,
 and site/type bounds.  Inputs the C core cannot represent (e.g. a
 non-contiguous state view) fall back to the NumPy reference rather
 than fail — per-call graceful degradation, mirroring the registry's
-per-backend fallback.
+fallback to ``numpy`` when a backend is unavailable.
 """
 
 from __future__ import annotations
@@ -282,9 +282,10 @@ def library_path() -> str:
 
 
 #: entry point -> (parameter kinds, return kind); the single source of
-#: truth for the ctypes declarations, and what the native lint pass
-#: (``repro lint --native``) proves consistent with the parsed C
-#: signatures and the kernel specs (SR060/SR061).
+#: truth for the ctypes declarations.  ``tests/test_backends.py`` checks
+#: it against the C prototypes in ``_C_SOURCE``: on LP64 a pointer and
+#: an int64 travel in the same register, so a swapped kind would
+#: otherwise go unnoticed at run time.
 CTYPES_SIGNATURES: "dict[str, tuple[tuple[str, ...], str]]" = {
     "repro_run_trials": (
         ("ptr", "ptr", "ptr", "ptr", "ptr", "i64", "i64", "ptr", "ptr",
@@ -797,50 +798,4 @@ class CNativeBackend(Backend):
         }
 
 
-#: escape hatch: skip the registration self-check (emergencies only)
-LINT_SKIP_ENV = "REPRO_NATIVE_LINT_SKIP"
-
-
-def cnative_self_check() -> "list[str]":
-    """Statically verify this module's own C source before registering.
-
-    Runs the native lint pass (``repro.lint.native``) over
-    ``_C_SOURCE`` and ``CTYPES_SIGNATURES``; returns the error messages
-    (empty when the translation unit is proven safe).  A crash in the
-    verifier itself is not a verdict — the backend then registers as
-    usual and the full ``repro lint --native`` run surfaces the
-    problem.
-    """
-    try:
-        from ..lint.native.verify import verify_c_translation_unit
-        report = verify_c_translation_unit(_C_SOURCE, CTYPES_SIGNATURES)
-        return [d.render() for d in report.errors]
-    except Exception:  # verifier bug must not take the backend down
-        return []
-
-
-if os.environ.get(LINT_SKIP_ENV):
-    import warnings
-
-    warnings.warn(
-        f"{LINT_SKIP_ENV} is set: registering the cnative backend "
-        f"WITHOUT its native lint self-check — kernels run unverified",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    register_backend(CNativeBackend())
-else:
-    _lint_errors = cnative_self_check()
-    if _lint_errors:
-        import warnings
-
-        warnings.warn(
-            "cnative backend refused to register: its C source fails "
-            "the native lint self-check (set "
-            f"{LINT_SKIP_ENV}=1 to override):\n  "
-            + "\n  ".join(_lint_errors),
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    else:
-        register_backend(CNativeBackend())
+register_backend(CNativeBackend())

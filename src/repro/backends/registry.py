@@ -21,12 +21,6 @@ Backends
     ``ctypes`` (:mod:`repro.backends.cnative`).  Available wherever a
     C compiler is (build artifacts are cached on disk, so the
     compile cost is paid once per machine, not per process).
-``numba``
-    ``@njit`` twins of the same loops (:mod:`repro.backends.numba_jit`).
-    Registered always; available only when numba is importable.  When
-    it is not, resolution *degrades gracefully* down the backend's
-    fallback chain (``numba -> cnative -> numpy``) with a warning
-    instead of failing the run.
 
 Selection order
 ---------------
@@ -36,10 +30,11 @@ instance, or ``None``:
 * ``None`` — the ambient backend installed by :func:`use_backend`
   (default ``numpy``);
 * ``"auto"`` — the highest-tier available backend
-  (``numba`` > ``cnative`` > ``numpy``);
-* a name — that backend if available, else the first available entry
-  of its declared ``fallback`` chain (with a ``BackendFallbackWarning``),
-  else ``numpy``.
+  (``cnative`` > ``numpy``);
+* a name — that backend if available, else ``numpy`` with a
+  ``BackendFallbackWarning``.  A name that is neither registered nor
+  ``"auto"`` is a ``ValueError`` (:func:`check_backend_name`), which
+  the CLI commands turn into exit status 2 before doing any work.
 
 The backend is an *execution detail*: it never enters the engine
 fingerprint, so checkpoints written under one backend restore into any
@@ -59,6 +54,7 @@ __all__ = [
     "KernelSet",
     "available_backends",
     "backend_names",
+    "check_backend_name",
     "current_backend",
     "get_backend",
     "register_backend",
@@ -112,16 +108,13 @@ class KernelSet:
 class Backend:
     """One kernel implementation tier.
 
-    Subclasses set :attr:`name`, :attr:`tier` (selection priority for
-    ``"auto"``; higher wins) and :attr:`fallback` (names tried in order
-    when this backend is unavailable), and override :meth:`available`
-    and :meth:`kernels`.
+    Subclasses set :attr:`name` and :attr:`tier` (selection priority
+    for ``"auto"``; higher wins), and override :meth:`available` and
+    :meth:`kernels`.
     """
 
     name: str = "?"
     tier: int = 0
-    #: names tried, in order, when this backend is unavailable
-    fallback: tuple[str, ...] = ()
 
     def available(self) -> bool:
         """Can this backend actually execute on this host?"""
@@ -164,6 +157,20 @@ def register_backend(backend: Backend) -> Backend:
     return backend
 
 
+def check_backend_name(name: "str | None") -> None:
+    """Fail closed on a backend name nothing can resolve.
+
+    ``None`` (the ambient selection), ``"auto"`` and every registered
+    name pass; anything else raises a one-line ``ValueError`` naming
+    the known choices.  The CLI commands and the scenario loader call
+    this before doing any work.
+    """
+    if name is not None and name != "auto" and name not in _REGISTRY:
+        raise ValueError(
+            f"unknown backend {name!r}; known: {sorted([*_REGISTRY, 'auto'])}"
+        )
+
+
 def get_backend(name: str) -> Backend:
     """The registered backend of that name (KeyError-free lookup)."""
     try:
@@ -204,20 +211,14 @@ def resolve_backend(
     backend = get_backend(spec)
     if backend.available():
         return backend
-    for fb_name in (*backend.fallback, "numpy"):
-        fb = _REGISTRY.get(fb_name)
-        if fb is not None and fb.available():
-            if warn:
-                warnings.warn(
-                    f"backend {spec!r} is not available on this host; "
-                    f"falling back to {fb.name!r}",
-                    BackendFallbackWarning,
-                    stacklevel=2,
-                )
-            return fb
-    raise RuntimeError(
-        f"backend {spec!r} is unavailable and no fallback resolved"
-    )  # pragma: no cover - numpy is always available
+    if warn:
+        warnings.warn(
+            f"backend {spec!r} is not available on this host; "
+            f"falling back to 'numpy'",
+            BackendFallbackWarning,
+            stacklevel=2,
+        )
+    return _REGISTRY["numpy"]
 
 
 # ----------------------------------------------------------------------

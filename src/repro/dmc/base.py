@@ -253,7 +253,7 @@ class SimulatorBase(ABC):
         the no-op :data:`~repro.obs.trace.NULL_TRACER`.
     backend:
         Kernel backend for the execution hot paths — a name
-        (``"numpy"``, ``"cnative"``, ``"numba"``, ``"auto"``), a
+        (``"numpy"``, ``"cnative"``, ``"auto"``), a
         :class:`~repro.backends.Backend`, or ``None`` for the ambient
         backend installed by :func:`~repro.backends.use_backend`
         (default ``numpy``).  An execution detail only: trajectories,

@@ -73,8 +73,9 @@ def add_sweep_arguments(parser) -> None:
     )
     parser.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="kernel backend for every job (numpy, cnative, numba, auto); "
-        "results are bit-identical across backends",
+        help="kernel backend for every job (numpy, cnative, auto); an "
+        "unknown name exits 2 before the journal is opened.  Results are "
+        "bit-identical across backends",
     )
     parser.add_argument(
         "--checkpoint-dir", metavar="DIR",
@@ -139,6 +140,7 @@ def parse_chaos_specs(values: list[str]):
 
 def run(args) -> int:
     """Dispatch target of the ``sweep`` subcommand."""
+    from ..backends import check_backend_name
     from ..lint.engine import LintError
     from ..resilience.checkpoint import ResilienceError
     from ..scenario import ScenarioError, find_scenario
@@ -156,6 +158,7 @@ def run(args) -> int:
             return 2
         chaos = ChaosMonkey(seed=args.chaos_seed, faults=faults)
     try:
+        check_backend_name(args.backend)
         specs = tuple(find_scenario(ref) for ref in args.scenarios)
         orchestrator = JobOrchestrator(
             specs,

@@ -34,15 +34,11 @@ Analysis passes, each emitting :class:`Diagnostic` records with stable
   duplicate-free, infers symbolic shapes/dtypes, and checks each
   kernel's ``@kernel(reads=..., writes=..., pure=...)`` effect
   contract — including sequential/ensemble twin-contract agreement.
+  The C code behind the ``cnative`` twins is checked dynamically
+  instead: the differential suite in ``tests/test_backends.py`` demands
+  bit-identity with the NumPy reference and kills every seeded C
+  mutant.
   ``python -m repro lint --kernels``.
-* :mod:`repro.lint.native` — the **native-tier verifier**: parses the
-  cnative C translation unit and the ``@njit`` twins from source into
-  one typed IR, checks the ctypes/numpy/@kernel-contract ABI surface
-  (SR060/SR061), proves every subscript in-bounds and every integer
-  expression overflow-free by abstract interpretation with polynomial
-  intervals (SR062/SR063), and certifies trial loop order against the
-  reference kernel's commutativity argument (SR064).
-  ``python -m repro lint --native``.
 * :mod:`repro.lint.protocol` — the **protocol verifier**: an
   interprocedural AST/dataflow pass over the parallel-execution and
   resilience layers proving the SharedMemory create/attach/close/unlink
@@ -61,7 +57,7 @@ The complete code registry, generated from
 {code_table}
 
 Entry points: ``python -m repro lint`` (CI gate, see
-:mod:`repro.lint.cli`; ``--kernels`` / ``--native`` / ``--protocol``
+:mod:`repro.lint.cli`; ``--kernels`` / ``--protocol`` / ``--scenarios``
 for single passes) and the :func:`preflight_model` /
 :func:`preflight_partition` gates wired into the experiment drivers
 and the PNDCA construction paths.
@@ -81,7 +77,6 @@ from .kernel_lint import (
     runtime_write_collisions,
 )
 from .model_lint import lint_model
-from .native import NATIVE_CODES, lint_native, lint_verdict
 from .offsets import Conflict, conflict_witnesses
 from .partition_lint import (
     TilingProof,
@@ -122,7 +117,6 @@ __all__ = [
     "KernelContract",
     "KernelIR",
     "KERNEL_MODULES",
-    "NATIVE_CODES",
     "PROTOCOL_CODES",
     "analyze_kernel",
     "audit_draws",
@@ -135,10 +129,8 @@ __all__ = [
     "kernel",
     "lint_kernels",
     "lint_model",
-    "lint_native",
     "lint_partition",
     "lint_protocol",
-    "lint_verdict",
     "protocol_verdict",
     "preflight_model",
     "preflight_partition",

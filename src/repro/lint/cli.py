@@ -3,7 +3,7 @@
 Default invocation lints every registered model: sanity pass, then the
 symbolic conflict-freedom proof for the model's canonical modular
 tiling (``find_modular_tiling``), then — once each — the RNG draw
-audit of the sequential/ensemble kernel pairs and the native-tier
+audit of the sequential/ensemble kernel pairs and the protocol
 verifier.  Exit status 0 iff no error-severity diagnostic fired
 (``--strict`` also fails on warnings).
 
@@ -13,7 +13,6 @@ Targeted runs::
     python -m repro lint --model ziff --tiling 5:1,2   # explicit tiling
     python -m repro lint --model ziff --tiling 5:1,2 --shape 7x7
     python -m repro lint --kernels --strict            # kernel pass only
-    python -m repro lint --native --strict             # native tier only
     python -m repro lint --protocol --strict           # protocol layer only
     python -m repro lint --json                        # machine-readable
     python -m repro lint --list-codes                  # error-code table
@@ -23,14 +22,6 @@ proofs SR040/SR041, shape/dtype dataflow SR042/SR043, effect
 contracts SR050/SR051) over every ``@kernel``-decorated function in
 :data:`repro.lint.kernel_lint.KERNEL_MODULES` — no models are built,
 so it is fast enough for a pre-commit hook.
-
-``--native`` runs the native-tier verifier alone
-(:mod:`repro.lint.native`, SR060-SR064): ABI agreement between the C
-signatures, the ctypes table, the packed numpy dtypes and the
-``@kernel`` contracts, then the symbolic bounds/overflow proofs and
-the loop-order certificates over both the cnative translation unit
-and the ``@njit`` twins.  Everything is source-level: no C compiler
-or numba installation is needed.
 
 ``--protocol`` runs the process-level protocol verifier alone
 (:mod:`repro.lint.protocol`, SR070-SR078): the SharedMemory lifecycle
@@ -177,12 +168,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "(SR040-SR043, SR050/SR051)",
     )
     parser.add_argument(
-        "--native",
-        action="store_true",
-        help="run only the native-tier verifier over the C/numba twins "
-        "(SR060-SR064)",
-    )
-    parser.add_argument(
         "--protocol",
         action="store_true",
         help="run only the protocol verifier over the executor/resilience "
@@ -221,16 +206,12 @@ def run(args: argparse.Namespace) -> int:
             print(f"{code}  {sev:<7s} {slug:<30s} {desc}")
         return 0
 
-    if args.kernels or args.native or args.protocol or args.scenarios:
+    if args.kernels or args.protocol or args.scenarios:
         report = LintReport()
         if args.kernels:
             from .kernel_lint import lint_kernels
 
             report.extend(lint_kernels())
-        if args.native:
-            from .native import lint_native
-
-            report.extend(lint_native())
         if args.protocol:
             from .protocol import lint_protocol
 
@@ -282,7 +263,6 @@ def run(args: argparse.Namespace) -> int:
                 shape=args.shape,
                 initial_species=initial,
                 rng_audit=(i == 0 and not args.no_rng_audit),
-                native_audit=(i == 0),
                 protocol_audit=(i == 0),
             )
         )

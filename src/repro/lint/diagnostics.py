@@ -20,10 +20,9 @@ Code ranges
     kernel effect contracts: undeclared mutation (SR050) and
     sequential/ensemble twin drift (SR051),
 ``SR06x``
-    native-tier verification (:mod:`repro.lint.native`): C/ctypes ABI
-    agreement (SR060/SR061), symbolic bounds and overflow proofs over
-    the compiled loops (SR062/SR063), and twin loop-order admissibility
-    (SR064),
+    retired: the native-tier verifier's codes.  The differential
+    backend suite kills the C mutants they were written against, so the
+    range stays empty and its numbers are never reused,
 ``SR07x``
     process-level protocol verification (:mod:`repro.lint.protocol`):
     shared-memory lifecycle typestate (SR070/SR071), signal/ambient
@@ -157,36 +156,6 @@ CODES: dict[str, tuple[str, str, str]] = {
         "twin-contract-drift",
         "sequential/ensemble kernel twins disagree on declared "
         "effects after parameter renaming",
-    ),
-    "SR060": (
-        "error",
-        "native-signature-mismatch",
-        "native entry point, ctypes declaration and kernel binding "
-        "disagree on arity or parameter kind (pointer vs scalar)",
-    ),
-    "SR061": (
-        "error",
-        "native-width-mismatch",
-        "C parameter type and numpy dtype / ctypes declaration differ "
-        "in integer width or signedness",
-    ),
-    "SR062": (
-        "error",
-        "native-unproven-bounds",
-        "array subscript in a native kernel is not provably in-bounds "
-        "under the wrapper-validated preconditions",
-    ),
-    "SR063": (
-        "error",
-        "native-overflow",
-        "integer expression in a native kernel may overflow or "
-        "truncate at its declared width",
-    ),
-    "SR064": (
-        "error",
-        "native-order-drift",
-        "native twin executes trials in an order its reference "
-        "kernel's commutativity argument does not admit",
     ),
     "SR070": (
         "error",

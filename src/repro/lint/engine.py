@@ -86,7 +86,6 @@ def run_lint(
     conserved: Sequence[Mapping[str, float]] | None = None,
     rng_audit: bool = False,
     kernel_audit: bool = False,
-    native_audit: bool = False,
     protocol_audit: bool = False,
     limit: int = 8,
 ) -> LintReport:
@@ -95,11 +94,10 @@ def run_lint(
     Runs the model sanity pass, then — depending on what is supplied —
     the symbolic tiling proof (``tiling=(m, coeffs)``, optionally
     specialised to a ``shape``), the partition lint, the RNG draw
-    audit, the kernel aliasing/effect-contract pass (``kernel_audit``),
-    the native-tier C/numba verifier (``native_audit``), and the
-    process-level protocol verifier (``protocol_audit``) — the last
-    four are model-independent, so CLI callers run them once, not per
-    model.  Never raises on findings; inspect ``report.ok()``.
+    audit, the kernel aliasing/effect-contract pass (``kernel_audit``)
+    and the process-level protocol verifier (``protocol_audit``) — the
+    last three are model-independent, so CLI callers run them once,
+    not per model.  Never raises on findings; inspect ``report.ok()``.
     """
     from .partition_lint import check_tiling_on_shape
     from .rng_lint import audit_draws
@@ -137,10 +135,6 @@ def run_lint(
         from .kernel_lint import lint_kernels
 
         report.extend(lint_kernels())
-    if native_audit:
-        from .native import lint_native
-
-        report.extend(lint_native())
     if protocol_audit:
         from .protocol import lint_protocol
 

@@ -83,7 +83,6 @@ KERNEL_MODULES: tuple[str, ...] = (
     "repro.ensemble.ndca",
     "repro.ensemble.pndca",
     "repro.backends.cnative",
-    "repro.backends.numba_jit",
 )
 
 

@@ -17,8 +17,8 @@ would have.  Two invariants carry the proof:
    is state a retry would silently double-apply.
 
 The pass audits a declared set of *rung* methods/functions of the
-executor module; the set is part of the protocol spec, mirroring how
-:mod:`repro.lint.native` trusts its entry-point specs.
+executor module; the set is part of the protocol spec and is trusted,
+not inferred.
 """
 
 from __future__ import annotations

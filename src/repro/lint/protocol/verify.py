@@ -13,10 +13,8 @@ and runs:
 * the recovery-ladder draw/snapshot audit (SR075/SR076),
 * the spawn-safety pass (SR077),
 
-over them.  :func:`protocol_verdict` condenses a run into the same
-provenance-block shape :func:`repro.lint.native.lint_verdict` emits,
-so bench records carry both the native and the protocol verdicts side
-by side.
+over them.  :func:`protocol_verdict` condenses a run into the
+provenance block bench records carry as ``extra["protocol_lint"]``.
 """
 
 from __future__ import annotations
@@ -146,9 +144,9 @@ def lint_protocol() -> LintReport:
 def protocol_verdict() -> dict:
     """Condensed verdict for bench provenance blocks.
 
-    Mirrors :func:`repro.lint.native.lint_verdict`: ``codes`` lists
-    what was checked (not what fired), ``ok`` the pass/fail verdict,
-    ``errors`` the codes that actually fired, and ``digest`` a short
+    ``codes`` lists what was checked (not what fired), ``ok`` the
+    pass/fail verdict, ``errors`` the codes that actually fired, and
+    ``digest`` a short
     stable hash of the full diagnostic payload so two BENCH files can
     be compared for "same verified protocol layer".
     """

@@ -44,35 +44,18 @@ __all__ = [
 #: default output directory for BENCH_*.json files (repo-relative)
 DEFAULT_OUT = Path("benchmarks/reports")
 
-#: memoised native-lint verdict — identical for every record of a run
-_lint_verdict_cache: dict | None = None
+#: memoised protocol-lint verdict — identical for every record of a run
 _protocol_verdict_cache: dict | None = None
-
-
-def _native_lint_verdict() -> dict:
-    """The condensed SR060-range verdict stamped into each record.
-
-    A bench point is only comparable to another if both ran verified
-    kernels, so every record carries the native-tier lint verdict
-    (pass/fail, fired codes, and a digest of the full diagnostic
-    payload).  Computed once per process: the verdict depends only on
-    the shipped sources, not on the engine being benchmarked.
-    """
-    global _lint_verdict_cache
-    if _lint_verdict_cache is None:
-        from ..lint.native import lint_verdict
-
-        _lint_verdict_cache = lint_verdict()
-    return _lint_verdict_cache
 
 
 def _protocol_lint_verdict() -> dict:
     """The condensed SR070-range verdict stamped into each record.
 
-    Same comparability argument as :func:`_native_lint_verdict`, one
-    layer up: a bench point ran under a verified execution/resilience
-    protocol (shm lifecycle, signal pairing, checkpoint round trips,
-    recovery ladder, spawn safety) or it did not.
+    A bench point is only comparable to another if both ran under a
+    verified execution/resilience protocol (shm lifecycle, signal
+    pairing, checkpoint round trips, recovery ladder, spawn safety).
+    Computed once per process: the verdict depends only on the shipped
+    sources, not on the engine being benchmarked.
     """
     global _protocol_verdict_cache
     if _protocol_verdict_cache is None:
@@ -223,7 +206,6 @@ def run_engine_bench(
         "side": side,
         "until": until,
         "backend": be.name,
-        "lint": dict(_native_lint_verdict()),
         "protocol_lint": dict(_protocol_lint_verdict()),
     }
     if hasattr(result, "n_replicas"):
@@ -277,7 +259,6 @@ def run_scenario_bench(
         "until": spec.run.until,
         "backend": engine.backend.name,
         "scenario": provenance(spec),
-        "lint": dict(_native_lint_verdict()),
         "protocol_lint": dict(_protocol_lint_verdict()),
     }
     name = f"scenario-{spec.name}"
@@ -346,9 +327,9 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="NAME",
         help=(
-            "kernel backend for the runs (e.g. numpy, cnative, numba, auto); "
-            "default: the ambient selection.  An unavailable backend falls "
-            "back along its declared chain with a warning; non-numpy records "
+            "kernel backend for the runs (numpy, cnative, auto); default: "
+            "the ambient selection.  An unknown name exits 2; an unavailable "
+            "backend falls back to numpy with a warning; non-numpy records "
             "are written as BENCH_<engine>-<backend>.json"
         ),
     )
@@ -395,16 +376,13 @@ def run(args: argparse.Namespace) -> int:
     """Execute the bench CLI; returns the exit code."""
     if args.check:
         return _check_files(args.check)
-    if args.backend is not None and args.backend != "auto":
-        from ..backends import backend_names
+    from ..backends import check_backend_name
 
-        if args.backend not in backend_names():
-            print(
-                f"unknown backend {args.backend!r}; "
-                f"known: {sorted(backend_names()) + ['auto']}",
-                file=sys.stderr,
-            )
-            return 2
+    try:
+        check_backend_name(args.backend)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if args.scenario is not None:
         from ..lint.engine import LintError
         from ..scenario import ScenarioError

@@ -451,6 +451,13 @@ def _parse_engine(doc: Mapping) -> EngineSpec:
     strategy = _get_str(table, "strategy", "engine")
     chunk_selection = _get_str(table, "chunk_selection", "engine")
     backend = _get_str(table, "backend", "engine")
+    if backend is not None:
+        from ..backends import check_backend_name
+
+        try:
+            check_backend_name(backend)
+        except ValueError as exc:
+            raise _err(f"engine.backend: {exc}") from None
     L: int | str | None = None
     if "L" in table:
         v = table["L"]

@@ -5,8 +5,10 @@ Markers
 ``slow``
     Long-running tests: statistical/long-horizon checks, the full
     backend differential matrix
-    (``test_backends.py::TestDifferentialMatrix``) and the compiled
-    kernel speedup gate (``test_backends.py::TestSpeedup``).  The
+    (``test_backends.py::TestDifferentialMatrix``), the seeded C
+    mutants (``test_backends.py::TestCMutantsAreKilled``, one
+    subprocess and one C build each) and the compiled kernel speedup
+    gate (``test_backends.py::TestSpeedup``).  The
     default run excludes them (``addopts = "-q -m 'not slow'"`` in
     pyproject.toml); run them with ``pytest -m slow``, or everything
     with ``pytest -m ''``.  CI's backend-matrix job runs the slow

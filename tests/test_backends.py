@@ -10,13 +10,17 @@ digests.  Exact equality, not statistical agreement.
 
 Layout
 ------
-* registry semantics (resolution, fallback chain, ambient stack);
+* registry semantics (resolution, fallback to numpy, ambient stack);
 * the contract-driven fuzz generators (``repro.backends.fuzz``);
 * kernel-level differential smoke (fast) and the full
   models x shapes x kernels matrix (marked ``slow``; the CI backend
   matrix job runs it explicitly);
 * seeded *mutant* twins the harness must catch — a differential
-  harness that cannot fail is not evidence;
+  harness that cannot fail is not evidence — and seeded mutants of the
+  shipped C source, each run against the suite in its own subprocess
+  (marked ``slow``), plus the prototype checks that kill the two C
+  mutants no execution can see;
+* the ``cnative`` build cache (compiler identity, stale eviction);
 * engine-level bit-identity including RNG draw parity
   (``CountingGenerator`` counters) across backends;
 * checkpoint portability: a run checkpointed under one backend
@@ -25,8 +29,13 @@ Layout
   the sequential hot kernel at 256 x 256.
 """
 
+import os
+import re
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +53,7 @@ from repro.backends import (
     resolve_backend,
     use_backend,
 )
+from repro.backends import cnative
 from repro.backends.fuzz import (
     argument_grid,
     compare_backends,
@@ -92,8 +102,8 @@ class TestRegistry:
         assert "numpy" in available_backends()
 
     def test_all_tiers_registered_even_when_unavailable(self):
-        # numba registers unconditionally; availability is a host fact
-        assert {"numpy", "cnative", "numba"} <= set(backend_names())
+        # cnative registers unconditionally; availability is a host fact
+        assert {"numpy", "cnative"} <= set(backend_names())
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -110,7 +120,6 @@ class TestRegistry:
         class Ghost(Backend):
             name = "ghost-tier"
             tier = 99
-            fallback = ("numpy",)
 
             def available(self):
                 return False
@@ -367,6 +376,202 @@ class TestMutantsAreCaught:
 
 
 # ----------------------------------------------------------------------
+# the C source itself: prototypes vs ctypes, and seeded C mutants
+# ----------------------------------------------------------------------
+_PROTOTYPE = re.compile(r"int64_t\s+(repro_\w+)\s*\(([^)]*)\)")
+_INT32_DECL = re.compile(r"\bint32_t\s*\*?\s*(\w+)")
+
+
+def c_prototypes(source: str) -> "dict[str, list[tuple[str, bool]]]":
+    """``repro_*`` entry point -> ``[(C scalar type, is_pointer), ...]``."""
+    protos = {}
+    for name, params in _PROTOTYPE.findall(source):
+        protos[name] = [
+            (re.search(r"\w+_t\b", p).group(0), "*" in p)
+            for p in params.split(",")
+        ]
+    return protos
+
+
+class TestCPrototypes:
+    """What the ABI cannot show: on LP64 a pointer and an int64 share a
+    register, and a narrowed offset only wraps past 2**31 table entries,
+    so neither shows up when the kernels run."""
+
+    def test_ctypes_kinds_match_the_c_prototypes(self):
+        protos = c_prototypes(cnative._C_SOURCE)
+        assert set(protos) == set(cnative.CTYPES_SIGNATURES)
+        for name, (kinds, ret) in cnative.CTYPES_SIGNATURES.items():
+            assert ret == "i64"
+            assert len(protos[name]) == len(kinds), name
+            for i, ((ctype, is_ptr), kind) in enumerate(zip(protos[name], kinds)):
+                assert is_ptr == (kind == "ptr"), f"{name} parameter {i}"
+                assert is_ptr or ctype == "int64_t", f"{name} parameter {i}"
+
+    def test_int32_only_for_the_change_counts(self):
+        assert set(_INT32_DECL.findall(cnative._C_SOURCE)) <= {"nch", "nc", "c"}
+
+
+#: name -> (target, old, new, count, killer).  The textual mutants of
+#: the shipped C source (``count`` as for ``str.replace``); the
+#: ``CTYPES_SIGNATURES`` mutant swaps ``state`` (ptr) and ``c_max``
+#: (i64) of ``repro_run_trials``.  ``killer`` names the checks that must
+#: fail against the mutant.
+C_MUTANTS = {
+    "off-by-one-bound": (
+        "source", "for (; c < nc; ++c)", "for (; c <= nc; ++c)", 1,
+        "differential",
+    ),
+    "widened-nch-pointer": (
+        "source", "const int32_t *nch", "const int64_t *nch", -1,
+        "differential",
+    ),
+    "reversed-trial-loop": (
+        "source",
+        "for (int64_t i = 0; i < n_trials; ++i)",
+        "for (int64_t i = n_trials - 1; i >= 0; --i)",
+        1,
+        "differential",
+    ),
+    "record-write-after-increment": (
+        "source",
+        """        if (rec) {
+            int64_t *r = rec + 3 * n_exec;
+            r[0] = i;
+            r[1] = t;
+            r[2] = s;
+        }
+        ++n_exec;""",
+        """        ++n_exec;
+        if (rec) {
+            int64_t *r = rec + 3 * n_exec;
+            r[0] = i;
+            r[1] = t;
+            r[2] = s;
+        }""",
+        1,
+        "differential",
+    ),
+    "swapped-argtypes": ("ctypes", "repro_run_trials", (0, 5), None, "prototypes"),
+    "int32-offset": (
+        "source",
+        "const int64_t *tm = maps + t * c_max * n_sites;",
+        "const int32_t off = t * c_max * n_sites;\n"
+        "        const int64_t *tm = maps + off;",
+        1,
+        "prototypes",
+    ),
+}
+
+_HERE = Path(__file__).resolve()
+_KILLERS = {
+    "differential": [
+        f"{_HERE}::TestDifferentialSmoke",
+        f"{_HERE}::TestEngineBitIdentity",
+    ],
+    "prototypes": [f"{_HERE}::TestCPrototypes"],
+}
+
+
+def _mutation_code(target, old, new, count) -> str:
+    """Python that applies one mutant to the imported cnative module."""
+    if target == "ctypes":
+        a, b = new
+        return (
+            "sig = dict(cnative.CTYPES_SIGNATURES)\n"
+            f"kinds, ret = sig[{old!r}]\n"
+            "kinds = list(kinds)\n"
+            f"kinds[{a}], kinds[{b}] = kinds[{b}], kinds[{a}]\n"
+            f"sig[{old!r}] = (tuple(kinds), ret)\n"
+            "cnative.CTYPES_SIGNATURES = sig\n"
+        )
+    return (
+        f"cnative._C_SOURCE = cnative._C_SOURCE.replace({old!r}, {new!r}, {count})\n"
+    )
+
+
+def _run_checks_against(mutation: str, node_ids: "list[str]", cache: Path):
+    """Run pytest on ``node_ids`` in a fresh interpreter whose cnative
+    module was mutated before its library was first built."""
+    import repro
+
+    script = (
+        "import sys\n"
+        "from repro.backends import cnative\n"
+        f"{mutation}"
+        "import pytest\n"
+        f"sys.exit(pytest.main({[*node_ids, '-q', '-p', 'no:cacheprovider']!r}))\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, REPRO_CNATIVE_CACHE=str(cache))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=_HERE.parents[1],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=900,
+    )
+
+
+@requires_compiled
+@pytest.mark.slow
+class TestCMutantsAreKilled:
+    """Each seeded C mutant fails the checks named as its killer: a
+    failing test (exit 1) or a crash (killed by a signal) both count."""
+
+    def test_unmutated_source_passes_every_killer(self, tmp_path):
+        proc = _run_checks_against(
+            "", _KILLERS["differential"] + _KILLERS["prototypes"], tmp_path
+        )
+        assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+
+    @pytest.mark.parametrize("name", list(C_MUTANTS))
+    def test_mutant_is_killed(self, name, tmp_path):
+        target, old, new, count, killer = C_MUTANTS[name]
+        if target == "source":
+            assert old in cnative._C_SOURCE, f"mutant {name} no longer applies"
+        proc = _run_checks_against(
+            _mutation_code(target, old, new, count), _KILLERS[killer], tmp_path
+        )
+        assert proc.returncode == 1 or proc.returncode < 0, (
+            f"mutant {name} survived the {killer} checks "
+            f"(exit {proc.returncode}):\n{proc.stdout[-3000:]}{proc.stderr[-3000:]}"
+        )
+
+
+class TestCompilerIdentityCache:
+    def test_digest_includes_compiler_identity(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(cnative.CACHE_ENV, str(tmp_path))
+        monkeypatch.setattr(cnative, "_compiler_id_cache", "cc fake 1.0")
+        first = cnative.library_path()
+        monkeypatch.setattr(cnative, "_compiler_id_cache", "cc fake 2.0")
+        second = cnative.library_path()
+        assert first != second
+        assert all(p.startswith(str(tmp_path)) for p in (first, second))
+
+    def test_no_compiler_gets_stable_identity(self, monkeypatch):
+        monkeypatch.setattr(cnative, "_compiler_id_cache", None)
+        monkeypatch.setattr(cnative, "_find_compiler", lambda: None)
+        assert cnative._compiler_identity() == "no-cc"
+        assert cnative._compiler_identity() == "no-cc"  # memoised
+
+    def test_evict_stale_drops_only_superseded_artifacts(self, tmp_path):
+        keep = "repro_cnative_aaaa.so"
+        stale = "repro_cnative_bbbb.so"
+        other = "unrelated.so"
+        for name in (keep, stale, other):
+            (tmp_path / name).write_bytes(b"")
+        cnative._evict_stale(str(tmp_path), keep)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [keep, other]
+        )
+
+
+# ----------------------------------------------------------------------
 # coverage map: what the backends must cover, locked by contract
 # ----------------------------------------------------------------------
 class TestCoverageMap:
@@ -390,16 +595,15 @@ class TestCoverageMap:
     def test_every_dispatch_kernel_has_a_registered_twin_per_compiled_module(self):
         from repro.lint.contracts import contract_of, registered_kernels
 
-        for module in ("repro.backends.cnative", "repro.backends.numba_jit"):
-            twins = {
-                contract_of(fn).twin
-                for fn in registered_kernels((module,))
-                if contract_of(fn).twin
-            }
-            assert set(DISPATCH_KERNELS) <= twins, (
-                f"{module} is missing twins for "
-                f"{set(DISPATCH_KERNELS) - twins}"
-            )
+        twins = {
+            contract_of(fn).twin
+            for fn in registered_kernels(("repro.backends.cnative",))
+            if contract_of(fn).twin
+        }
+        assert set(DISPATCH_KERNELS) <= twins, (
+            f"repro.backends.cnative is missing twins for "
+            f"{set(DISPATCH_KERNELS) - twins}"
+        )
 
     def test_backend_kernel_sets_override_every_dispatch_kernel(self):
         from repro.core import kernels as ref

@@ -121,19 +121,6 @@ class TestLintCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True and doc["diagnostics"] == []
 
-    def test_native_pass_json(self, capsys):
-        assert main(["lint", "--native", "--json", "--strict"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["ok"] is True
-        notes = " ".join(doc["notes"])
-        assert "native-c" in notes and "native-numba" in notes
-
-    def test_kernels_and_native_combine(self, capsys):
-        assert main(["lint", "--kernels", "--native", "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert any("native-c" in n for n in doc["notes"])
-        assert any("kernel" in n for n in doc["notes"])
-
     def test_strict_mode_fails_on_warnings(self, capsys, monkeypatch):
         from repro.lint import kernel_lint
 
@@ -143,25 +130,81 @@ class TestLintCli:
         assert main(["lint", "--kernels", "--strict"]) == 1
         assert "SR043" in capsys.readouterr().out
 
-    def test_native_errors_fail_without_strict(self, capsys, monkeypatch):
-        import repro.lint.native as native
-
-        def broken():
-            from repro.lint.diagnostics import Diagnostic, LintReport
-
-            report = LintReport()
-            report.add(
-                Diagnostic("SR062", "native:c:fake", "seeded error")
-            )
-            return report
-
-        monkeypatch.setattr(native, "lint_native", broken)
-        assert main(["lint", "--native"]) == 1
-        assert "SR062" in capsys.readouterr().out
-
     def test_list_codes_spans_registry(self, capsys):
         from repro.lint.diagnostics import CODES
 
         assert main(["lint", "--list-codes"]) == 0
         out = capsys.readouterr().out
         assert all(code in out for code in CODES)
+
+    def test_native_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "--native"])
+        assert excinfo.value.code == 2
+        assert "--native" in capsys.readouterr().err
+
+    def test_list_codes_has_no_retired_range(self, capsys):
+        assert main(["lint", "--list-codes"]) == 0
+        assert "SR06" not in capsys.readouterr().out
+
+
+SCENARIO_WITH_BACKEND = """\
+[scenario]
+name = "bad-backend"
+
+[model]
+species = ["*", "A"]
+
+[[model.reactions]]
+name = "A_ads"
+type = "adsorption"
+species = "A"
+rate = 1.0
+
+[lattice]
+shape = [4, 4]
+
+[engine]
+kind = "rsm"
+backend = "{backend}"
+"""
+
+
+class TestUnknownBackend:
+    """Every command refuses an unknown backend the same way: exit 2, one
+    line naming the backend and the known names, before any work."""
+
+    KNOWN = "known: ['auto', 'cnative', 'numpy']"
+
+    def assert_refused(self, capsys, rc, name="bogus"):
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert f"unknown backend {name!r}" in err and self.KNOWN in err
+        assert "Traceback" not in err
+
+    def test_run(self, capsys):
+        self.assert_refused(capsys, main(["run", "zgb", "--backend", "bogus"]))
+
+    def test_bench(self, capsys, tmp_path):
+        rc = main(["bench", "--backend", "bogus", "--json", "--out", str(tmp_path)])
+        self.assert_refused(capsys, rc)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_fails_before_the_journal(self, capsys, tmp_path):
+        journal = tmp_path / "campaign"
+        rc = main(["sweep", "ab2-desorption", "--backend", "bogus",
+                   "--jobs", "2", "--journal", str(journal)])
+        self.assert_refused(capsys, rc)
+        assert not journal.exists()
+
+    def test_scenario_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.toml"
+        path.write_text(SCENARIO_WITH_BACKEND.format(backend="bogus"))
+        self.assert_refused(capsys, main(["run", str(path)]))
+
+    def test_auto_and_registered_names_pass(self):
+        from repro.backends import check_backend_name
+
+        for name in (None, "auto", "numpy", "cnative"):
+            check_backend_name(name)

@@ -56,6 +56,13 @@ class TestDiagnostics:
         assert "SR003" in text and "checked" in text and "1 error(s)" in text
         assert '"SR003"' in r.to_json()
 
+    def test_package_docstring_lists_every_code(self):
+        import repro.lint as lint_pkg
+
+        for code in CODES:
+            assert f"``{code}``" in lint_pkg.__doc__, code
+        assert "{code_table}" not in lint_pkg.__doc__
+
 
 # ----------------------------------------------------------------------
 # offset algebra

@@ -18,8 +18,6 @@ Three layers:
 
 import inspect
 import json
-import subprocess
-import sys
 
 import repro.dmc.base as dmc_base
 import repro.parallel.executor as executor_mod
@@ -393,28 +391,4 @@ class TestIntegration:
         block = record["extra"]["protocol_lint"]
         assert block["ok"] is True
         assert block["codes"] == list(PROTOCOL_CODES)
-        assert "lint" in record["extra"]  # native verdict still present
-
-    def test_native_lint_skip_env_warns(self):
-        code = (
-            "import warnings\n"
-            "with warnings.catch_warnings(record=True) as w:\n"
-            "    warnings.simplefilter('always')\n"
-            "    import repro.backends.cnative  # noqa: F401\n"
-            "hits = [x for x in w if 'WITHOUT its native lint self-check'"
-            " in str(x.message)]\n"
-            "assert len(hits) == 1, [str(x.message) for x in w]\n"
-            "assert issubclass(hits[0].category, RuntimeWarning)\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={
-                "PYTHONPATH": "src",
-                "REPRO_NATIVE_LINT_SKIP": "1",
-                "PATH": "/usr/bin:/bin",
-            },
-            cwd=".",
-        )
-        assert proc.returncode == 0, proc.stderr
+        assert "lint" not in record["extra"]  # the native block is retired

@@ -127,6 +127,8 @@ BAD_DOCS = [
     (edited('kind = "rsm"', 'kind = "ensemble-rsm"'),
      "engine.n_replicas: required for ensemble kind"),
     (edited('kind = "rsm"', 'kind = "rsm"\nL = 4'), "only the 'lpndca' engine"),
+    (edited('kind = "rsm"', 'kind = "rsm"\nbackend = "jit"'),
+     "engine.backend: unknown backend 'jit'; known: ['auto', 'cnative', 'numpy']"),
     # --- lattice ------------------------------------------------------
     (edited("shape = [6, 6]", "shape = [6, 0]"), "sides must be positive integers"),
     (edited("shape = [6, 6]", "shape = [6]"), "does not match the model dimensionality"),
