@@ -1,375 +1,14 @@
-"""Tests for ``repro.lint.native`` — the SR060-range native verifier.
+"""Registry parity of the lint code table after the native range retired.
 
-Four layers:
-
-* unit tests of the polynomial interval arithmetic (the decision
-  procedure every bounds proof reduces to) and of the two front-ends
-  (the mini C parser and the ``@njit`` AST lowering), including the
-  fail-closed rejections of constructs outside the restricted subset,
-* the clean pass: the shipped cnative translation unit and the numba
-  twins must be proven in-bounds, overflow-free and order-admissible,
-* adversarial mutants of the shipped sources — an off-by-one bound, an
-  int32 narrowing, swapped ctypes argtypes, a widened table pointer, a
-  reversed trial loop and a reordered record write — each of which must
-  trip *exactly* its intended SR06x code with a site-level diagnostic,
-* the integration seams: the registration self-check gate of the
-  cnative backend, the compiler-identity cache digest, the bench
-  provenance verdict and the docstring/registry parity.
+The SR060-range native verifier is gone; what stays is the guarantee that
+the lint entry point itself (``repro.lint.cli``, not the top-level
+``repro lint`` wrapper) lists every code the registry holds.
 """
 
-import pytest
-
-from repro.backends import cnative
-from repro.backends.cnative import _C_SOURCE, CTYPES_SIGNATURES
 from repro.lint.diagnostics import CODES
-from repro.lint.native import (
-    C_SPECS,
-    NATIVE_CODES,
-    NUMBA_SPECS,
-    NativeSyntaxError,
-    lint_native,
-    lint_verdict,
-    verify_c_translation_unit,
-    verify_numba_functions,
-)
-from repro.lint.native.cfront import parse_c_unit
-from repro.lint.native.pyfront import jit_source, parse_numba_funcs
-from repro.lint.native.sym import TOP, Interval, Poly
-
-
-def codes_of(report):
-    return sorted({d.code for d in report.diagnostics})
-
-
-# ----------------------------------------------------------------------
-# symbolic layer
-# ----------------------------------------------------------------------
-class TestPoly:
-    def test_lower_bound_substitution(self):
-        # T*C*N - C*N >= 0 needs T >= 1: provable only with the slack
-        t1 = Poly.sym("T", lower=1)
-        t0 = Poly.sym("T", lower=0)
-        c = Poly.sym("C")
-        n = Poly.sym("N")
-        assert (t1 * c * n - c * n).is_nonneg()
-        assert not (t0 * c * n - c * n).is_nonneg()
-
-    def test_int_coercion(self):
-        n = Poly.sym("N")
-        assert (2 * n + 1) - (n + n) == Poly.const(1)
-        assert (1 - Poly.const(1)).const_value() == 0
-        assert Poly.const(3) <= 5
-        assert n <= n + 2
-
-    def test_incomparable_symbols(self):
-        a, b = Poly.sym("a"), Poly.sym("b")
-        assert not a <= b
-        assert not b <= a
-
-    def test_const_value(self):
-        assert Poly.const(7).const_value() == 7
-        assert Poly.sym("x").const_value() is None
-        assert Poly.const(0).is_const()
-
-
-class TestInterval:
-    def test_mul_const_scaling_flips_on_negative(self):
-        iv = Interval(Poly.const(1), Poly.sym("n"))
-        neg = iv.mul(Interval.const(-2))
-        assert str(neg.lo) == "-2*n" and neg.hi.const_value() == -2
-
-    def test_mul_unknown_is_top(self):
-        assert Interval(Poly.const(1), None).mul(
-            Interval.exact(Poly.sym("n"))
-        ) is TOP
-        assert not TOP.known
-
-    def test_join_keeps_provably_ordered_endpoints(self):
-        n = Poly.sym("n")
-        a = Interval(Poly.const(0), n)
-        b = Interval(Poly.const(1), n + 1)
-        j = a.join(b)
-        assert j.lo.const_value() == 0 and str(j.hi) == "1 + n"
-
-    def test_join_incomparable_degrades(self):
-        a = Interval.exact(Poly.sym("a"))
-        b = Interval.exact(Poly.sym("b"))
-        assert a.join(b) == TOP
-
-
-# ----------------------------------------------------------------------
-# front-ends
-# ----------------------------------------------------------------------
-class TestCFront:
-    def test_parses_shipped_translation_unit(self):
-        funcs = {f.name: f for f in parse_c_unit(_C_SOURCE)}
-        assert set(funcs) == set(CTYPES_SIGNATURES)
-        for name, (kinds, _ret) in CTYPES_SIGNATURES.items():
-            assert len(funcs[name].params) == len(kinds)
-
-    def test_comments_hex_and_casts(self):
-        unit = parse_c_unit(
-            "/* block */ // line\n"
-            "int64_t f(const int64_t *a, int64_t n) {\n"
-            "    int64_t x = 0x10;\n"
-            "    int64_t *p = (int64_t *)0;\n"
-            "    for (int64_t i = 0; i < n; ++i)\n"
-            "        x += a[i];\n"
-            "    return x;\n"
-            "}\n"
-        )
-        assert [f.name for f in unit] == ["f"]
-        assert unit[0].ret.bits == 64 and not unit[0].ret.pointer
-
-    @pytest.mark.parametrize(
-        "source,fragment",
-        [
-            ("int64_t f(int64_t n) { while (n) { --n; } return n; }", "while"),
-            ("int64_t f(int64_t n) { return g(n); }", "calls"),
-            (
-                "int64_t f(int64_t n) "
-                "{ for (int64_t i = 0; i < n; i += 2) { } return 0; }",
-                "increment",
-            ),
-        ],
-    )
-    def test_rejects_constructs_outside_subset(self, source, fragment):
-        with pytest.raises(NativeSyntaxError, match=fragment):
-            parse_c_unit(source)
-
-    def test_parse_failure_fails_closed_as_sr062(self):
-        report = verify_c_translation_unit(
-            "int64_t f(int64_t n) { while (n) { --n; } return n; }",
-            CTYPES_SIGNATURES,
-        )
-        assert codes_of(report) == ["SR062"]
-        assert "nothing is proven" in report.diagnostics[0].message
-
-
-class TestPyFront:
-    def test_extracts_njit_twins_with_spec_parameters(self):
-        names = tuple(s.name for s in NUMBA_SPECS)
-        funcs = {f.name: f for f in parse_numba_funcs(jit_source(), names)}
-        assert set(funcs) == set(names)
-        for spec in NUMBA_SPECS:
-            assert funcs[spec.name].param_names() == tuple(
-                p.name for p in spec.params
-            )
-
-    def test_rejects_unsupported_python(self):
-        source = (
-            "def _jit():\n"
-            "    def run_trials(sites):\n"
-            "        while True:\n"
-            "            break\n"
-        )
-        with pytest.raises(NativeSyntaxError):
-            parse_numba_funcs(source, ("run_trials",))
-
-
-# ----------------------------------------------------------------------
-# the clean pass: shipped sources must be proven safe
-# ----------------------------------------------------------------------
-class TestCleanPass:
-    def test_shipped_c_source_is_proven(self):
-        report = verify_c_translation_unit(_C_SOURCE, CTYPES_SIGNATURES)
-        assert report.ok(strict=True), report.render()
-        assert any("native-c: 3 entry points" in n for n in report.notes)
-
-    def test_shipped_numba_twins_are_proven(self):
-        report = verify_numba_functions(jit_source())
-        assert report.ok(strict=True), report.render()
-        assert any("native-numba: 3 @njit twins" in n for n in report.notes)
-
-    def test_full_pass_over_both_tiers(self):
-        report = lint_native()
-        assert report.ok(strict=True), report.render()
-        assert len(report.notes) >= 2
-
-    def test_specs_cover_ctypes_table(self):
-        assert tuple(s.name for s in C_SPECS) == tuple(CTYPES_SIGNATURES)
-        for spec in C_SPECS:
-            kinds, _ = CTYPES_SIGNATURES[spec.name]
-            assert len(spec.params) == len(kinds)
-
-
-# ----------------------------------------------------------------------
-# adversarial mutants: each trips exactly one code, at the site
-# ----------------------------------------------------------------------
-class TestMutants:
-    def test_off_by_one_bound_is_sr062(self):
-        mutant = _C_SOURCE.replace(
-            "for (; c < nc; ++c)", "for (; c <= nc; ++c)", 1
-        )
-        report = verify_c_translation_unit(mutant, CTYPES_SIGNATURES)
-        assert codes_of(report) == ["SR062"]
-        first = report.diagnostics[0]
-        assert first.subject == "native:c:repro_run_trials"
-        assert "line" in first.message and "in bounds" in first.message
-
-    def test_int32_narrowing_is_sr063(self):
-        mutant = _C_SOURCE.replace(
-            "const int64_t *tm = maps + t * c_max * n_sites;",
-            "const int32_t off = t * c_max * n_sites;\n"
-            "        const int64_t *tm = maps + off;",
-            1,
-        )
-        report = verify_c_translation_unit(mutant, CTYPES_SIGNATURES)
-        assert codes_of(report) == ["SR063"]
-        assert "truncate" in report.diagnostics[0].message
-
-    def test_swapped_ctypes_argtypes_is_sr060(self):
-        bad = dict(CTYPES_SIGNATURES)
-        kinds, ret = bad["repro_run_trials"]
-        k = list(kinds)
-        k[0], k[5] = k[5], k[0]  # state (ptr) <-> c_max (i64)
-        bad["repro_run_trials"] = (tuple(k), ret)
-        report = verify_c_translation_unit(_C_SOURCE, bad)
-        assert codes_of(report) == ["SR060"]
-        positions = {d.data.get("position") for d in report.diagnostics}
-        assert positions == {0, 5}
-
-    def test_widened_table_pointer_is_sr061(self):
-        mutant = _C_SOURCE.replace("const int32_t *nch", "const int64_t *nch")
-        report = verify_c_translation_unit(mutant, CTYPES_SIGNATURES)
-        assert codes_of(report) == ["SR061"]
-        assert all(d.data.get("param") == "nch" for d in report.diagnostics)
-
-    def test_reversed_trial_loop_is_sr064(self):
-        mutant = _C_SOURCE.replace(
-            "for (int64_t i = 0; i < n_trials; ++i)",
-            "for (int64_t i = n_trials - 1; i >= 0; --i)",
-            1,
-        )
-        report = verify_c_translation_unit(mutant, CTYPES_SIGNATURES)
-        assert codes_of(report) == ["SR064"]
-        assert "descending" in report.diagnostics[0].message
-
-    def test_record_write_after_increment_is_sr062(self):
-        # ++n_exec hoisted above the rec write: rec + 3*n_exec then
-        # runs one record past the buffer on the last executed trial
-        mutant = _C_SOURCE.replace(
-            """        if (rec) {
-            int64_t *r = rec + 3 * n_exec;
-            r[0] = i;
-            r[1] = t;
-            r[2] = s;
-        }
-        ++n_exec;""",
-            """        ++n_exec;
-        if (rec) {
-            int64_t *r = rec + 3 * n_exec;
-            r[0] = i;
-            r[1] = t;
-            r[2] = s;
-        }""",
-        )
-        assert mutant != _C_SOURCE
-        report = verify_c_translation_unit(mutant, CTYPES_SIGNATURES)
-        assert codes_of(report) == ["SR062"]
-        assert all("rec" in d.message for d in report.diagnostics)
-
-    def test_numba_off_by_one_is_sr062(self):
-        mutant = jit_source().replace("s = sites[i]", "s = sites[i + 1]", 1)
-        report = verify_numba_functions(mutant)
-        assert codes_of(report) == ["SR062"]
-        assert report.diagnostics[0].subject == "native:numba:run_trials"
-
-
-# ----------------------------------------------------------------------
-# integration seams
-# ----------------------------------------------------------------------
-class TestRegistrationGate:
-    def test_shipped_backend_passes_self_check(self):
-        assert cnative.cnative_self_check() == []
-
-    def test_self_check_reports_abi_drift(self, monkeypatch):
-        bad = dict(CTYPES_SIGNATURES)
-        kinds, ret = bad["repro_run_trials"]
-        bad["repro_run_trials"] = (kinds[:-1] + ("i64",), ret)
-        monkeypatch.setattr(cnative, "CTYPES_SIGNATURES", bad)
-        errors = cnative.cnative_self_check()
-        assert errors and all("SR06" in e for e in errors)
-
-    def test_verifier_crash_is_not_a_verdict(self, monkeypatch):
-        from repro.lint.native import verify as verify_mod
-
-        def boom(*a, **k):
-            raise RuntimeError("verifier bug")
-
-        monkeypatch.setattr(verify_mod, "verify_c_translation_unit", boom)
-        assert cnative.cnative_self_check() == []
-
-    def test_skip_env_is_the_documented_escape_hatch(self):
-        assert cnative.LINT_SKIP_ENV == "REPRO_NATIVE_LINT_SKIP"
-
-
-class TestCompilerIdentityCache:
-    def test_digest_includes_compiler_identity(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(cnative.CACHE_ENV, str(tmp_path))
-        monkeypatch.setattr(cnative, "_compiler_id_cache", "cc fake 1.0")
-        first = cnative.library_path()
-        monkeypatch.setattr(cnative, "_compiler_id_cache", "cc fake 2.0")
-        second = cnative.library_path()
-        assert first != second
-        assert all(p.startswith(str(tmp_path)) for p in (first, second))
-
-    def test_no_compiler_gets_stable_identity(self, monkeypatch):
-        monkeypatch.setattr(cnative, "_compiler_id_cache", None)
-        monkeypatch.setattr(cnative, "_find_compiler", lambda: None)
-        assert cnative._compiler_identity() == "no-cc"
-        assert cnative._compiler_identity() == "no-cc"  # memoised
-
-    def test_evict_stale_drops_only_superseded_artifacts(self, tmp_path):
-        keep = "repro_cnative_aaaa.so"
-        stale = "repro_cnative_bbbb.so"
-        other = "unrelated.so"
-        for name in (keep, stale, other):
-            (tmp_path / name).write_bytes(b"")
-        cnative._evict_stale(str(tmp_path), keep)
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            [keep, other]
-        )
-
-
-class TestVerdict:
-    def test_verdict_shape_and_stability(self):
-        v = lint_verdict()
-        assert v["ok"] is True and v["errors"] == []
-        assert v["codes"] == list(NATIVE_CODES)
-        assert len(v["digest"]) == 12
-        assert lint_verdict()["digest"] == v["digest"]
-
-    def test_bench_record_carries_verdict(self):
-        from repro.obs import bench
-
-        assert bench._native_lint_verdict()["codes"] == list(NATIVE_CODES)
-
-    def test_verdict_survives_verifier_crash(self, monkeypatch):
-        from repro.lint.native import verify as verify_mod
-
-        def boom():
-            raise RuntimeError("verifier bug")
-
-        monkeypatch.setattr(verify_mod, "lint_native", boom)
-        v = verify_mod.lint_verdict()
-        assert v["ok"] is False and v["errors"] == ["verifier-crash"]
 
 
 class TestRegistryParity:
-    def test_native_codes_are_registered(self):
-        assert set(NATIVE_CODES) <= set(CODES)
-        for code in NATIVE_CODES:
-            severity, slug, _desc = CODES[code]
-            assert severity == "error" and slug.startswith("native-")
-
-    def test_package_docstring_lists_every_code(self):
-        import repro.lint as lint_pkg
-
-        for code in CODES:
-            assert f"``{code}``" in lint_pkg.__doc__, code
-        assert "{code_table}" not in lint_pkg.__doc__
-
     def test_list_codes_covers_full_registry(self, capsys):
         from repro.lint.cli import main
 
