@@ -34,11 +34,11 @@ Commands
     ``--json`` writes schema-validated ``BENCH_<engine>.json`` reports
     (``BENCH_<engine>-<backend>.json`` for non-numpy backends),
     ``--check`` validates existing report files (the CI gate).
-``lint [--model NAME] [--tiling M:C0,C1] [--shape LxM] [--kernels] [--protocol] [--json] [--strict]``
+``lint [--model NAME] [--tiling M:C0,C1] [--shape LxM] [--kernels] [--scenarios] [--json] [--strict]``
     Static verification: model sanity, symbolic partition race proofs,
     RNG draw audit, the kernel-level scatter-aliasing/effect-contract
-    pass (``--kernels``) and the protocol verifier (``--protocol``,
-    SR070-SR078) — see :mod:`repro.lint`;
+    pass (``--kernels``) and the scenario preflight (``--scenarios``)
+    — see :mod:`repro.lint`;
     ``--list-codes`` prints the full SR registry.  Exit code 1 on
     findings — the CI gate.
 ``info``

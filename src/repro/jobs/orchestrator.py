@@ -124,6 +124,10 @@ class JobOrchestrator:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError(f"deadline must be > 0, got {self.deadline}")
+        if self.backoff_base < 0:
+            raise ValueError(f"backoff_base must be >= 0, got {self.backoff_base}")
+        if self.backoff_max < 0:
+            raise ValueError(f"backoff_max must be >= 0, got {self.backoff_max}")
         self._writer: JournalWriter | None = None
         self._signal: int | None = None
         self._degraded = False
@@ -215,7 +219,7 @@ class JobOrchestrator:
             )
 
     # ------------------------------------------------------------------
-    # signals (SR072: every install is popped in a covering finally)
+    # signals (every install is restored in a covering finally)
     # ------------------------------------------------------------------
     def _on_signal(self, signum: int, frame: Any) -> None:
         """Drain request: set the flag, no I/O inside the handler."""

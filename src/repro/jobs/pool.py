@@ -9,7 +9,7 @@ detects death by ``is_alive`` polling (a SIGKILL mid-``send`` can
 leave a result pipe torn, so EOF alone is not trusted), and respawns
 dead slots with fresh pipes.
 
-Spawn safety (SR077): :func:`job_worker` is the only code executed in
+Spawn safety: :func:`job_worker` is the only code executed in
 a worker process.  It is a module-level function, receives everything
 through its argument tuple and the task pipe (all picklable — the
 scenario spec is a frozen dataclass of plain values), and reads no

@@ -39,16 +39,11 @@ Analysis passes, each emitting :class:`Diagnostic` records with stable
   bit-identity with the NumPy reference and kills every seeded C
   mutant.
   ``python -m repro lint --kernels``.
-* :mod:`repro.lint.protocol` — the **protocol verifier**: an
-  interprocedural AST/dataflow pass over the parallel-execution and
-  resilience layers proving the SharedMemory create/attach/close/unlink
-  lifecycle correctly paired on all control paths (SR070/SR071),
-  signal-handler and ambient-stack push/pop discipline (SR072),
-  checkpoint payload round-trip field and codec agreement
-  (SR073/SR074), recovery-ladder draw invariance and snapshot
-  sufficiency (SR075/SR076), and spawn-safe worker capture (SR077);
-  shapes the analysis cannot model fail closed as SR078.
-  ``python -m repro lint --protocol``.
+
+The process-level protocol of the executor, checkpoint and jobs layers
+is checked dynamically too: the slow ``TestProtocolMutantsAreKilled``
+tests run seeded protocol mutants against the executor, chaos and
+resilience tests (DESIGN.md §13).
 
 The complete code registry, generated from
 :data:`repro.lint.diagnostics.CODES` (full descriptions live there;
@@ -57,8 +52,8 @@ The complete code registry, generated from
 {code_table}
 
 Entry points: ``python -m repro lint`` (CI gate, see
-:mod:`repro.lint.cli`; ``--kernels`` / ``--protocol`` / ``--scenarios``
-for single passes) and the :func:`preflight_model` /
+:mod:`repro.lint.cli`; ``--kernels`` / ``--scenarios`` for single
+passes) and the :func:`preflight_model` /
 :func:`preflight_partition` gates wired into the experiment drivers
 and the PNDCA construction paths.
 """
@@ -85,7 +80,6 @@ from .partition_lint import (
     prove_tiling,
     tiling_conflicts_on_shape,
 )
-from .protocol import PROTOCOL_CODES, lint_protocol, protocol_verdict
 from .rng_lint import audit_draws
 
 
@@ -117,7 +111,6 @@ __all__ = [
     "KernelContract",
     "KernelIR",
     "KERNEL_MODULES",
-    "PROTOCOL_CODES",
     "analyze_kernel",
     "audit_draws",
     "build_ir",
@@ -130,8 +123,6 @@ __all__ = [
     "lint_kernels",
     "lint_model",
     "lint_partition",
-    "lint_protocol",
-    "protocol_verdict",
     "preflight_model",
     "preflight_partition",
     "prove_tiling",

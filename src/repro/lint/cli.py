@@ -2,10 +2,9 @@
 
 Default invocation lints every registered model: sanity pass, then the
 symbolic conflict-freedom proof for the model's canonical modular
-tiling (``find_modular_tiling``), then — once each — the RNG draw
-audit of the sequential/ensemble kernel pairs and the protocol
-verifier.  Exit status 0 iff no error-severity diagnostic fired
-(``--strict`` also fails on warnings).
+tiling (``find_modular_tiling``), then — once — the RNG draw audit
+of the sequential/ensemble kernel pairs.  Exit status 0 iff no
+error-severity diagnostic fired (``--strict`` also fails on warnings).
 
 Targeted runs::
 
@@ -13,7 +12,7 @@ Targeted runs::
     python -m repro lint --model ziff --tiling 5:1,2   # explicit tiling
     python -m repro lint --model ziff --tiling 5:1,2 --shape 7x7
     python -m repro lint --kernels --strict            # kernel pass only
-    python -m repro lint --protocol --strict           # protocol layer only
+    python -m repro lint --scenarios --strict          # shipped scenarios only
     python -m repro lint --json                        # machine-readable
     python -m repro lint --list-codes                  # error-code table
 
@@ -22,13 +21,6 @@ proofs SR040/SR041, shape/dtype dataflow SR042/SR043, effect
 contracts SR050/SR051) over every ``@kernel``-decorated function in
 :data:`repro.lint.kernel_lint.KERNEL_MODULES` — no models are built,
 so it is fast enough for a pre-commit hook.
-
-``--protocol`` runs the process-level protocol verifier alone
-(:mod:`repro.lint.protocol`, SR070-SR078): the SharedMemory lifecycle
-typestate, signal/ambient-stack pairing, checkpoint round-trip field
-analysis, recovery-ladder draw/snapshot invariance and spawn-safety
-passes over the executor and resilience layers.  Everything is
-source-level: no pools are spawned and no signals installed.
 
 ``--shape`` switches the proof from "all aligned lattice sizes" to the
 exact borrow analysis for one finite periodic shape — use it to check
@@ -168,12 +160,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "(SR040-SR043, SR050/SR051)",
     )
     parser.add_argument(
-        "--protocol",
-        action="store_true",
-        help="run only the protocol verifier over the executor/resilience "
-        "layer (SR070-SR078)",
-    )
-    parser.add_argument(
         "--scenarios",
         action="store_true",
         help="preflight every shipped scenario file (model sanity + "
@@ -206,16 +192,12 @@ def run(args: argparse.Namespace) -> int:
             print(f"{code}  {sev:<7s} {slug:<30s} {desc}")
         return 0
 
-    if args.kernels or args.protocol or args.scenarios:
+    if args.kernels or args.scenarios:
         report = LintReport()
         if args.kernels:
             from .kernel_lint import lint_kernels
 
             report.extend(lint_kernels())
-        if args.protocol:
-            from .protocol import lint_protocol
-
-            report.extend(lint_protocol())
         if args.scenarios:
             from ..scenario import ScenarioError, lint_scenario, scenario_registry
             from .engine import LintError
@@ -263,7 +245,6 @@ def run(args: argparse.Namespace) -> int:
                 shape=args.shape,
                 initial_species=initial,
                 rng_audit=(i == 0 and not args.no_rng_audit),
-                protocol_audit=(i == 0),
             )
         )
 

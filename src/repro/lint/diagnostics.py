@@ -24,12 +24,10 @@ Code ranges
     backend suite kills the C mutants they were written against, so the
     range stays empty and its numbers are never reused,
 ``SR07x``
-    process-level protocol verification (:mod:`repro.lint.protocol`):
-    shared-memory lifecycle typestate (SR070/SR071), signal/ambient
-    stack pairing (SR072), checkpoint round-trip field and codec
-    agreement (SR073/SR074), recovery-ladder draw and snapshot
-    invariance (SR075/SR076), spawn-safety of worker initializers
-    (SR077), and the fail-closed unmodeled-construct code (SR078).
+    retired: the protocol verifier's codes.  The executor, chaos and
+    resilience tests kill every mutant it was written against that
+    changes behaviour, so the range stays empty and its numbers are
+    never reused.
 """
 
 from __future__ import annotations
@@ -156,65 +154,6 @@ CODES: dict[str, tuple[str, str, str]] = {
         "twin-contract-drift",
         "sequential/ensemble kernel twins disagree on declared "
         "effects after parameter renaming",
-    ),
-    "SR070": (
-        "error",
-        "shm-lifecycle-leak",
-        "shared-memory segment has a control path (exception paths and "
-        "interpreter shutdown included) on which it is never both "
-        "closed and unlinked",
-    ),
-    "SR071": (
-        "error",
-        "shm-use-after-close",
-        "shared-memory state or a view into it is accessed on a path "
-        "after the segment has been released",
-    ),
-    "SR072": (
-        "error",
-        "unbalanced-protocol-pair",
-        "signal-handler install or ambient-stack push is not paired "
-        "with its restore/pop on every control path (the pop must sit "
-        "in a finally covering the pushed region)",
-    ),
-    "SR073": (
-        "error",
-        "checkpoint-field-drift",
-        "checkpoint payload key is written but never restored, or "
-        "restored but never written, by the matching "
-        "checkpoint_payload/restore_payload pair",
-    ),
-    "SR074": (
-        "error",
-        "checkpoint-codec-mismatch",
-        "checkpoint field crosses the encode_array/decode_array (or "
-        "rng_state/restore_rng_state) codec asymmetrically — the "
-        "dtype/encoding round trip is broken",
-    ),
-    "SR075": (
-        "error",
-        "recovery-draw-divergence",
-        "recovery-ladder rung or worker dispatch path performs an RNG "
-        "draw, changing draw counts relative to an undisturbed run",
-    ),
-    "SR076": (
-        "error",
-        "recovery-uncaptured-state",
-        "recovery rung mutates or re-dispatches state the pre-chunk "
-        "snapshot does not capture or restore",
-    ),
-    "SR077": (
-        "error",
-        "spawn-unsafe-capture",
-        "worker initializer captures a non-picklable object or reads a "
-        "master-side mutable global that spawn-context workers never "
-        "receive",
-    ),
-    "SR078": (
-        "error",
-        "protocol-unmodeled",
-        "protocol verifier cannot model a construct in a "
-        "protocol-critical function; nothing is proven (fail closed)",
     ),
 }
 

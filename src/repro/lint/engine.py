@@ -86,7 +86,6 @@ def run_lint(
     conserved: Sequence[Mapping[str, float]] | None = None,
     rng_audit: bool = False,
     kernel_audit: bool = False,
-    protocol_audit: bool = False,
     limit: int = 8,
 ) -> LintReport:
     """Full static report for one model and its parallel decomposition.
@@ -94,10 +93,10 @@ def run_lint(
     Runs the model sanity pass, then — depending on what is supplied —
     the symbolic tiling proof (``tiling=(m, coeffs)``, optionally
     specialised to a ``shape``), the partition lint, the RNG draw
-    audit, the kernel aliasing/effect-contract pass (``kernel_audit``)
-    and the process-level protocol verifier (``protocol_audit``) — the
-    last three are model-independent, so CLI callers run them once,
-    not per model.  Never raises on findings; inspect ``report.ok()``.
+    audit and the kernel aliasing/effect-contract pass
+    (``kernel_audit``) — the last two are model-independent, so CLI
+    callers run them once, not per model.  Never raises on findings;
+    inspect ``report.ok()``.
     """
     from .partition_lint import check_tiling_on_shape
     from .rng_lint import audit_draws
@@ -135,8 +134,4 @@ def run_lint(
         from .kernel_lint import lint_kernels
 
         report.extend(lint_kernels())
-    if protocol_audit:
-        from .protocol import lint_protocol
-
-        report.extend(lint_protocol())
     return report

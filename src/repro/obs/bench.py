@@ -44,26 +44,6 @@ __all__ = [
 #: default output directory for BENCH_*.json files (repo-relative)
 DEFAULT_OUT = Path("benchmarks/reports")
 
-#: memoised protocol-lint verdict — identical for every record of a run
-_protocol_verdict_cache: dict | None = None
-
-
-def _protocol_lint_verdict() -> dict:
-    """The condensed SR070-range verdict stamped into each record.
-
-    A bench point is only comparable to another if both ran under a
-    verified execution/resilience protocol (shm lifecycle, signal
-    pairing, checkpoint round trips, recovery ladder, spawn safety).
-    Computed once per process: the verdict depends only on the shipped
-    sources, not on the engine being benchmarked.
-    """
-    global _protocol_verdict_cache
-    if _protocol_verdict_cache is None:
-        from ..lint.protocol import protocol_verdict
-
-        _protocol_verdict_cache = protocol_verdict()
-    return _protocol_verdict_cache
-
 
 # ----------------------------------------------------------------------
 # engine reference runs
@@ -206,7 +186,6 @@ def run_engine_bench(
         "side": side,
         "until": until,
         "backend": be.name,
-        "protocol_lint": dict(_protocol_lint_verdict()),
     }
     if hasattr(result, "n_replicas"):
         extra["n_replicas"] = int(result.n_replicas)
@@ -259,7 +238,6 @@ def run_scenario_bench(
         "until": spec.run.until,
         "backend": engine.backend.name,
         "scenario": provenance(spec),
-        "protocol_lint": dict(_protocol_lint_verdict()),
     }
     name = f"scenario-{spec.name}"
     if engine.backend.name != "numpy":

@@ -50,6 +50,11 @@ __all__ = ["ParallelChunkExecutor", "ParallelPNDCA"]
 #: connection depending on where the process died)
 _RECOVERABLE = (mp.TimeoutError, BrokenPipeError, EOFError, ConnectionError, OSError)
 
+#: bounded exponential backoff between pool respawns, in seconds:
+#: ``min(_BACKOFF_BASE * 2**attempt, _BACKOFF_MAX)``
+_BACKOFF_BASE = 0.05
+_BACKOFF_MAX = 1.0
+
 
 def _default_start_method() -> str:
     """Platform-aware default: ``fork`` where available, else ``spawn``."""
@@ -154,9 +159,6 @@ class ParallelChunkExecutor:
     max_retries:
         Recovery attempts per chunk before degrading to in-process
         serial execution.
-    backoff_base, backoff_max:
-        Bounded exponential backoff between pool respawns:
-        ``min(backoff_base * 2**attempt, backoff_max)`` seconds.
     chaos:
         Optional :class:`~repro.resilience.chaos.ChaosMonkey` polled on
         channel ``"chunk"`` before each dispatch (test harness only).
@@ -172,7 +174,8 @@ class ParallelChunkExecutor:
     -------------------------------------
     Before each chunk the master snapshots the shared state (one
     ``N``-byte copy).  On failure it (1) terminates and respawns the
-    pool with bounded exponential backoff, (2) restores the snapshot —
+    pool with bounded exponential backoff (0.05 s, doubling per
+    attempt up to 1 s), (2) restores the snapshot —
     slices that completed before the failure are rolled back, so the
     retry re-executes the chunk from a consistent state — and retries;
     because chunk slices are disjoint and all randoms are master-drawn,
@@ -208,8 +211,6 @@ class ParallelChunkExecutor:
         tracer: Tracer | None = None,
         chunk_timeout: float | None = None,
         max_retries: int = 2,
-        backoff_base: float = 0.05,
-        backoff_max: float = 1.0,
         chaos: "ChaosMonkey | None" = None,
         backend=None,
     ):
@@ -227,8 +228,6 @@ class ParallelChunkExecutor:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.chunk_timeout = chunk_timeout
         self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
         self.chaos = chaos
         self.backend = resolve_backend(backend)
         self._kernels = self.backend.kernel_set()
@@ -410,7 +409,7 @@ class ParallelChunkExecutor:
                 pool.join()
             except Exception:  # pragma: no cover - teardown best effort
                 pass
-        _time.sleep(min(self.backoff_base * (2.0 ** attempt), self.backoff_max))
+        _time.sleep(min(_BACKOFF_BASE * (2.0 ** attempt), _BACKOFF_MAX))
         try:
             self._spawn_pool()
             self.metrics.inc("executor.respawns")

@@ -143,6 +143,10 @@ class TestExecutorRecovery:
             res = sim.run(until=UNTIL)
         assert monkey.exhausted
         assert np.array_equal(ref.final_state.array, res.final_state.array)
+        # re-running a slice on its own output can leave the lattice
+        # unchanged, so only the counts show a missing rollback
+        assert ref.final_time == res.final_time
+        assert np.array_equal(ref.executed_per_type, res.executed_per_type)
         assert m.snapshot().counter("executor.retries") >= 1
 
     def test_exhausted_retries_degrade_to_serial(self, ziff, setup):

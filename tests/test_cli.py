@@ -143,9 +143,16 @@ class TestLintCli:
         assert excinfo.value.code == 2
         assert "--native" in capsys.readouterr().err
 
+    def test_protocol_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "--protocol"])
+        assert excinfo.value.code == 2
+        assert "--protocol" in capsys.readouterr().err
+
     def test_list_codes_has_no_retired_range(self, capsys):
         assert main(["lint", "--list-codes"]) == 0
-        assert "SR06" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "SR06" not in out and "SR07" not in out
 
 
 SCENARIO_WITH_BACKEND = """\

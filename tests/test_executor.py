@@ -121,6 +121,29 @@ class TestExecutorTeardown:
         with pytest.raises(FileNotFoundError):
             real_shm(name=created[0])
 
+        class UnmappableShm(real_shm):
+            """Creates the real segment, but its buffer cannot be viewed."""
+
+            @property
+            def buf(self):
+                raise OSError("simulated mapping failure")
+
+        def unmappable_shm(*args, **kwargs):
+            shm = UnmappableShm(*args, **kwargs)
+            created.append(shm.name)
+            return shm
+
+        monkeypatch.setattr(
+            executor_mod.shared_memory, "SharedMemory", unmappable_shm
+        )
+        # the state view is created after the segment: a failure there
+        # must release the segment too
+        with pytest.raises(OSError, match="simulated mapping failure"):
+            ParallelChunkExecutor(ziff, lat, n_workers=1)
+        assert len(created) == 2
+        with pytest.raises(FileNotFoundError):
+            real_shm(name=created[1])
+
     def test_state_access_raises_after_close(self, ziff, setup):
         lat, _ = setup
         ex = ParallelChunkExecutor(ziff, lat, n_workers=1)

@@ -326,6 +326,15 @@ class TestSweepCli:
         assert main(["sweep", str(p), "--resume"]) == 2
         assert "--journal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--backoff", "--backoff-max"])
+    def test_negative_backoff_exits_2_without_journal(self, flag, capsys, tmp_path):
+        p = self.write_spec(tmp_path)
+        journal = tmp_path / "j"
+        assert main(["sweep", str(p), "--journal", str(journal), flag, "-1"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "must be >= 0" in err[0]
+        assert not journal.exists()
+
     def test_bad_chaos_spec_exits_2(self, capsys, tmp_path):
         p = self.write_spec(tmp_path)
         assert main(["sweep", str(p), "--chaos", "kill-job"]) == 2

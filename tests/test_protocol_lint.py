@@ -1,394 +1,204 @@
-"""Tests for ``repro.lint.protocol`` — the SR070-range protocol verifier.
+"""Evidence for the process-level protocol: seeded mutants and what kills them.
 
-Three layers:
+The executor, checkpoint and jobs layers rely on a protocol the kernels
+never see.  The shared-memory segment is closed and unlinked on every
+path.  Signal handlers and the ambient checkpointer stack are popped.
+Checkpoint payloads round-trip.  The recovery ladder rolls a failed
+chunk back before it retries.  Pool workers receive only inputs they
+can use.
 
-* the clean pass: the shipped executor/resilience/engine sources must
-  be proven leak-free, pairing-balanced, round-trip-consistent,
-  draw-invariant and spawn-safe (no diagnostics, one note per pass),
-* adversarial mutants of the shipped sources — a removed ``unlink``,
-  a dropped ``restore_signals``, a drifted payload key, a stripped
-  decoder, an extra RNG draw in a recovery rung, a dropped snapshot
-  restore, a live resource in ``initargs`` and a use-after-release —
-  each of which must trip *exactly* its intended SR07x code at the
-  correct file/line,
-* the integration seams: the ``repro lint --protocol`` CLI gate, the
-  deterministic ``--json`` ordering, the bench provenance verdict and
-  the docstring/registry parity.
+``TestProtocolMutantsAreKilled`` (marked ``slow``; CI's resilience job
+runs it) breaks each of those promises in a copy of ``src/repro`` and
+runs the tests named as its killers in a fresh interpreter against the
+copy.  A failing test (exit 1), a crash (death by a signal) or a hang
+past :data:`TIMEOUT` counts as killed.  An unmutated copy must pass
+every killer.  DESIGN.md §13 lists the mutants, their killers, and the
+five mutants no run can tell apart from the shipped code.
 """
 
-import inspect
 import json
+import os
+import shutil
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
-import repro.dmc.base as dmc_base
-import repro.parallel.executor as executor_mod
-import repro.resilience.checkpoint as ckpt_mod
-from repro.lint.diagnostics import CODES, Diagnostic, LintReport
-from repro.lint.protocol import (
-    PROTOCOL_CODES,
-    audit_ladder,
-    audit_pairs,
-    audit_roundtrip,
-    audit_shm_lifecycle,
-    audit_spawn,
-    lint_protocol,
-    protocol_verdict,
-)
+import pytest
 
-EXECUTOR_SRC = inspect.getsource(executor_mod)
-CHECKPOINT_SRC = inspect.getsource(ckpt_mod)
-DMC_BASE_SRC = inspect.getsource(dmc_base)
+import repro
+from repro.lint.diagnostics import Diagnostic, LintReport
 
+_REPO = Path(__file__).resolve().parents[1]
+_PACKAGE = Path(repro.__file__).resolve().parent
 
-def codes_of(report):
-    return sorted(d.code for d in report.diagnostics)
+#: seconds a killer run may take before its mutant counts as hung
+TIMEOUT = 120
 
+_EXECUTOR = "parallel/executor.py"
+_CHECKPOINT = "resilience/checkpoint.py"
+_DMC_BASE = "dmc/base.py"
 
-def mutate(source: str, old: str, new: str, count: int = 1) -> str:
-    """Textual mutant; fails loudly if the anchor text drifted."""
-    assert source.count(old) >= count, f"mutation anchor not found: {old!r}"
-    return source.replace(old, new, count)
+_TEARDOWN = "tests/test_executor.py::TestExecutorTeardown"
+_CLOSE_RELEASES = f"{_TEARDOWN}::test_close_is_idempotent_and_releases"
+_RESUME = "tests/test_resilience.py::test_resume_bit_identical"
 
-
-def line_of(source: str, needle: str, occurrence: int = 1) -> int:
-    """1-based line of the nth occurrence of ``needle`` in ``source``."""
-    seen = 0
-    for i, text in enumerate(source.splitlines(), start=1):
-        if needle in text:
-            seen += 1
-            if seen == occurrence:
-                return i
-    raise AssertionError(f"needle not found: {needle!r}")
-
-
-# ----------------------------------------------------------------------
-# clean pass over the shipped tree
-# ----------------------------------------------------------------------
-class TestCleanPass:
-    def test_shipped_tree_is_clean(self):
-        report = lint_protocol()
-        assert report.ok(), "\n".join(d.render() for d in report.diagnostics)
-        assert codes_of(report) == []
-
-    def test_every_pass_vouches_with_a_note(self):
-        notes = "\n".join(lint_protocol().notes)
-        for fragment in (
-            "protocol typestate",
-            "protocol ladder",
-            "protocol spawn",
-            "protocol pairing",
-            "protocol round-trip",
-        ):
-            assert fragment in notes
-
-    def test_typestate_clean_on_executor(self):
-        report = audit_shm_lifecycle(EXECUTOR_SRC, "executor.py")
-        assert codes_of(report) == []
-        assert "releasers" in report.notes[0]
-
-    def test_pairing_clean_on_checkpoint_and_registry(self):
-        import repro.backends.registry as registry_mod
-
-        for mod in (ckpt_mod, registry_mod):
-            src = inspect.getsource(mod)
-            report = audit_pairs(src, f"{mod.__name__}.py")
-            assert codes_of(report) == [], mod.__name__
-
-    def test_roundtrip_clean_on_all_engines(self):
-        import repro.ca.pndca as ca_pndca
-        import repro.ensemble.base as ens_base
-        import repro.ensemble.pndca as ens_pndca
-
-        for mod, cls in (
-            (dmc_base, "SimulatorBase"),
-            (ens_base, "EnsembleBase"),
-            (ca_pndca, "PNDCA"),
-            (ens_pndca, "EnsemblePNDCA"),
-        ):
-            report = audit_roundtrip(inspect.getsource(mod), "m.py", cls)
-            assert codes_of(report) == [], cls
-
-    def test_ladder_and_spawn_clean_on_executor(self):
-        assert codes_of(audit_ladder(EXECUTOR_SRC, "executor.py")) == []
-        assert codes_of(audit_spawn(EXECUTOR_SRC, "executor.py")) == []
+#: name -> (file under src/repro, old text, new text, killer node ids)
+MUTANTS = {
+    "removed-unlink": (_EXECUTOR, "shm.unlink()", "pass", [_CLOSE_RELEASES]),
+    "view-creation-outside-try": (
+        _EXECUTOR,
+        "        try:\n"
+        "            self._state: np.ndarray | None = np.ndarray(\n"
+        "                (lattice.n_sites,), dtype=np.uint8, buffer=self._shm.buf\n"
+        "            )\n"
+        "            self._state[:] = 0\n",
+        "        self._state: np.ndarray | None = np.ndarray(\n"
+        "            (lattice.n_sites,), dtype=np.uint8, buffer=self._shm.buf\n"
+        "        )\n"
+        "        self._state[:] = 0\n"
+        "        try:\n",
+        [f"{_TEARDOWN}::test_failed_init_releases_shared_memory"],
+    ),
+    "use-after-release": (
+        _EXECUTOR,
+        "        self._release_shm()\n\n    def __enter__",
+        "        self._release_shm()\n"
+        "        self._state[:] = 0\n\n    def __enter__",
+        [_CLOSE_RELEASES],
+    ),
+    "dropped-restore-signals": (
+        _CHECKPOINT,
+        "        if signals:\n            checkpointer.restore_signals()",
+        "        pass",
+        [
+            "tests/test_resilience.py::TestSignalDiscipline"
+            "::test_use_checkpoints_restores_on_exception"
+        ],
+    ),
+    "dropped-stack-pop": (
+        _CHECKPOINT,
+        "        _default_stack.pop()",
+        "        pass",
+        ["tests/test_resilience.py::TestCheckpointer::test_ambient_checkpointer"],
+    ),
+    "payload-key-drift": (
+        _DMC_BASE,
+        '"n_trials": int(self.n_trials)',
+        '"trial_count": int(self.n_trials)',
+        [_RESUME],
+    ),
+    "stripped-decoder": (
+        _DMC_BASE,
+        'array = decode_array(payload["state"])',
+        'array = payload["state"]',
+        [_RESUME],
+    ),
+    "dropped-snapshot-restore": (
+        _EXECUTOR,
+        "                self._respawn_pool(attempt)\n"
+        "                self._state[:] = pre",
+        "                self._respawn_pool(attempt)",
+        [
+            "tests/test_chaos.py::TestExecutorRecovery"
+            "::test_delay_slice_past_deadline_recovers"
+        ],
+    ),
+    "live-shm-in-initargs": (
+        _EXECUTOR,
+        "self._shm.name,",
+        "self._shm,",
+        ["tests/test_executor.py::TestExecutor::test_execute_chunk_counts"],
+    ),
+}
 
 
-# ----------------------------------------------------------------------
-# seeded mutants: exactly the intended code at the correct file/line
-# ----------------------------------------------------------------------
-class TestMutants:
-    def test_removed_unlink_trips_sr070_at_close_site(self):
-        src = mutate(EXECUTOR_SRC, "shm.unlink()", "pass")
-        report = audit_shm_lifecycle(src, "mutant.py")
-        assert codes_of(report) == ["SR070"]
-        d = report.diagnostics[0]
-        assert d.data["file"] == "mutant.py"
-        assert d.data["line"] == line_of(src, "shm.close()")
-        assert "never unlinks" in d.message
+def _package_copy(tmp_path: Path, mutant: "tuple[str, str, str] | None") -> dict:
+    """Copy ``src/repro`` under ``tmp_path``, apply ``mutant``, and
+    return the environment that imports the copy."""
+    src = tmp_path / "src"
+    shutil.copytree(
+        _PACKAGE, src / "repro", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    if mutant is not None:
+        rel, old, new = mutant
+        target = src / "repro" / rel
+        text = target.read_text()
+        assert old in text, f"mutant anchor not found in {rel}: {old!r}"
+        target.write_text(text.replace(old, new, 1))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))
+    )
+    return env
 
-    def test_view_creation_outside_try_trips_sr070(self):
-        # regress the __init__ hardening: hoist the view zeroing out of
-        # the protective try (the pre-fix shape of the shipped code)
-        src = mutate(
-            EXECUTOR_SRC,
-            "        try:\n"
-            "            self._state: np.ndarray | None = np.ndarray(\n"
-            "                (lattice.n_sites,), dtype=np.uint8, buffer=self._shm.buf\n"
-            "            )\n"
-            "            self._state[:] = 0\n",
-            "        self._state: np.ndarray | None = np.ndarray(\n"
-            "            (lattice.n_sites,), dtype=np.uint8, buffer=self._shm.buf\n"
-            "        )\n"
-            "        self._state[:] = 0\n"
-            "        try:\n",
-        )
-        report = audit_shm_lifecycle(src, "mutant.py")
-        assert set(codes_of(report)) == {"SR070"}
-        lines = {d.data["line"] for d in report.diagnostics}
-        assert line_of(src, "self._state[:] = 0") in lines
 
-    def test_use_after_release_trips_sr071(self):
-        src = mutate(
-            EXECUTOR_SRC,
-            "        self._release_shm()\n\n    def __enter__",
-            "        self._release_shm()\n"
-            "        self._state[:] = 0\n\n    def __enter__",
-        )
-        report = audit_shm_lifecycle(src, "mutant.py")
-        assert codes_of(report) == ["SR071"]
-        d = report.diagnostics[0]
-        assert d.data["line"] == line_of(src, "self._state[:] = 0", 2)
-        assert d.data["method"] == "close"
+def _run_killers(node_ids: "list[str]", env: dict) -> "tuple[int | None, str]":
+    """Exit code of pytest over ``node_ids`` (``None`` when it hung),
+    plus its output.  A hung run is killed with its whole process
+    group, pool workers included."""
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "pytest", *node_ids,
+            "-q", "-p", "no:cacheprovider", "-W", "error::ResourceWarning",
+        ],
+        cwd=_REPO,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, _ = proc.communicate(timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, _ = proc.communicate()
+        return None, out
+    return proc.returncode, out
 
-    def test_dropped_restore_signals_trips_sr072_at_install_site(self):
-        src = mutate(
-            CHECKPOINT_SRC,
-            "        if signals:\n            checkpointer.restore_signals()",
-            "        pass",
-        )
-        report = audit_pairs(src, "mutant.py")
-        assert codes_of(report) == ["SR072"]
-        d = report.diagnostics[0]
-        assert d.data["line"] == line_of(src, "checkpointer.install_signals()")
-        assert d.data["pop"] == "restore_signals"
 
-    def test_dropped_stack_pop_trips_sr072_at_append_site(self):
-        src = mutate(
-            CHECKPOINT_SRC,
-            "        _default_stack.pop()",
-            "        pass",
-        )
-        report = audit_pairs(src, "mutant.py")
-        assert codes_of(report) == ["SR072"]
-        d = report.diagnostics[0]
-        assert d.data["line"] == line_of(
-            src, "_default_stack.append(checkpointer)"
+@pytest.mark.slow
+class TestProtocolMutantsAreKilled:
+    def test_unmutated_copy_passes_every_killer(self, tmp_path):
+        env = _package_copy(tmp_path, None)
+        where = subprocess.run(
+            [sys.executable, "-c", "import repro; print(repro.__file__)"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert where.startswith(str(tmp_path)), where
+        killers = sorted({k for *_, ids in MUTANTS.values() for k in ids})
+        code, out = _run_killers(killers, env)
+        assert code == 0, out[-3000:]
+
+    @pytest.mark.parametrize("name", list(MUTANTS))
+    def test_mutant_is_killed(self, name, tmp_path):
+        rel, old, new, killers = MUTANTS[name]
+        code, out = _run_killers(killers, _package_copy(tmp_path, (rel, old, new)))
+        assert code is None or code == 1 or code < 0, (
+            f"mutant {name} survived {killers} (exit {code}):\n{out[-3000:]}"
         )
 
-    def test_payload_key_drift_trips_sr073_on_both_sides(self):
-        src = mutate(
-            DMC_BASE_SRC, '"n_trials": int(self.n_trials)',
-            '"trial_count": int(self.n_trials)',
-        )
-        report = audit_roundtrip(src, "mutant.py", "SimulatorBase")
-        assert codes_of(report) == ["SR073", "SR073"]
-        by_dir = {d.data["direction"]: d for d in report.diagnostics}
-        written = by_dir["written-not-restored"]
-        restored = by_dir["restored-not-written"]
-        assert written.data["key"] == "trial_count"
-        assert written.data["line"] == line_of(src, '"trial_count"')
-        assert restored.data["key"] == "n_trials"
-        assert restored.data["line"] == line_of(src, 'payload["n_trials"]')
 
-    def test_stripped_decoder_trips_sr074(self):
-        src = mutate(
-            DMC_BASE_SRC,
-            'array = decode_array(payload["state"])',
-            'array = payload["state"]',
-        )
-        report = audit_roundtrip(src, "mutant.py", "SimulatorBase")
-        assert codes_of(report) == ["SR074"]
-        d = report.diagnostics[0]
-        assert d.data["key"] == "state"
-        assert d.data["produced"] == "array"
-        assert d.data["line"] == line_of(src, 'array = payload["state"]')
-
-    def test_extra_draw_in_retry_rung_trips_sr075(self):
-        src = mutate(
-            EXECUTOR_SRC,
-            "        pre = self._state.copy()\n",
-            "        pre = self._state.copy()\n"
-            "        jitter = np.random.random()\n",
-        )
-        report = audit_ladder(src, "mutant.py")
-        assert codes_of(report) == ["SR075"]
-        d = report.diagnostics[0]
-        assert d.data["line"] == line_of(src, "jitter = np.random.random()")
-        assert d.data["method"] == "_execute_fault_tolerant"
-
-    def test_worker_side_draw_trips_sr075(self):
-        src = mutate(
-            EXECUTOR_SRC,
-            "    if die:  # chaos: SIGKILL this worker mid-chunk",
-            "    _jitter = np.random.random()\n"
-            "    if die:  # chaos: SIGKILL this worker mid-chunk",
-        )
-        report = audit_ladder(src, "mutant.py")
-        assert codes_of(report) == ["SR075"]
-        d = report.diagnostics[0]
-        assert d.data["method"] == "_exec_slice"
-        assert d.data["line"] == line_of(src, "_jitter = np.random.random()")
-
-    def test_dropped_snapshot_restore_trips_sr076(self):
-        src = mutate(
-            EXECUTOR_SRC,
-            "                self._respawn_pool(attempt)\n"
-            "                self._state[:] = pre",
-            "                self._respawn_pool(attempt)",
-        )
-        report = audit_ladder(src, "mutant.py")
-        assert codes_of(report) == ["SR076"]
-        d = report.diagnostics[0]
-        assert d.data["line"] == line_of(src, "except _RECOVERABLE as exc:")
-        assert "snapshot" in d.message
-
-    def test_uncaptured_mutation_in_rung_trips_sr076(self):
-        src = mutate(
-            EXECUTOR_SRC,
-            "        self._degraded = True\n",
-            "        self._degraded = True\n"
-            "        self.chunk_timeout = None\n",
-        )
-        report = audit_ladder(src, "mutant.py")
-        assert codes_of(report) == ["SR076"]
-        d = report.diagnostics[0]
-        assert d.data["attr"] == "chunk_timeout"
-        assert d.data["line"] == line_of(src, "self.chunk_timeout = None")
-
-    def test_live_shm_in_initargs_trips_sr077(self):
-        src = mutate(EXECUTOR_SRC, "self._shm.name,", "self._shm,")
-        report = audit_spawn(src, "mutant.py")
-        assert codes_of(report) == ["SR077"]
-        d = report.diagnostics[0]
-        assert d.data["attr"] == "self._shm"
-        assert d.data["line"] == line_of(src, "self._shm,")
-
-    def test_live_backend_in_initargs_trips_sr077(self):
-        src = mutate(EXECUTOR_SRC, "self.backend.name,", "self.backend,")
-        report = audit_spawn(src, "mutant.py")
-        assert codes_of(report) == ["SR077"]
-        assert report.diagnostics[0].data["attr"] == "self.backend"
-
-    def test_worker_reading_master_global_trips_sr077(self):
-        src = mutate(
-            EXECUTOR_SRC,
-            "_worker_kernels = None",
-            "_worker_kernels = None\n_master_cache: dict = {}",
-        )
-        src = mutate(
-            src,
-            "    counts = np.zeros(_worker_compiled.n_types, dtype=np.int64)",
-            "    _ = len(_master_cache)\n"
-            "    counts = np.zeros(_worker_compiled.n_types, dtype=np.int64)",
-        )
-        report = audit_spawn(src, "mutant.py")
-        assert codes_of(report) == ["SR077"]
-        d = report.diagnostics[0]
-        assert d.data["name"] == "_master_cache"
-        assert d.data["line"] == line_of(src, "_ = len(_master_cache)")
-
-    def test_unparseable_source_fails_closed_as_sr078(self):
-        for audit in (
-            lambda s: audit_shm_lifecycle(s, "m.py"),
-            lambda s: audit_pairs(s, "m.py"),
-            lambda s: audit_roundtrip(s, "m.py", "X"),
-            lambda s: audit_ladder(s, "m.py"),
-            lambda s: audit_spawn(s, "m.py"),
-        ):
-            report = audit("def broken(:\n")
-            assert codes_of(report) == ["SR078"]
-
-    def test_missing_class_fails_closed_as_sr078(self):
-        report = audit_shm_lifecycle("x = 1\n", "m.py")
-        assert codes_of(report) == ["SR078"]
-
-    def test_line_offset_shifts_locations(self):
-        src = mutate(EXECUTOR_SRC, "shm.unlink()", "pass")
-        base = audit_shm_lifecycle(src, "m.py").diagnostics[0].data["line"]
-        shifted = (
-            audit_shm_lifecycle(src, "m.py", line_offset=100)
-            .diagnostics[0]
-            .data["line"]
-        )
-        assert shifted == base + 100
-
-
-# ----------------------------------------------------------------------
-# integration seams: CLI, JSON determinism, bench provenance, registry
-# ----------------------------------------------------------------------
 class TestIntegration:
-    def test_registry_has_the_sr07x_range(self):
-        for code in PROTOCOL_CODES:
-            assert code in CODES
-            severity, slug, desc = CODES[code]
-            assert severity == "error"
-            assert slug and desc
-
-    def test_cli_protocol_strict_gate_passes(self):
-        from repro.lint import cli
-
-        assert cli.main(["--protocol", "--strict"]) == 0
-
-    def test_cli_list_codes_includes_range(self, capsys):
-        from repro.lint import cli
-
-        assert cli.main(["--list-codes"]) == 0
-        out = capsys.readouterr().out
-        for code in PROTOCOL_CODES:
-            assert code in out
-
-    def test_cli_json_is_deterministically_ordered(self, capsys):
-        from repro.lint import cli
-
-        assert cli.main(["--protocol", "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["ok"] is True
-        assert doc["diagnostics"] == []
-        assert any("protocol" in n for n in doc["notes"])
-
     def test_to_json_sorts_by_code_file_line(self):
         report = LintReport()
 
         def mk(code, file, line):
             return Diagnostic(code, "s", "m", {"file": file, "line": line})
 
-        report.add(mk("SR077", "b.py", 9))
-        report.add(mk("SR070", "b.py", 5))
-        report.add(mk("SR070", "a.py", 7))
-        report.add(mk("SR070", "b.py", 2))
+        report.add(mk("SR040", "b.py", 9))
+        report.add(mk("SR001", "b.py", 5))
+        report.add(mk("SR001", "a.py", 7))
+        report.add(mk("SR001", "b.py", 2))
         doc = json.loads(report.to_json())
         got = [
             (d["code"], d["data"]["file"], d["data"]["line"])
             for d in doc["diagnostics"]
         ]
         assert got == [
-            ("SR070", "a.py", 7),
-            ("SR070", "b.py", 2),
-            ("SR070", "b.py", 5),
-            ("SR077", "b.py", 9),
+            ("SR001", "a.py", 7),
+            ("SR001", "b.py", 2),
+            ("SR001", "b.py", 5),
+            ("SR040", "b.py", 9),
         ]
-
-    def test_protocol_verdict_shape(self):
-        verdict = protocol_verdict()
-        assert verdict["codes"] == list(PROTOCOL_CODES)
-        assert verdict["ok"] is True
-        assert verdict["errors"] == []
-        assert len(verdict["digest"]) == 12
-
-    def test_bench_records_carry_protocol_verdict(self):
-        from repro.obs.bench import run_engine_bench
-
-        record = run_engine_bench("rsm", side=8, until=0.5)
-        block = record["extra"]["protocol_lint"]
-        assert block["ok"] is True
-        assert block["codes"] == list(PROTOCOL_CODES)
-        assert "lint" not in record["extra"]  # the native block is retired
