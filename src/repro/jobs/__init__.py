@@ -2,8 +2,9 @@
 
 The package turns a scenario sweep (or an explicit scenario list) into
 a *campaign*: a job set keyed by ``(scenario digest, params, seed)``,
-executed on supervised worker processes with per-job deadlines and a
-retry → backoff → respawn → sticky-serial recovery ladder, every state
+executed on supervised worker processes with per-job deadlines and the
+retry → backoff → respawn → sticky-serial recovery ladder it shares with
+the chunk executor (:mod:`repro.resilience.supervisor`), every state
 transition journaled write-ahead in the CRC-checked ``repro.jobs/1``
 JSONL format so a killed campaign resumes with ``repro sweep --resume``
 — completed points replay from the journal as perfect cache hits
@@ -14,10 +15,8 @@ Layout::
 
     journal.py       the repro.jobs/1 WAL: envelope, writer, torn-tail
                      tolerant replay, job keys
-    pool.py          supervised worker slots (Process + pipes) and the
-                     spawn-safe worker entrypoint
-    orchestrator.py  job expansion, the state machine, the recovery
-                     ladder, graceful signal drain
+    orchestrator.py  job expansion, the state machine, the sweep-point
+                     worker handler, graceful signal drain
     cli.py           the `repro sweep` subcommand
 
 Quick start::
@@ -43,22 +42,18 @@ from .journal import (
     replay_journal,
 )
 from .orchestrator import Job, JobOrchestrator
-from .pool import JobTask, WorkerPool, job_worker
 
 __all__ = [
     "JOBS_SCHEMA",
     "JOURNAL_NAME",
     "Job",
     "JobOrchestrator",
-    "JobTask",
     "JournalCorruptError",
     "JournalError",
     "JournalReplay",
     "JournalWriter",
-    "WorkerPool",
     "decode_record",
     "encode_record",
     "job_key",
-    "job_worker",
     "replay_journal",
 ]

@@ -46,16 +46,7 @@ def add_sweep_arguments(parser) -> None:
     parser.add_argument(
         "--deadline", type=float, default=None, metavar="T",
         help="per-job wall-clock deadline in seconds (default: none; "
-        "worker death is still detected by liveness polling)",
-    )
-    parser.add_argument(
-        "--backoff", type=float, default=0.05, metavar="T",
-        help="base of the bounded exponential retry backoff "
-        "(min(backoff * 2**attempt, --backoff-max); default 0.05s)",
-    )
-    parser.add_argument(
-        "--backoff-max", type=float, default=1.0, metavar="T",
-        help="backoff ceiling in seconds (default 1.0)",
+        "a worker death is still seen at once)",
     )
     parser.add_argument(
         "--no-fsync", action="store_true",
@@ -167,8 +158,6 @@ def run(args) -> int:
             fsync=not args.no_fsync,
             max_retries=args.max_retries,
             deadline=args.deadline,
-            backoff_base=args.backoff,
-            backoff_max=args.backoff_max,
             seed=args.seed,
             until=args.until,
             backend=args.backend,

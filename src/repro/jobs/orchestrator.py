@@ -3,10 +3,11 @@
 :class:`JobOrchestrator` expands one or more scenarios into a job set
 — one job per sweep grid point, keyed by
 :func:`~repro.jobs.journal.job_key` over ``(scenario digest,
-overrides)`` — and executes it on a :class:`~repro.jobs.pool.WorkerPool`
-of supervised processes.  Every state transition is journaled *before*
-the orchestrator acts on it (the write-ahead discipline), so a crash at
-point 37 of 120 costs at most the in-flight points:
+overrides)`` — and executes it on the worker slots of a
+:class:`~repro.resilience.supervisor.Supervisor`.  Every state
+transition is journaled *before* the orchestrator acts on it (the
+write-ahead discipline), so a crash at point 37 of 120 costs at most
+the in-flight points:
 
 ============  ========================================================
 event         meaning
@@ -21,14 +22,11 @@ event         meaning
 ``complete``  the campaign finished (done/failed tallies)
 ============  ========================================================
 
-Failure ladder (mirroring the executor's PR 5 ladder): a lost attempt
-is retried with bounded exponential backoff
-(``min(backoff_base * 2**(attempt-1), backoff_max)``), the dead worker
-slot is respawned with fresh pipes; a job that exhausts
-``max_retries`` flips the orchestrator into **sticky in-process serial
-degradation** — every remaining job runs in the master process, through
-exactly the same :func:`~repro.scenario.runner.run_sweep_point` the
-workers call, so a degraded campaign is slower but bit-identical.
+Failure ladder (the executor's, DESIGN.md §10.2): a lost attempt is
+requeued after the shared backoff and only its worker slot respawned; a
+job that exhausts ``max_retries`` flips the orchestrator into **sticky
+in-process serial degradation** through the workers' own handler, so a
+degraded campaign is slower but bit-identical.
 
 Determinism is the cache: a completed job's journal record carries the
 full ``sweep ... digest ...`` line, so ``--resume`` replays the journal,
@@ -50,6 +48,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 
 from ..obs.metrics import NULL_METRICS, MetricsCollector
 from ..obs.trace import NULL_TRACER, Tracer
+from ..resilience.supervisor import RecoveryLadder, Supervisor
 from .journal import (
     JOURNAL_NAME,
     JournalError,
@@ -58,13 +57,38 @@ from .journal import (
     job_key,
     replay_journal,
 )
-from .pool import JobTask, WorkerPool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.chaos import ChaosMonkey
     from ..scenario.spec import ScenarioSpec
 
 __all__ = ["Job", "JobOrchestrator"]
+
+#: longest block of the supervision wait: a drain signal (whose handler
+#: only sets a flag), a deadline or a backoff window is acted on within it
+_TICK = 0.05
+
+
+def _sweep_point_runner(seed, until, backend):
+    """Worker setup: the handler that runs one sweep point.
+
+    The handler takes ``(spec, overrides, checkpoint keywords)`` and
+    returns ``(digest line, wall seconds)``.  Workers and the serial
+    rung run the same handler, so their digest lines are bit-identical
+    to the serial runner's (all call
+    :func:`repro.scenario.runner.run_sweep_point`).
+    """
+    from ..scenario.runner import run_sweep_point
+
+    def run(payload):
+        spec, overrides, checkpoint = payload
+        w0 = _time.perf_counter()
+        line = run_sweep_point(
+            spec, overrides, seed=seed, until=until, backend=backend, **checkpoint
+        )
+        return line, _time.perf_counter() - w0
+
+    return run
 
 
 @dataclass
@@ -85,13 +109,11 @@ class JobOrchestrator:
     """Run a scenario sweep as a supervised, journaled job set.
 
     Parameters mirror the executor's fault-tolerance knobs: ``deadline``
-    is the per-job wall-clock budget (``None`` disables the timer and
-    supervision falls back to liveness polling alone), ``max_retries``
-    the attempts per job before the serial rung, ``backoff_base`` /
-    ``backoff_max`` the bounded exponential delay before a failed job
-    is redispatched.  ``journal_dir`` enables the write-ahead journal
-    (and with it ``resume``); ``checkpoint_dir`` gives every job its
-    own ``<dir>/<jobkey>/`` checkpoint subdirectory.  ``chaos`` arms
+    is the per-job wall-clock budget (``None`` disables the timer; a
+    worker death is still seen at once), ``max_retries`` the attempts
+    per job before the serial rung.  ``journal_dir`` enables the
+    write-ahead journal (and with it ``resume``); ``checkpoint_dir``
+    gives every job its own ``<dir>/<jobkey>/`` checkpoint subdirectory.  ``chaos`` arms
     the ``kill-job`` / ``stall-job`` / ``corrupt-journal`` channels.
     """
 
@@ -101,8 +123,6 @@ class JobOrchestrator:
     fsync: bool = True
     max_retries: int = 2
     deadline: float | None = None
-    backoff_base: float = 0.05
-    backoff_max: float = 1.0
     seed: int | None = None
     until: float | None = None
     backend: str | None = None
@@ -120,17 +140,11 @@ class JobOrchestrator:
             raise JournalError("no scenarios to orchestrate")
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        self._ladder = RecoveryLadder(self.max_retries)
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError(f"deadline must be > 0, got {self.deadline}")
-        if self.backoff_base < 0:
-            raise ValueError(f"backoff_base must be >= 0, got {self.backoff_base}")
-        if self.backoff_max < 0:
-            raise ValueError(f"backoff_max must be >= 0, got {self.backoff_max}")
         self._writer: JournalWriter | None = None
         self._signal: int | None = None
-        self._degraded = False
         self._old_handlers: dict[int, Any] = {}
         # campaign tallies (also journaled in the complete record)
         self.n_done = 0
@@ -299,28 +313,15 @@ class JobOrchestrator:
                 self._writer.close()
                 self._writer = None
 
-    def _checkpoint_for(self, job: Job) -> tuple[str, int | None, float | None] | None:
-        """Per-job checkpoint subdirectory ``<dir>/<jobkey>/`` (or None)."""
+    def _checkpoint_for(self, job: Job) -> dict:
+        """Per-job checkpoint keywords: subdirectory ``<dir>/<jobkey>/``."""
         if self.checkpoint_dir is None:
-            return None
-        return (
-            str(Path(self.checkpoint_dir) / job.key),
-            self.checkpoint_every,
-            self.checkpoint_seconds,
-        )
-
-    def _arm(self, job: Job) -> tuple[float, bool]:
-        """Chaos arming point for one dispatch: ``(delay, die)``."""
-        if self.chaos is None:
-            return 0.0, False
-        spec = self.chaos.poll("job")
-        if spec is None:
-            return 0.0, False
-        if spec.kind == "kill-job":
-            return 0.0, True
-        if spec.kind == "stall-job":
-            return spec.delay, False
-        return 0.0, False
+            return {}
+        return {
+            "checkpoint_dir": str(Path(self.checkpoint_dir) / job.key),
+            "checkpoint_every": self.checkpoint_every,
+            "checkpoint_seconds": self.checkpoint_seconds,
+        }
 
     def _run_jobs(
         self, jobs: list[Job], completed: dict[str, dict], out
@@ -337,8 +338,6 @@ class JobOrchestrator:
                     "workers": self.n_workers,
                     "max_retries": self.max_retries,
                     "deadline": self.deadline,
-                    "backoff_base": self.backoff_base,
-                    "backoff_max": self.backoff_max,
                 },
             }
         )
@@ -391,7 +390,7 @@ class JobOrchestrator:
             }
         )
         self.n_failed = len(failed)
-        status = "degraded" if self._degraded else "ok"
+        status = "degraded" if self._ladder.degraded else "ok"
         print(
             f"jobs: {self.n_done} done, {self.n_cached} cached, "
             f"{len(failed)} failed, {self.n_retries} retries, "
@@ -405,7 +404,7 @@ class JobOrchestrator:
     def _supervise(
         self, todo: list[Job], out, failed: dict[str, str]
     ) -> list[Job]:
-        """The supervised-pool phase; returns jobs left for the serial rung.
+        """The supervised-worker phase; returns jobs left for the serial rung.
 
         Runs until every job is done, degraded to serial, or a drain
         signal arrives.  Worker death, deadline misses and in-worker
@@ -413,29 +412,36 @@ class JobOrchestrator:
         """
         m = self.metrics
         pending: deque[Job] = deque(todo)
-        inflight: dict[str, Job] = {}
+        inflight: dict[int, Job] = {}  # worker slot -> its job
         serial: list[Job] = []
-        pool: WorkerPool | None = None
-        if todo and self.n_workers > 0:
-            pool = WorkerPool(n_workers=self.n_workers, context=self.context)
+        if not todo:
+            return serial
+        pool = Supervisor(
+            self.n_workers,
+            _sweep_point_runner,
+            (self.seed, self.until, self.backend),
+            context=self.context,
+        )
         try:
             while pending or inflight:
                 if self._signal is not None:
-                    self._drain(pending, inflight, out)
+                    self._drain(pending, inflight.values(), out)
                     return []
-                if self._degraded and not inflight:
+                if self._ladder.degraded and not inflight:
                     # sticky serial rung takes everything still queued
                     serial.extend(sorted(pending, key=lambda j: j.order))
                     pending.clear()
                     break
-                assert pool is not None
                 now = _time.perf_counter()
-                if not self._degraded:
-                    for wid in pool.idle_slots():
+                if not self._ladder.degraded:
+                    for wid in pool.idle():
                         job = self._next_ready(pending, now)
                         if job is None:
                             break
-                        delay, die = self._arm(job)
+                        delay, die = (
+                            (0.0, False) if self.chaos is None
+                            else self.chaos.arm("job")
+                        )
                         self._journal(
                             {
                                 "event": "start",
@@ -447,67 +453,38 @@ class JobOrchestrator:
                         self.tracer.on_job(
                             job.key, "start", {"worker": wid}
                         )
-                        pool.dispatch(
+                        pool.submit(
                             wid,
-                            JobTask(
-                                key=job.key,
-                                spec=job.spec,
-                                overrides=job.overrides,
-                                seed=self.seed,
-                                until=self.until,
-                                backend=self.backend,
-                                checkpoint=self._checkpoint_for(job),
-                                delay=delay,
-                                die=die,
-                            ),
+                            (job.spec, job.overrides, self._checkpoint_for(job)),
+                            delay=delay,
+                            die=die,
                         )
-                        inflight[job.key] = job
+                        inflight[wid] = job
                         m.inc("jobs.dispatched")
                 m.set_gauge("jobs.queue.depth", len(pending))
-                for _wid, reply in pool.collect(0.05 if inflight else 0.01):
-                    kind, key = reply[0], reply[1]
-                    job = inflight.pop(key)
+                for wid, kind, value in pool.wait(_TICK, deadline=self.deadline):
+                    job = inflight.pop(wid)
                     if kind == "ok":
-                        _, _, line, wall = reply
+                        line, wall = value
                         self._job_done(job, line, wall, out)
-                    else:
-                        self._attempt_failed(
-                            job, reply[2], pending, serial, failed
-                        )
-                for wid, key in pool.reap():
-                    job = inflight.pop(key)
-                    self._attempt_failed(
-                        job, "worker died (killed or crashed)",
-                        pending, serial, failed,
-                    )
-                    m.inc("jobs.respawns")
-                    self.n_respawns += 1
-                    self.tracer.on_recovery(
-                        "worker-respawn", {"worker": wid, "key": key}
-                    )
-                    pool.respawn(wid)
-                if self.deadline is not None:
-                    for wid, key, elapsed in pool.running():
-                        if elapsed <= self.deadline:
-                            continue
-                        job = inflight.pop(key)
-                        pool.kill(wid)
-                        self._attempt_failed(
-                            job,
-                            f"deadline exceeded ({elapsed:.2f}s > "
-                            f"{self.deadline:g}s)",
-                            pending, serial, failed,
-                        )
+                    elif kind == "err":
+                        self._attempt_failed(job, value, pending, serial, failed)
+                    else:  # the worker died, or was killed at the deadline
+                        error, why = "worker died (killed or crashed)", {}
+                        if kind == "late":
+                            error = (f"deadline exceeded ({value:.2f}s > "
+                                     f"{self.deadline:g}s)")
+                            why = {"why": "deadline"}
+                        self._attempt_failed(job, error, pending, serial, failed)
                         m.inc("jobs.respawns")
                         self.n_respawns += 1
                         self.tracer.on_recovery(
                             "worker-respawn",
-                            {"worker": wid, "key": key, "why": "deadline"},
+                            {"worker": wid, "key": job.key, **why},
                         )
                         pool.respawn(wid)
         finally:
-            if pool is not None:
-                pool.close(graceful=self._signal is None)
+            pool.close()
         return sorted(serial, key=lambda j: j.order)
 
     @staticmethod
@@ -556,11 +533,9 @@ class JobOrchestrator:
         self.metrics.inc("jobs.retries")
         self.n_retries += 1
         self.tracer.on_job(job.key, "fail", {"error": error})
-        if job.attempt <= self.max_retries:
-            job.not_before = _time.perf_counter() + min(
-                self.backoff_base * (2.0 ** (job.attempt - 1)),
-                self.backoff_max,
-            )
+        delay = self._ladder.after_failure(job.attempt)
+        if delay is not None:
+            job.not_before = _time.perf_counter() + delay
             pending.append(job)
             return
         # out of retries: this job — and, sticky, everything after it —
@@ -568,7 +543,6 @@ class JobOrchestrator:
         self._journal({"event": "degrade", "key": job.key})
         self.metrics.inc("jobs.degraded")
         self.tracer.on_recovery("serial-fallback", {"key": job.key})
-        self._degraded = True
         serial.append(job)
 
     def _run_serial(
@@ -576,15 +550,14 @@ class JobOrchestrator:
     ) -> None:
         """The last rung: run jobs in-process, in grid order.
 
-        Same :func:`run_sweep_point`, same backend, same per-job
+        Same handler as the workers, same backend, same per-job
         checkpoint directory — a degraded campaign's digest lines are
         bit-identical to a healthy one's.
         """
-        from ..scenario.runner import run_sweep_point
-
+        run = _sweep_point_runner(self.seed, self.until, self.backend)
         for i, job in enumerate(serial):
             if self._signal is not None:
-                self._drain(serial[i:], {}, out)
+                self._drain(serial[i:], (), out)
                 return
             self._journal(
                 {
@@ -594,20 +567,9 @@ class JobOrchestrator:
                     "worker": "serial",
                 }
             )
-            ckpt_dir, ckpt_every, ckpt_seconds = self._checkpoint_for(job) or (
-                None, None, None,
-            )
             try:
-                w0 = _time.perf_counter()
-                line = run_sweep_point(
-                    job.spec,
-                    job.overrides,
-                    seed=self.seed,
-                    until=self.until,
-                    backend=self.backend,
-                    checkpoint_dir=ckpt_dir,
-                    checkpoint_every=ckpt_every,
-                    checkpoint_seconds=ckpt_seconds,
+                line, wall = run(
+                    (job.spec, job.overrides, self._checkpoint_for(job))
                 )
             except Exception as exc:  # permanent: the last rung failed
                 job.attempt += 1
@@ -625,13 +587,13 @@ class JobOrchestrator:
                 self.tracer.on_job(job.key, "fail", {"error": error})
                 failed[job.key] = error
                 continue
-            self._job_done(job, line, _time.perf_counter() - w0, out)
+            self._job_done(job, line, wall, out)
 
     def _drain(
-        self, pending: Iterable[Job], inflight: dict[str, Job], out
+        self, pending: Iterable[Job], inflight: Iterable[Job], out
     ) -> None:
         """Journal what a signal interrupted, so resume can pick it up."""
-        running = sorted(inflight)
+        running = sorted(j.key for j in inflight)
         queued = sorted(j.key for j in pending)
         self._journal(
             {

@@ -18,8 +18,8 @@ Hook points (wired by the engines):
 ``on_snapshot(sim_time)``
     whenever at least one observer sampled a grid point;
 ``on_recovery(kind, detail)``
-    whenever the fault-tolerant executor walks a rung of its recovery
-    ladder (chunk retry, pool respawn, serial fallback) — recorded
+    whenever the executor or the orchestrator walks a rung of the
+    recovery ladder (chunk retry, worker respawn, serial fallback) — recorded
     with ``sim_time = -1`` since recovery happens between trials;
 ``on_job(key, status, detail)``
     whenever the batch orchestrator (:mod:`repro.jobs`) moves a job

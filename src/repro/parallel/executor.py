@@ -8,12 +8,16 @@ processes attach to it once, and each chunk update is split into
 per-worker slices executed concurrently — lock-free, because the
 non-overlap rule guarantees the slices touch disjoint sites.
 
-On this reproduction's single-CPU host the executor proves
-*correctness* (bit-identical results to the serial PNDCA given the
-same master-drawn randoms), not speed; the performance side of Fig. 7
-is generated by the calibrated machine model
-(:mod:`repro.parallel.machine`).  On a multi-core host the same code
-parallelises for real.
+A run is bit-identical to the serial PNDCA given the same
+master-drawn randoms.  The performance side of Fig. 7 is measured on
+this executor by the ``parallel-pndca-500`` workload of
+``benchmarks/perf`` (500x500 ZGB, one worker per CPU), next to the
+calibrated machine model's prediction
+(:mod:`repro.parallel.machine`).
+
+The workers are the slots of a
+:class:`~repro.resilience.supervisor.Supervisor`, and a lost slice
+walks the shared :class:`~repro.resilience.supervisor.RecoveryLadder`.
 
 Usage::
 
@@ -24,10 +28,8 @@ Usage::
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-import signal as _signal
 import time as _time
+from functools import partial
 from multiprocessing import shared_memory
 from typing import TYPE_CHECKING
 
@@ -38,6 +40,7 @@ from ..core.lattice import Lattice
 from ..core.model import Model
 from ..obs.metrics import NULL_METRICS, MetricsCollector
 from ..obs.trace import NULL_TRACER, Tracer
+from ..resilience.supervisor import RecoveryLadder, Supervisor, WorkerInitError
 from .. import ca as _ca
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,29 +48,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ParallelChunkExecutor", "ParallelPNDCA"]
 
-#: pool/IPC failures the executor recovers from (worker death shows up
-#: as a deadline miss on the lost slice, a broken pipe, or a torn
-#: connection depending on where the process died)
-_RECOVERABLE = (mp.TimeoutError, BrokenPipeError, EOFError, ConnectionError, OSError)
-
-#: bounded exponential backoff between pool respawns, in seconds:
-#: ``min(_BACKOFF_BASE * 2**attempt, _BACKOFF_MAX)``
-_BACKOFF_BASE = 0.05
-_BACKOFF_MAX = 1.0
-
-
-def _default_start_method() -> str:
-    """Platform-aware default: ``fork`` where available, else ``spawn``."""
-    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-
-
-# ----------------------------------------------------------------------
-# worker-side globals (set once per worker by the pool initializer)
-# ----------------------------------------------------------------------
-_worker_state: np.ndarray | None = None
-_worker_compiled = None
+#: the worker's shared-memory mapping, kept open for the process lifetime
 _worker_shm = None
-_worker_kernels = None
 
 
 def _init_worker(
@@ -76,57 +58,44 @@ def _init_worker(
     model: Model,
     lattice: Lattice,
     backend_name: str = "numpy",
-) -> None:
-    """Attach to the shared state and compile the model (once per worker).
+):
+    """Worker setup: attach to the shared state and compile the model.
 
-    Backends are not picklable (a compiled one holds library handles),
-    so the master ships only the backend *name*; each worker re-resolves
-    it locally — quietly, since the master already warned once if the
-    requested backend had to fall back.
+    Returns the worker's task handler, :func:`_run_slice` bound to the
+    shared state.  Backends are not picklable (a compiled one holds
+    library handles), so the master ships only the backend *name*;
+    each worker re-resolves it locally — quietly, since the master
+    already warned once if the requested backend had to fall back.
     """
-    global _worker_state, _worker_compiled, _worker_shm, _worker_kernels
+    global _worker_shm
     _worker_shm = shared_memory.SharedMemory(name=shm_name)
-    _worker_state = np.ndarray((n_sites,), dtype=np.uint8, buffer=_worker_shm.buf)
-    _worker_compiled = model.compile(lattice)
+    state = np.ndarray((n_sites,), dtype=np.uint8, buffer=_worker_shm.buf)
     try:
-        _worker_kernels = resolve_backend(backend_name, warn=False).kernel_set()
+        kernels = resolve_backend(backend_name, warn=False).kernel_set()
     except ValueError:
         # a custom backend registered only in the master is invisible
         # to a spawn-context worker; degrade to the reference kernels
-        # rather than kill the pool (results are identical by contract)
-        _worker_kernels = resolve_backend("numpy").kernel_set()
+        # rather than fail the setup (results are identical by contract)
+        kernels = resolve_backend("numpy").kernel_set()
+    return partial(_run_slice, state, model.compile(lattice), kernels)
 
 
-def _exec_slice(
-    sites: np.ndarray,
-    types: np.ndarray,
-    delay: float = 0.0,
-    die: bool = False,
-) -> tuple[np.ndarray, float]:
-    """Execute a conflict-free trial slice.
+def _run_slice(state, compiled, kernels, job) -> tuple[np.ndarray, float]:
+    """Execute a conflict-free ``(sites, types)`` trial slice.
 
     Returns the per-type executed counts plus the slice's wall time —
     the per-worker timing the master aggregates at the chunk barrier.
-    ``delay``/``die`` are chaos-harness injection points: they act
-    *before* any state is touched, so an injected failure leaves the
-    shared state exactly as the master's pre-chunk snapshot has it.
+    The serial rung runs whole chunks through it in-process.
     """
-    if die:  # chaos: SIGKILL this worker mid-chunk
-        os.kill(os.getpid(), _signal.SIGKILL)
-    if delay:  # chaos: stall past the chunk deadline
-        _time.sleep(delay)
-    assert _worker_state is not None and _worker_compiled is not None
-    assert _worker_kernels is not None
+    sites, types = job
     w0 = _time.perf_counter()
-    counts = np.zeros(_worker_compiled.n_types, dtype=np.int64)
-    _worker_kernels.run_trials_batch(
-        _worker_state, _worker_compiled, sites, types, counts=counts
-    )
+    counts = np.zeros(compiled.n_types, dtype=np.int64)
+    kernels.run_trials_batch(state, compiled, sites, types, counts=counts)
     return counts, _time.perf_counter() - w0
 
 
 class ParallelChunkExecutor:
-    """A pool of workers sharing the lattice state.
+    """Supervised worker slots sharing the lattice state.
 
     Parameters
     ----------
@@ -147,15 +116,11 @@ class ParallelChunkExecutor:
         bound to this executor shares its own collector automatically.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; recovery actions
-        (retry, respawn, serial fallback) are emitted as
-        ``on_recovery`` events.
+        (retry, serial fallback) are emitted as ``on_recovery`` events.
     chunk_timeout:
-        Per-chunk deadline in seconds.  ``None`` (default) keeps the
-        bare fast path: no deadline, no snapshotting — and the
-        historical failure mode that a worker dying mid-chunk blocks
-        the barrier forever.  With a deadline set, the executor is
-        *fault tolerant*: a missed deadline or a pool/IPC error
-        triggers the recovery ladder below.
+        Per-chunk deadline in seconds, or ``None`` (default) for none.
+        A worker that dies is recovered either way; the deadline also
+        recovers a slice that hangs.
     max_retries:
         Recovery attempts per chunk before degrading to in-process
         serial execution.
@@ -170,35 +135,31 @@ class ParallelChunkExecutor:
         locally; the serial-degradation rung uses the same backend, so
         a degraded run executes exactly the kernels a healthy one does.
 
-    Recovery ladder (fault-tolerant mode)
-    -------------------------------------
-    Before each chunk the master snapshots the shared state (one
-    ``N``-byte copy).  On failure it (1) terminates and respawns the
-    pool with bounded exponential backoff (0.05 s, doubling per
-    attempt up to 1 s), (2) restores the snapshot —
-    slices that completed before the failure are rolled back, so the
-    retry re-executes the chunk from a consistent state — and retries;
-    because chunk slices are disjoint and all randoms are master-drawn,
-    a retried chunk is bit-identical to an undisturbed one.  After
-    ``max_retries`` failures it (3) degrades permanently to in-process
-    serial execution of the same batches — through the *selected
-    backend's* ``run_trials_batch``, not a hard-coded kernel, so the
-    degraded run is again bit-identical and executes the same
-    implementation tier the workers did.  The run completes with
-    correct results, only slower.  Every rung is recorded
-    (``executor.retries`` / ``executor.respawns`` /
+    Recovery ladder (DESIGN.md §10.2)
+    ---------------------------------
+    Every chunk is snapshotted first (one ``N``-byte copy).  A lost
+    slice — a dead worker, a deadline miss, an exception — restores the
+    snapshot once every slot of the attempt has replied or been killed,
+    then the chunk is retried after the shared backoff with only the
+    lost slots respawned.  After ``max_retries`` losses the executor
+    runs serially, through the selected backend, for good.  Slices are
+    disjoint and all randoms master-drawn, so every rung is
+    bit-identical (``executor.retries`` / ``executor.respawns`` /
     ``executor.degraded`` counters, ``on_recovery`` trace events).
 
     Lifecycle
     ---------
     The shared-memory segment is released (closed *and* unlinked) by
     :meth:`close` — also on construction failure (a bad ``context``
-    name or a worker-initializer error does not leak the segment) and,
-    as a safety net, from ``__del__`` during interpreter shutdown.
-    After ``close()`` every state access (:attr:`state`,
-    :meth:`load_state`, :meth:`execute_chunk`) raises
-    ``RuntimeError``: the old mapping is gone, and touching a stale
-    view of it would crash the interpreter outright.
+    name does not leak the segment) and, as a safety net, from
+    ``__del__`` during interpreter shutdown.  A worker whose setup
+    raises fails closed: :class:`~repro.resilience.supervisor.WorkerInitError`
+    carries its message out of the first :meth:`execute_chunk` that
+    reaches it, after the executor has closed itself.  After
+    ``close()`` every state access (:attr:`state`, :meth:`load_state`,
+    :meth:`execute_chunk`) raises ``RuntimeError``: the old mapping is
+    gone, and touching a stale view of it would crash the interpreter
+    outright.
     """
 
     def __init__(
@@ -214,16 +175,12 @@ class ParallelChunkExecutor:
         chaos: "ChaosMonkey | None" = None,
         backend=None,
     ):
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         if chunk_timeout is not None and chunk_timeout <= 0:
             raise ValueError(f"chunk_timeout must be > 0, got {chunk_timeout}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        self._ladder = RecoveryLadder(max_retries)
         self.model = model
         self.lattice = lattice
         self.n_workers = n_workers
-        self.context = context if context is not None else _default_start_method()
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.chunk_timeout = chunk_timeout
@@ -231,7 +188,6 @@ class ParallelChunkExecutor:
         self.chaos = chaos
         self.backend = resolve_backend(backend)
         self._kernels = self.backend.kernel_set()
-        self._degraded = False
         self._compiled_master = None
         # mark closed until fully constructed so that __del__ after a
         # failed __init__ never touches half-built resources
@@ -243,27 +199,24 @@ class ParallelChunkExecutor:
                 (lattice.n_sites,), dtype=np.uint8, buffer=self._shm.buf
             )
             self._state[:] = 0
-            self._spawn_pool()
+            self._pool = Supervisor(
+                n_workers,
+                _init_worker,
+                (
+                    self._shm.name,
+                    lattice.n_sites,
+                    model,
+                    lattice,
+                    self.backend.name,
+                ),
+                context=context,
+            )
         except BaseException:
-            # view or pool creation failed: the segment must not outlive us
+            # view or worker creation failed: the segment must not outlive us
             self._release_shm()
             raise
+        self.context = self._pool.context
         self._closed = False
-
-    def _spawn_pool(self) -> None:
-        """(Re)create the worker pool attached to the shared segment."""
-        ctx = mp.get_context(self.context)
-        self._pool = ctx.Pool(
-            processes=self.n_workers,
-            initializer=_init_worker,
-            initargs=(
-                self._shm.name,
-                self.lattice.n_sites,
-                self.model,
-                self.lattice,
-                self.backend.name,
-            ),
-        )
 
     # ------------------------------------------------------------------
     @property
@@ -298,7 +251,7 @@ class ParallelChunkExecutor:
     @property
     def degraded(self) -> bool:
         """True once the executor has fallen back to serial execution."""
-        return self._degraded
+        return self._ladder.degraded
 
     def execute_chunk(self, sites: np.ndarray, types: np.ndarray) -> np.ndarray:
         """Execute a conflict-free chunk batch across the workers.
@@ -306,11 +259,9 @@ class ParallelChunkExecutor:
         The batch is split into ``n_workers`` contiguous slices; each
         worker executes its slice against the shared state without
         locks (disjoint neighborhoods).  Blocks until all slices are
-        done (the per-chunk barrier) — bounded by ``chunk_timeout``
-        when one is set, in which case failures walk the recovery
-        ladder (retry → respawn → serial fallback, see the class
-        docstring).  Returns the per-type executed counts (length
-        ``n_types``).
+        done (the per-chunk barrier); a lost slice walks the recovery
+        ladder (see the class docstring).  Returns the per-type
+        executed counts (length ``n_types``).
         """
         if self._closed:
             raise RuntimeError("executor is closed")
@@ -318,7 +269,7 @@ class ParallelChunkExecutor:
         n_types = len(self.model.reaction_types)
         if n == 0:
             return np.zeros(n_types, dtype=np.int64)
-        if self._degraded:
+        if self._ladder.degraded:
             return self._exec_serial(sites, types)
         bounds = np.linspace(0, n, self.n_workers + 1).astype(int)
         jobs = [
@@ -326,115 +277,97 @@ class ParallelChunkExecutor:
             for a, b in zip(bounds[:-1], bounds[1:])
             if b > a
         ]
-        if self.chunk_timeout is None and self.chaos is None:
-            # bare fast path: no deadline, no snapshot copy
-            return self._dispatch(jobs)
-        return self._execute_fault_tolerant(sites, types, jobs)
+        m = self.metrics
+        tracer = self.tracer
+        # consistent pre-chunk snapshot: restoring it rolls back any
+        # slice that completed before a co-slice failed
+        pre = self._state.copy()
+        failures = 0
+        while True:
+            try:
+                counts, error, lost = self._dispatch(jobs)
+            except WorkerInitError:
+                self.close()
+                raise
+            if error is None:
+                return counts
+            failures += 1
+            m.inc("executor.retries")
+            if tracer.enabled:
+                tracer.on_recovery(
+                    "chunk-retry", {"attempt": failures, "error": error}
+                )
+            # every slot of the failed attempt has replied or been
+            # killed: no slice can write after the restore
+            self._state[:] = pre
+            delay = self._ladder.after_failure(failures)
+            if delay is None:
+                break
+            _time.sleep(delay)
+            for wid in lost:
+                self._pool.respawn(wid)
+                m.inc("executor.respawns")
+        # out of retries: degrade to in-process serial execution —
+        # bit-identical (the serial batch equals the union of slices),
+        # just not parallel.  Sticky for the executor's lifetime.
+        m.inc("executor.degraded")
+        if tracer.enabled:
+            tracer.on_recovery("serial-fallback", {"after_retries": self.max_retries})
+        return self._exec_serial(sites, types)
 
     def _dispatch(
-        self, jobs: list[tuple], timeout: float | None = None
-    ) -> np.ndarray:
-        """Run one slice batch on the pool (the per-chunk barrier)."""
-        if self._pool is None:  # a failed respawn left us pool-less
-            raise BrokenPipeError("worker pool is gone")
+        self, jobs: list[tuple]
+    ) -> tuple[np.ndarray | None, str | None, list[int]]:
+        """One attempt at the per-chunk barrier.
+
+        Returns ``(counts, None, [])`` when every slice replied, else
+        ``(None, error, lost)`` with the failure's name and the slots
+        that died or were killed at the deadline.  Either way every slot
+        of the attempt has replied or been killed when it returns.
+        """
+        pool = self._pool
+        w0 = _time.perf_counter()
+        delay, die = (0.0, False) if self.chaos is None else self.chaos.arm("chunk")
+        pool.submit(0, jobs[0], delay=delay, die=die)
+        for wid in range(1, len(jobs)):
+            pool.submit(wid, jobs[wid])
+        results: list[tuple[np.ndarray, float]] = []
+        error: str | None = None
+        lost: list[int] = []
+        waiting = len(jobs)
+        while waiting:
+            for wid, kind, value in pool.wait(None, deadline=self.chunk_timeout):
+                waiting -= 1
+                if kind == "ok":
+                    results.append(value)
+                elif kind == "err":  # the slice raised; its worker lives on
+                    error = error or value.partition(":")[0]
+                else:  # "died", or "late" and killed: the slot is lost
+                    error = error or ("TimeoutError" if kind == "late" else "WorkerDied")
+                    lost.append(wid)
+        if error is not None:
+            return None, error, lost
         m = self.metrics
-        if m.enabled:
-            w0 = _time.perf_counter()
-        if timeout is None:
-            results = self._pool.starmap(_exec_slice, jobs)
-        else:
-            results = self._pool.starmap_async(_exec_slice, jobs).get(timeout)
         if m.enabled:
             # per-worker slice timings, aggregated at the barrier
             m.observe("executor.chunk.wall", _time.perf_counter() - w0)
             m.inc("executor.chunks")
             for _, slice_wall in results:
                 m.observe("executor.slice.wall", slice_wall)
-        return np.sum([counts for counts, _ in results], axis=0).astype(np.int64)
-
-    def _execute_fault_tolerant(
-        self, sites: np.ndarray, types: np.ndarray, jobs: list[tuple]
-    ) -> np.ndarray:
-        """The recovery ladder: deadline → retry/respawn → serial."""
-        m = self.metrics
-        tracer = self.tracer
-        # consistent pre-chunk snapshot: restoring it rolls back any
-        # slice that completed before a co-slice failed
-        pre = self._state.copy()
-        for attempt in range(self.max_retries + 1):
-            try:
-                return self._dispatch(
-                    self._armed_jobs(jobs), timeout=self.chunk_timeout
-                )
-            except _RECOVERABLE as exc:
-                m.inc("executor.retries")
-                if tracer.enabled:
-                    tracer.on_recovery(
-                        "chunk-retry",
-                        {"attempt": attempt + 1, "error": type(exc).__name__},
-                    )
-                self._respawn_pool(attempt)
-                self._state[:] = pre
-        # out of retries: degrade to in-process serial execution —
-        # bit-identical (the serial batch equals the union of slices),
-        # just not parallel.  Sticky for the executor's lifetime.
-        self._degraded = True
-        m.inc("executor.degraded")
-        if tracer.enabled:
-            tracer.on_recovery("serial-fallback", {"after_retries": self.max_retries})
-        self._state[:] = pre
-        return self._exec_serial(sites, types)
-
-    def _armed_jobs(self, jobs: list[tuple]) -> list[tuple]:
-        """Let the chaos harness arm one slice of this dispatch."""
-        if self.chaos is None:
-            return jobs
-        spec = self.chaos.poll("chunk")
-        if spec is None:
-            return jobs
-        armed = list(jobs)
-        s, t = armed[0][0], armed[0][1]
-        if spec.kind == "kill-worker":
-            armed[0] = (s, t, 0.0, True)
-        elif spec.kind == "delay-slice":
-            armed[0] = (s, t, spec.delay, False)
-        return armed
-
-    def _respawn_pool(self, attempt: int) -> None:
-        """Terminate the (possibly wedged) pool and spawn a fresh one."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            try:
-                pool.terminate()
-                pool.join()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-        _time.sleep(min(_BACKOFF_BASE * (2.0 ** attempt), _BACKOFF_MAX))
-        try:
-            self._spawn_pool()
-            self.metrics.inc("executor.respawns")
-        except Exception:  # spawn failed: next dispatch raises, then degrades
-            self._pool = None
+        return np.sum([c for c, _ in results], axis=0).astype(np.int64), None, []
 
     def _exec_serial(self, sites: np.ndarray, types: np.ndarray) -> np.ndarray:
-        """In-process execution of one chunk batch (the last rung).
-
-        Dispatches through the executor's *selected* backend — the
-        degraded path must execute the very same kernels the workers
-        would have, or a run that degrades mid-way silently switches
-        implementations.
-        """
+        """In-process execution of one chunk batch (the last rung), through
+        the *selected* backend, so a run that degrades mid-way executes
+        the very kernels the workers did."""
         if self._compiled_master is None:
             self._compiled_master = self.model.compile(self.lattice)
-        m = self.metrics
-        counts = np.zeros(self._compiled_master.n_types, dtype=np.int64)
-        if m.enabled:
-            w0 = _time.perf_counter()
-        self._kernels.run_trials_batch(
-            self.state, self._compiled_master, sites, types, counts=counts
+        counts, wall = _run_slice(
+            self.state, self._compiled_master, self._kernels, (sites, types)
         )
+        m = self.metrics
         if m.enabled:
-            m.observe("executor.chunk.wall", _time.perf_counter() - w0)
+            m.observe("executor.chunk.wall", wall)
             m.inc("executor.chunks")
             m.inc("executor.serial_chunks")
         return counts
@@ -459,11 +392,11 @@ class ParallelChunkExecutor:
             pass
 
     def close(self) -> None:
-        """Shut the pool down and release the shared-memory block.
+        """Stop the workers and release the shared-memory block.
 
         Idempotent, and safe to call from ``__del__`` during
-        interpreter shutdown: a partially torn-down pool or module
-        never prevents the segment from being unlinked.
+        interpreter shutdown: a partially torn-down supervisor or
+        module never prevents the segment from being unlinked.
         """
         if getattr(self, "_closed", True) and getattr(self, "_pool", None) is None:
             return
@@ -472,12 +405,8 @@ class ParallelChunkExecutor:
         if pool is not None:
             try:
                 pool.close()
-                pool.join()
             except Exception:  # pragma: no cover - shutdown safety net
-                try:
-                    pool.terminate()
-                except Exception:
-                    pass
+                pass
         self._release_shm()
 
     def __enter__(self) -> "ParallelChunkExecutor":

@@ -25,15 +25,16 @@ restartable and every recovery path testable:
   in ``tests/test_chaos.py`` rather than trusted on faith.
 * :mod:`repro.resilience.runs` — named checkpointable engine runs for
   ``python -m repro run <id> --checkpoint-dir D`` / ``--resume``.
+* :mod:`repro.resilience.supervisor` — the one supervised worker pool
+  (a ``Process``, a task pipe and a result pipe per slot) and the one
+  recovery ladder (retry after backoff, respawning only the lost slot,
+  then sticky in-process serial execution), shared by
+  :class:`repro.parallel.executor.ParallelChunkExecutor` and
+  :class:`repro.jobs.orchestrator.JobOrchestrator`; recoveries surface
+  as ``obs`` trace events and ``executor.*`` / ``jobs.*`` counters.
 
-The fault-tolerant execution side (per-chunk deadlines, dead-pool
-detection, respawn with bounded exponential backoff, snapshot-restore
-retry, graceful degradation to in-process serial execution) lives in
-:class:`repro.parallel.executor.ParallelChunkExecutor`; recoveries are
-emitted as ``obs`` trace events and ``executor.*`` metrics counters.
-
-See DESIGN.md §10 for the checkpoint schema and the recovery ladder
-(retry → respawn → serial fallback).
+See DESIGN.md §10 for the checkpoint schema, the supervisor and the
+recovery ladder.
 """
 
 from .chaos import CHAOS_KINDS, ChaosMonkey, FaultSpec

@@ -6,8 +6,7 @@ claim to survive — reproducibly, so every recovery path runs in the
 test suite on every commit:
 
 ``kill-worker``
-    A pool worker SIGKILLs itself at the start of its slice, mid-chunk
-    (exactly the failure that used to hang ``pool.starmap`` forever);
+    a chunk worker SIGKILLs itself at the start of its slice, mid-chunk;
 ``delay-slice``
     a slice sleeps past the executor's per-chunk deadline before doing
     any work (a stuck worker);
@@ -128,6 +127,16 @@ class ChaosMonkey:
                 self.fired.append((spec.kind, channel, count))
                 return spec
         return None
+
+    def arm(self, channel: str) -> tuple[float, bool]:
+        """Poll a worker channel: the task's ``(delay, die)`` arming
+        (``kill-*`` dies, ``delay-slice``/``stall-job`` sleep)."""
+        spec = self.poll(channel)
+        if spec is None:
+            return 0.0, False
+        if spec.kind in ("kill-worker", "kill-job"):
+            return 0.0, True
+        return spec.delay, False
 
     @property
     def exhausted(self) -> bool:

@@ -1,12 +1,16 @@
 """Deterministic chaos: every claimed recovery path, exercised.
 
-The scenarios here injure a run on purpose — SIGKILL a pool worker
+The scenarios here injure a run on purpose — SIGKILL a worker
 mid-chunk, stall a slice past its deadline, corrupt a checkpoint file,
 fail a checkpoint write — and assert that the run not only completes
 but completes **bit-identically** to an undisturbed one.  Faults fire
 on deterministic poll counts (never wall clock), so a red run here is
 a reproducible bug, not flake.
 """
+
+import signal
+import time
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from repro.resilience import (
     last_good_checkpoint,
     load_checkpoint,
 )
+from repro.resilience.supervisor import RecoveryLadder, Supervisor, WorkerInitError
 
 UNTIL = 1.0
 
@@ -93,6 +98,78 @@ class TestChaosMonkey:
         f.write_bytes(b"x" * 100)
         ChaosMonkey(seed=3).corrupt_file(f, mode="truncate")
         assert 0 < f.stat().st_size < 100
+
+
+def _echo_setup():
+    """Worker setup whose handler returns its payload."""
+    return lambda payload: payload
+
+
+def _broken_setup():
+    raise RuntimeError("simulated setup failure")
+
+
+def _wait_events(sup, seconds=10.0):
+    """Wait (in bounded steps) until the supervisor reports events."""
+    end = time.monotonic() + seconds
+    events = []
+    while not events and time.monotonic() < end:
+        events = sup.wait(1.0)
+    return events
+
+
+class TestSupervisor:
+    """The worker slots both the executor and the orchestrator run on."""
+
+    def test_reply_carries_the_task(self):
+        with closing(Supervisor(2, _echo_setup)) as sup:
+            sup.submit(1, "payload")
+            assert sup.idle() == [0]
+            assert _wait_events(sup) == [(1, "ok", "payload")]
+            assert sup.idle() == [0, 1]
+
+    def test_stale_reply_is_dropped(self):
+        with closing(Supervisor(1, _echo_setup)) as sup:
+            # a reply to a task the master no longer waits for (sequence
+            # id 99) reaches the result pipe before the current one
+            sup._slots[0].task_conn.send((99, "stale", 0.0, False))
+            sup.submit(0, "fresh")
+            assert _wait_events(sup) == [(0, "ok", "fresh")]
+
+    def test_death_is_reported_by_the_sentinel(self):
+        with closing(Supervisor(2, _echo_setup)) as sup:
+            sup.submit(0, "lost", die=True)
+            assert _wait_events(sup) == [(0, "died", -signal.SIGKILL)]
+            sup.respawn(0)
+            sup.submit(0, "again")
+            assert _wait_events(sup) == [(0, "ok", "again")]
+
+    def test_deadline_kills_the_late_worker(self):
+        with closing(Supervisor(2, _echo_setup)) as sup:
+            sup.submit(0, "stalled", delay=30.0)
+            sup.submit(1, "prompt")
+            events = []
+            while len(events) < 2:
+                events += sup.wait(None, deadline=0.3)
+            assert events[0] == (1, "ok", "prompt")
+            wid, kind, elapsed = events[1]
+            assert (wid, kind) == (0, "late") and 0.3 < elapsed < 5.0
+            assert sup._slots[0].process.exitcode == -signal.SIGKILL
+
+    def test_failing_setup_raises_instead_of_respawning(self):
+        with closing(Supervisor(1, _broken_setup)) as sup:
+            sup.submit(0, "never run")
+            with pytest.raises(WorkerInitError, match="simulated setup failure"):
+                _wait_events(sup)
+
+    def test_ladder_backoff_then_sticky_serial(self):
+        ladder = RecoveryLadder(max_retries=3)
+        assert [ladder.after_failure(k) for k in (1, 2, 3)] == [0.05, 0.1, 0.2]
+        assert not ladder.degraded
+        assert ladder.after_failure(4) is None and ladder.degraded
+        assert RecoveryLadder(max_retries=9).after_failure(9) == 1.0
+        with pytest.raises(ValueError, match="max_retries"):
+            RecoveryLadder(max_retries=-1)
 
 
 class TestExecutorRecovery:
@@ -174,8 +251,33 @@ class TestExecutorRecovery:
         kinds = [e[3]["recovery"] for e in tracer.events if e[0] == "recovery"]
         assert "serial-fallback" in kinds
 
-    def test_no_timeout_keeps_bare_fast_path(self, ziff, setup):
-        """Without a deadline (and without chaos) nothing is snapshotted."""
+    def test_kill_worker_without_deadline_recovers(self, ziff, setup):
+        """A dead worker is seen by its process sentinel, so recovery
+        needs no chunk_timeout (the old pool hung here forever)."""
+        lat, p5 = setup
+        ref = _serial_reference(ziff, lat, p5)
+        monkey = ChaosMonkey(faults=[FaultSpec("kill-worker", at=3)])
+        m = MetricsCollector()
+        with ParallelChunkExecutor(
+            ziff, lat, n_workers=2, metrics=m, chaos=monkey
+        ) as ex:
+            assert ex.chunk_timeout is None
+            sim = ParallelPNDCA(
+                ziff, lat, seed=42, partition=p5, strategy="ordered",
+                executor=ex,
+            )
+            res = sim.run(until=UNTIL)
+        assert monkey.fired == [("kill-worker", "chunk", 3)]
+        assert np.array_equal(ref.final_state.array, res.final_state.array)
+        assert ref.final_time == res.final_time
+        assert np.array_equal(ref.executed_per_type, res.executed_per_type)
+        assert not ex.degraded
+        snap = m.snapshot()
+        assert snap.counter("executor.retries") == 1
+        assert snap.counter("executor.respawns") == 1
+
+    def test_clean_run_needs_no_retry(self, ziff, setup):
+        """Without faults every chunk is snapshotted, yet none is retried."""
         lat, p5 = setup
         ref = _serial_reference(ziff, lat, p5)
         m = MetricsCollector()

@@ -60,7 +60,7 @@ class TestExecutor:
     def test_default_context_is_platform_aware(self, ziff, setup):
         import multiprocessing as mp
 
-        from repro.parallel.executor import _default_start_method
+        from repro.resilience.supervisor import _default_start_method
 
         lat, _ = setup
         assert _default_start_method() in mp.get_all_start_methods()
@@ -143,6 +143,30 @@ class TestExecutorTeardown:
         assert len(created) == 2
         with pytest.raises(FileNotFoundError):
             real_shm(name=created[1])
+
+    def test_failing_worker_setup_fails_closed(self, ziff, setup, monkeypatch):
+        """A worker whose setup raises is not respawned forever: the
+        first chunk raises WorkerInitError with the worker's message,
+        and the executor closes and unlinks its segment."""
+        from multiprocessing import shared_memory
+
+        from repro.parallel import executor as executor_mod
+        from repro.resilience.supervisor import WorkerInitError
+
+        def broken_setup(*args):
+            raise RuntimeError("simulated setup failure")
+
+        monkeypatch.setattr(executor_mod, "_init_worker", broken_setup)
+        lat, p5 = setup
+        ex = ParallelChunkExecutor(ziff, lat, n_workers=2, context="fork")
+        name = ex._shm.name
+        chunk = p5.chunks[0]
+        with pytest.raises(WorkerInitError, match="simulated setup failure"):
+            ex.execute_chunk(chunk, np.zeros(chunk.size, dtype=np.intp))
+        with pytest.raises(RuntimeError, match="closed"):
+            ex.state
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
 
     def test_state_access_raises_after_close(self, ziff, setup):
         lat, _ = setup
@@ -283,7 +307,7 @@ class TestExecutorBackend:
                 ziff, lat, n_workers=1, backend="sentinel-exec"
             ) as ex:
                 assert ex.backend.name == "sentinel-exec"
-                ex._degraded = True  # jump straight to the last rung
+                ex._ladder.degraded = True  # jump straight to the last rung
                 t = ziff.type_index("CO_ads")
                 chunk = p5.chunks[0]
                 counts = ex.execute_chunk(
@@ -308,7 +332,7 @@ class TestExecutorBackend:
         with ParallelChunkExecutor(
             ziff, lat, n_workers=2, backend=compiled[0]
         ) as ex:
-            ex._degraded = True
+            ex._ladder.degraded = True
             par = ParallelPNDCA(
                 ziff, lat, seed=13, partition=p5, strategy="ordered", executor=ex
             )

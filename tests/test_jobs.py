@@ -167,9 +167,7 @@ class TestOrchestrator:
 
     def run_campaign(self, spec, tmp_path, **kw):
         out = io.StringIO()
-        defaults = dict(
-            n_workers=2, journal_dir=tmp_path / "j", backoff_base=0.01
-        )
+        defaults = dict(n_workers=2, journal_dir=tmp_path / "j")
         defaults.update(kw)
         resume = defaults.pop("resume", False)
         orch = JobOrchestrator((spec,), **defaults)
@@ -244,7 +242,7 @@ class TestOrchestrator:
             spec, tmp_path, chaos=chaos, max_retries=0, metrics=metrics
         )
         assert code == 0
-        assert orch._degraded
+        assert orch._ladder.degraded
         assert "(degraded)" in text
         assert campaign_lines(text) == serial_lines(spec)
         assert metrics.snapshot().counters["jobs.degraded"] >= 1
@@ -326,14 +324,30 @@ class TestSweepCli:
         assert main(["sweep", str(p), "--resume"]) == 2
         assert "--journal" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--backoff", "--backoff-max"])
-    def test_negative_backoff_exits_2_without_journal(self, flag, capsys, tmp_path):
+    def test_journal_with_backoff_knobs_still_resumes(self, capsys, tmp_path):
+        """Journals written while the backoff was configurable carry
+        ``backoff_base``/``backoff_max`` in the campaign knobs; they
+        resume like any other."""
         p = self.write_spec(tmp_path)
         journal = tmp_path / "j"
-        assert main(["sweep", str(p), "--journal", str(journal), flag, "-1"]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "must be >= 0" in err[0]
-        assert not journal.exists()
+        assert main(["sweep", str(p), "--journal", str(journal)]) == 0
+        first = campaign_lines(capsys.readouterr().out)
+        path = journal / "journal.jsonl"
+        records = [decode_record(ln) for ln in path.read_text().splitlines()]
+        assert "backoff_base" not in records[0]["knobs"]
+        records[0]["knobs"].update(backoff_base=0.01, backoff_max=1.0)
+        # keep the header, the submits and the first completion only
+        kept, done = [], 0
+        for rec in records:
+            if rec["event"] == "complete" or (rec["event"] == "done" and done):
+                continue
+            done += rec["event"] == "done"
+            kept.append(rec)
+        path.write_text("".join(encode_record(r) + "\n" for r in kept))
+        assert main(["sweep", str(p), "--journal", str(journal), "--resume"]) == 0
+        out = capsys.readouterr().out
+        assert "resume: 1 cached, 1 to run" in out
+        assert campaign_lines(out) == first
 
     def test_bad_chaos_spec_exits_2(self, capsys, tmp_path):
         p = self.write_spec(tmp_path)
@@ -342,8 +356,7 @@ class TestSweepCli:
 
     def test_chaos_kill_job_campaign_still_completes(self, capsys, tmp_path):
         p = self.write_spec(tmp_path)
-        assert main(["sweep", str(p), "--chaos", "kill-job@1",
-                     "--backoff", "0.01"]) == 0
+        assert main(["sweep", str(p), "--chaos", "kill-job@1"]) == 0
         out = capsys.readouterr().out
         assert len(campaign_lines(out)) == 2
         assert "1 respawns" in out

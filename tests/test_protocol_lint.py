@@ -4,8 +4,9 @@ The executor, checkpoint and jobs layers rely on a protocol the kernels
 never see.  The shared-memory segment is closed and unlinked on every
 path.  Signal handlers and the ambient checkpointer stack are popped.
 Checkpoint payloads round-trip.  The recovery ladder rolls a failed
-chunk back before it retries.  Pool workers receive only inputs they
-can use.
+chunk back before it retries.  Workers receive only inputs they can
+use.  The supervisor drops replies to tasks it no longer waits for, and
+sees a dead worker through its process sentinel.
 
 ``TestProtocolMutantsAreKilled`` (marked ``slow``; CI's resilience job
 runs it) breaks each of those promises in a copy of ``src/repro`` and
@@ -13,7 +14,7 @@ runs the tests named as its killers in a fresh interpreter against the
 copy.  A failing test (exit 1), a crash (death by a signal) or a hang
 past :data:`TIMEOUT` counts as killed.  An unmutated copy must pass
 every killer.  DESIGN.md §13 lists the mutants, their killers, and the
-five mutants no run can tell apart from the shipped code.
+mutants no run can tell apart from the shipped code.
 """
 
 import json
@@ -38,10 +39,13 @@ TIMEOUT = 120
 _EXECUTOR = "parallel/executor.py"
 _CHECKPOINT = "resilience/checkpoint.py"
 _DMC_BASE = "dmc/base.py"
+_SUPERVISOR = "resilience/supervisor.py"
 
 _TEARDOWN = "tests/test_executor.py::TestExecutorTeardown"
 _CLOSE_RELEASES = f"{_TEARDOWN}::test_close_is_idempotent_and_releases"
 _RESUME = "tests/test_resilience.py::test_resume_bit_identical"
+_SUPERVISOR_TESTS = "tests/test_chaos.py::TestSupervisor"
+_COUNTS = "tests/test_executor.py::TestExecutor::test_execute_chunk_counts"
 
 #: name -> (file under src/repro, old text, new text, killer node ids)
 MUTANTS = {
@@ -96,9 +100,9 @@ MUTANTS = {
     ),
     "dropped-snapshot-restore": (
         _EXECUTOR,
-        "                self._respawn_pool(attempt)\n"
-        "                self._state[:] = pre",
-        "                self._respawn_pool(attempt)",
+        "            self._state[:] = pre\n"
+        "            delay = self._ladder.after_failure(failures)",
+        "            delay = self._ladder.after_failure(failures)",
         [
             "tests/test_chaos.py::TestExecutorRecovery"
             "::test_delay_slice_past_deadline_recovers"
@@ -108,7 +112,20 @@ MUTANTS = {
         _EXECUTOR,
         "self._shm.name,",
         "self._shm,",
-        ["tests/test_executor.py::TestExecutor::test_execute_chunk_counts"],
+        [_COUNTS],
+    ),
+    "stale-reply-counted": (
+        _SUPERVISOR,
+        "                if seq != slot.seq:\n"
+        "                    continue  # the ready message, or a stale reply\n",
+        "",
+        [f"{_SUPERVISOR_TESTS}::test_stale_reply_is_dropped", _COUNTS],
+    ),
+    "sentinels-dropped-from-wait": (
+        _SUPERVISOR,
+        "_connection.wait([*conns, *sentinels], timeout)",
+        "_connection.wait([*conns], timeout)",
+        [f"{_SUPERVISOR_TESTS}::test_death_is_reported_by_the_sentinel"],
     ),
 }
 
