@@ -34,11 +34,9 @@ Commands
     ``--json`` writes schema-validated ``BENCH_<engine>.json`` reports
     (``BENCH_<engine>-<backend>.json`` for non-numpy backends),
     ``--check`` validates existing report files (the CI gate).
-``lint [--model NAME] [--tiling M:C0,C1] [--shape LxM] [--kernels] [--scenarios] [--json] [--strict]``
-    Static verification: model sanity, symbolic partition race proofs,
-    RNG draw audit, the kernel-level scatter-aliasing/effect-contract
-    pass (``--kernels``) and the scenario preflight (``--scenarios``)
-    — see :mod:`repro.lint`;
+``lint [--model NAME] [--tiling M:C0,C1] [--shape LxM] [--scenarios] [--json] [--strict]``
+    Static verification: model sanity, symbolic partition race proofs
+    and the scenario preflight (``--scenarios``) — see :mod:`repro.lint`;
     ``--list-codes`` prints the full SR registry.  Exit code 1 on
     findings — the CI gate.
 ``info``
@@ -75,9 +73,32 @@ def _cmd_list(_args) -> int:
     return 0
 
 
+def _bad_number(args, ints: tuple[str, ...], floats: tuple[str, ...]) -> int:
+    """Exit code 2, after one line naming the first out-of-range flag.
+
+    Flags in ``ints`` must be >= 1, flags in ``floats`` finite and > 0;
+    unset (``None``) flags pass.  Returns 0 when every flag is valid.
+    """
+    import math
+
+    for flag in (*ints, *floats):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if flag in ints and value < 1:
+            print(f"{flag} must be >= 1, got {value}", file=sys.stderr)
+            return 2
+        if flag in floats and not (math.isfinite(value) and value > 0):
+            print(f"{flag} must be a finite number > 0, got {value}", file=sys.stderr)
+            return 2
+    return 0
+
+
 def _cmd_run(args) -> int:
     from contextlib import ExitStack
 
+    if _bad_number(args, ("--checkpoint-every",), ("--until", "--checkpoint-seconds")):
+        return 2
     if args.backend is not None:
         from repro.backends import check_backend_name
 
@@ -248,6 +269,8 @@ def _cmd_scenarios(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if _bad_number(args, ("--side", "--replicas"), ("--until",)):
+        return 2
     from repro.obs.bench import run
 
     return run(args)

@@ -61,8 +61,8 @@ import numpy as np
 
 from ..core import kernels as _ref
 from ..core.compiled import CompiledModel
+from ..core.contracts import kernel
 from ..core.kernels import _table_key
-from ..lint.contracts import kernel
 from .registry import Backend, register_backend
 
 __all__ = [
@@ -389,7 +389,6 @@ def cnative_available() -> bool:
 # packed tables
 # ----------------------------------------------------------------------
 
-@kernel(reads=("compiled",), caches=("compiled",))
 def cnative_tables(
     compiled: CompiledModel,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -519,13 +518,7 @@ def _c_usable(state: np.ndarray, *streams: np.ndarray) -> bool:
 # the compiled kernels (each a declared twin of its NumPy reference)
 # ----------------------------------------------------------------------
 
-@kernel(
-    reads=("sites", "types"),
-    writes=("state", "counts", "record"),
-    caches=("compiled",),
-    dtypes={"state": "uint8", "counts": "int64"},
-    twin="run_trials_sequential",
-)
+@kernel(writes=("state", "counts", "record"), twin="run_trials_sequential")
 def c_run_trials_sequential(
     state: np.ndarray,
     compiled: CompiledModel,
@@ -548,13 +541,7 @@ def c_run_trials_sequential(
     return _run_stream(state, compiled, s_arr, t_arr, counts, record)
 
 
-@kernel(
-    reads=("sites", "types"),
-    writes=("state", "counts"),
-    disjoint=("sites",),
-    dtypes={"state": "uint8", "counts": "int64"},
-    twin="run_trials_batch",
-)
+@kernel(writes=("state", "counts"), twin="run_trials_batch")
 def c_run_trials_batch(
     state: np.ndarray,
     compiled: CompiledModel,
@@ -581,12 +568,7 @@ def c_run_trials_batch(
     return _run_stream(state, compiled, s_arr, t_arr, counts, None)
 
 
-@kernel(
-    reads=("sites", "types"),
-    writes=("state", "counts"),
-    dtypes={"state": "uint8", "counts": "int64"},
-    twin="run_trials_batch_with_duplicates",
-)
+@kernel(writes=("state", "counts"), twin="run_trials_batch_with_duplicates")
 def c_run_trials_batch_with_duplicates(
     state: np.ndarray,
     compiled: CompiledModel,
@@ -608,14 +590,7 @@ def c_run_trials_batch_with_duplicates(
     return _run_stream(state, compiled, s_arr, t_arr, counts, None)
 
 
-@kernel(
-    reads=("reps", "sites", "types"),
-    writes=("states", "counts"),
-    caches=("compiled",),
-    shapes={"states": ("R", "N"), "counts": ("R", "T")},
-    dtypes={"states": "uint8", "counts": "int64"},
-    twin="run_trials_stacked",
-)
+@kernel(writes=("states", "counts"), twin="run_trials_stacked")
 def c_run_trials_stacked(
     states: np.ndarray,
     compiled: CompiledModel,
@@ -673,19 +648,7 @@ def c_run_trials_stacked(
     return n_exec
 
 
-@kernel(
-    reads=("sites", "types", "starts", "stops"),
-    writes=("states", "counts"),
-    caches=("compiled",),
-    shapes={
-        "states": ("R", "N"),
-        "sites": ("R", "B"),
-        "types": ("R", "B"),
-        "counts": ("R", "T"),
-    },
-    dtypes={"states": "uint8", "counts": "int64"},
-    twin="run_trials_interleaved",
-)
+@kernel(writes=("states", "counts"), twin="run_trials_interleaved")
 def c_run_trials_interleaved(
     states: np.ndarray,
     compiled: CompiledModel,
@@ -753,12 +716,7 @@ def c_run_trials_interleaved(
     return n_exec
 
 
-@kernel(
-    reads=("type_index", "sites"),
-    writes=("state",),
-    dtypes={"state": "uint8"},
-    twin="execute_type_everywhere",
-)
+@kernel(writes=("state",), twin="execute_type_everywhere")
 def c_execute_type_everywhere(
     state: np.ndarray,
     compiled: CompiledModel,

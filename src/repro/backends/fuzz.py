@@ -1,27 +1,28 @@
 """Contract-driven property fuzzing for the dispatchable kernels.
 
-The ``@kernel`` contracts and the lint IR already describe every
-kernel's argument space — symbolic shapes (``("R", "N")``), dtypes,
-and the index preconditions (``disjoint`` sites, per-replica streams).
-This module turns those declarations into *generators of random valid
-inputs* and a differential checker, so backend bit-identity is
-established property-style over seeded random cases instead of
-hand-picked ones:
+The ``@kernel`` contracts (:mod:`repro.core.contracts`) describe every
+dispatch kernel's argument space — symbolic shapes (``("R", "N")``)
+and dtypes — and its write set; the kernel docstrings state the index
+preconditions (conflict-free sites, per-replica streams).  This module
+turns those into *generators of random valid inputs* and a
+differential checker, so backend bit-identity is established
+property-style over seeded random cases instead of hand-picked ones:
 
 * :func:`argument_grid` resolves a kernel's declared symbolic
-  shapes/dtypes against concrete dimension bindings via
-  :func:`repro.lint.ir.build_ir` — the same facts the static analyzer
-  seeds its dataflow with drive the fuzzer's allocations.
+  shapes/dtypes against concrete dimension bindings.
 * :func:`conflict_free_sites` samples a random *pairwise conflict-free*
   site set for any model/lattice — including degenerate shapes where
   the library partitions don't apply — by greedy footprint exclusion
-  over the compiled neighbour maps.  This realises the ``disjoint``
-  precondition the batch contracts declare.
+  over the compiled neighbour maps.  This realises the precondition of
+  the batch kernels; :func:`runtime_write_collisions` is its
+  brute-force check on a given trial batch.
 * :func:`fuzz_case` builds one random valid argument dict for a named
   dispatch kernel; :func:`compare_backends` runs the same case through
-  several backends on fresh copies of every contract-declared written
-  argument and reports any divergence (return value, written arrays,
-  the ``record`` list) as human-readable mismatch strings.
+  several backends, each on fresh copies of every array or list
+  argument, and reports any divergence (return value, written arrays,
+  the ``record`` list) and any argument outside the reference
+  contract's ``writes`` that a backend changed, as human-readable
+  mismatch strings.
 
 An empty :func:`compare_backends` result *is* the bit-identity claim
 for that case; the suite in ``tests/test_backends.py`` asserts it over
@@ -31,14 +32,14 @@ backends (the harness must catch a deliberately wrong twin).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
 from ..core.compiled import CompiledModel
-from ..lint.contracts import contract_of
-from ..lint.ir import build_ir
+from ..core.contracts import contract_of
 from .registry import DISPATCH_KERNELS, resolve_backend
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "conflict_free_sites",
     "fuzz_case",
     "fuzz_cases",
+    "runtime_write_collisions",
 ]
 
 
@@ -67,15 +69,15 @@ def argument_grid(
 
     ``bindings`` maps the contract's symbolic dimension names (``"R"``,
     ``"N"``, ``"B"``, ``"T"``) to concrete sizes; parameters without a
-    declared shape/dtype resolve to ``None`` entries.  Built on the
-    lint IR so the fuzzer consumes exactly the facts the static
-    analyzer does — a contract typo breaks both loudly.
+    declared shape/dtype resolve to ``None`` entries.
     """
-    ir = build_ir(fn)
+    contract = contract_of(fn)
+    if contract is None:
+        raise ValueError(f"{fn.__name__} carries no @kernel contract")
     grid: dict[str, ArgSpec] = {}
-    for p in ir.params:
-        sym = ir.contract.shapes.get(p)
-        dtype = ir.contract.dtypes.get(p)
+    for p in inspect.signature(fn).parameters:
+        sym = contract.shapes.get(p)
+        dtype = contract.dtypes.get(p)
         shape: tuple[int, ...] | None = None
         if sym is not None:
             resolved = []
@@ -142,6 +144,32 @@ def conflict_free_sites(
         if len(keep) >= limit:
             break
     return np.array(keep, dtype=np.intp)
+
+
+def runtime_write_collisions(
+    compiled: CompiledModel, sites: np.ndarray, types: np.ndarray
+) -> list[tuple[int, int, int]]:
+    """Brute-force write-footprint collisions of one trial batch.
+
+    Enumerates the *write* cells of every trial ``(site, type)`` through
+    the compiled neighbour maps and reports every flat cell written by
+    two distinct trials, as ``(cell, trial_i, trial_j)`` triples.  An
+    empty result means a simultaneous scatter over this batch cannot
+    lose updates.
+    """
+    owner: dict[int, int] = {}
+    collisions: list[tuple[int, int, int]] = []
+    for trial, (s, t) in enumerate(
+        zip(np.asarray(sites).tolist(), np.asarray(types).tolist())
+    ):
+        for m in compiled.types[t].maps:
+            cell = int(m[s])
+            prev = owner.get(cell)
+            if prev is not None and prev != trial:
+                collisions.append((cell, prev, trial))
+            else:
+                owner[cell] = trial
+    return collisions
 
 
 def _draw_types(
@@ -295,15 +323,27 @@ def _written_params(kernel_name: str) -> tuple[str, ...]:
     return contract.writes
 
 
-def _fresh(kwargs: Mapping[str, Any], written: tuple[str, ...]) -> dict[str, Any]:
+def _fresh(kwargs: Mapping[str, Any]) -> dict[str, Any]:
+    """Copies of every array and list argument, other values shared."""
     out = dict(kwargs)
-    for p in written:
-        v = out.get(p)
+    for p, v in out.items():
         if isinstance(v, np.ndarray):
             out[p] = v.copy()
         elif isinstance(v, list):
             out[p] = list(v)
     return out
+
+
+def _differs(a: Any, b: Any) -> str | None:
+    """Why ``b`` is not ``a`` (``None`` when equal)."""
+    if isinstance(a, np.ndarray):
+        if a.shape != np.shape(b):
+            return f"shape {a.shape} != {np.shape(b)}"
+        if not np.array_equal(a, b):
+            bad = int(np.count_nonzero(a != np.asarray(b)))
+            return f"{bad} element(s) differ"
+        return None
+    return None if a == b else f"{a!r} != {b!r}"
 
 
 def compare_backends(
@@ -315,23 +355,34 @@ def compare_backends(
 ) -> list[str]:
     """Run one case through several backends; report every divergence.
 
-    Each backend executes on fresh copies of the contract-declared
-    written arguments.  The first backend is the oracle; mismatch
-    strings name the kernel, the diverging output and the backend pair.
-    An empty list is the bit-identity verdict for this case.
+    Each backend executes on fresh copies of every array and list
+    argument.  Any argument outside the reference contract's ``writes``
+    that a backend (the oracle included) changed is reported.  The
+    first backend is the oracle; mismatch strings name the kernel, the
+    diverging output and the backend pair.  An empty list is the
+    bit-identity verdict for this case.
     """
     written = _written_params(kernel_name)
+    where = f"{kernel_name}{f' [{label}]' if label else ''}"
+    mismatches: list[str] = []
     runs: list[tuple[str, int, dict[str, Any]]] = []
     for spec in backends:
         backend = resolve_backend(spec, warn=False)
         impl = getattr(backend.kernel_set(), kernel_name)
-        local = _fresh(kwargs, written)
+        local = _fresh(kwargs)
         ret = impl(**local)
         runs.append((backend.name, int(ret), local))
+        for p, v in kwargs.items():
+            if p in written or not isinstance(v, (np.ndarray, list)):
+                continue
+            why = _differs(v, local[p])
+            if why is not None:
+                mismatches.append(
+                    f"{where}: input {p!r} outside writes changed "
+                    f"({backend.name}): {why}"
+                )
 
-    mismatches: list[str] = []
     base_name, base_ret, base_kwargs = runs[0]
-    where = f"{kernel_name}{f' [{label}]' if label else ''}"
     for name, ret, local in runs[1:]:
         pair = f"{base_name} vs {name}"
         if ret != base_ret:
@@ -340,18 +391,9 @@ def compare_backends(
                 f"{base_ret} != {ret}"
             )
         for p in written:
-            a, b = base_kwargs.get(p), local.get(p)
-            if a is None and b is None:
-                continue
-            if isinstance(a, np.ndarray):
-                if not np.array_equal(a, b):
-                    bad = int(np.count_nonzero(np.asarray(a) != np.asarray(b)))
-                    mismatches.append(
-                        f"{where}: output {p!r} diverged ({pair}): "
-                        f"{bad} element(s) differ"
-                    )
-            elif a != b:
+            why = _differs(base_kwargs.get(p), local.get(p))
+            if why is not None:
                 mismatches.append(
-                    f"{where}: output {p!r} diverged ({pair}): {a!r} != {b!r}"
+                    f"{where}: output {p!r} diverged ({pair}): {why}"
                 )
     return mismatches

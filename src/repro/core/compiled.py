@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..lint.contracts import kernel
+from .contracts import kernel
 from .lattice import Lattice
 from .model import Model
 from .rates import selection_table
@@ -127,7 +127,6 @@ class CompiledModel:
     # ------------------------------------------------------------------
     # scalar operations (used by tests and the event-driven simulators)
     # ------------------------------------------------------------------
-    @kernel(pure=True, reads=("self", "state"), dtypes={"state": "uint8"})
     def is_enabled(self, state: np.ndarray, type_index: int, site: int) -> bool:
         """Does the source pattern of a type match at an anchor site?"""
         ct = self.types[type_index]
@@ -136,14 +135,13 @@ class CompiledModel:
                 return False
         return True
 
-    @kernel(reads=("self",), writes=("state",), dtypes={"state": "uint8"})
+    @kernel(writes=("state",))
     def execute(self, state: np.ndarray, type_index: int, site: int) -> None:
         """Write the target pattern of a type anchored at a site."""
         ct = self.types[type_index]
         for m, tgt in zip(ct.maps, ct.tgts):
             state[m[site]] = tgt
 
-    @kernel(pure=True, reads=("self", "state"), dtypes={"state": "uint8"})
     def enabled_types_at(self, state: np.ndarray, site: int) -> list[int]:
         """All reaction-type indices enabled at an anchor site."""
         return [i for i in range(self.n_types) if self.is_enabled(state, i, site)]
@@ -151,7 +149,6 @@ class CompiledModel:
     # ------------------------------------------------------------------
     # vectorised operations
     # ------------------------------------------------------------------
-    @kernel(pure=True, reads=("self", "state", "sites"), dtypes={"state": "uint8"})
     def match_sites(
         self, state: np.ndarray, type_index: int, sites: np.ndarray
     ) -> np.ndarray:
@@ -163,7 +160,6 @@ class CompiledModel:
             mask &= state[m[sites]] == src
         return mask
 
-    @kernel(pure=True, reads=("self", "state"), dtypes={"state": "uint8"})
     def enabled_anchor_sites(self, state: np.ndarray, type_index: int) -> np.ndarray:
         """Flat indices of every anchor site where the type is enabled."""
         ct = self.types[type_index]
@@ -172,7 +168,6 @@ class CompiledModel:
             mask &= state[m] == src
         return np.flatnonzero(mask)
 
-    @kernel(pure=True, reads=("self", "state", "sites"), dtypes={"state": "uint8"})
     def enabled_rate_total(self, state: np.ndarray, sites: np.ndarray | None = None) -> float:
         """Sum of rate constants of all enabled reactions (optionally on a site subset).
 
@@ -188,7 +183,6 @@ class CompiledModel:
             total += ct.rate * n
         return total
 
-    @kernel(pure=True, reads=("self", "changed_sites"))
     def affected_anchors(self, changed_sites: Sequence[int]) -> np.ndarray:
         """Anchor sites whose enabled-status may change when the given sites change.
 

@@ -55,8 +55,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..lint.contracts import kernel
 from .compiled import CompiledModel, CompiledType
+from .contracts import kernel
 
 __all__ = [
     "run_trials_sequential",
@@ -75,7 +75,6 @@ __all__ = [
 # sequential kernel
 # ----------------------------------------------------------------------
 
-@kernel(pure=True, reads=("compiled",))
 def _table_key(compiled: CompiledModel) -> tuple:
     """Cache key tying derived tables to the exact model/lattice binding.
 
@@ -90,7 +89,6 @@ def _table_key(compiled: CompiledModel) -> tuple:
     return (compiled.lattice.shape, len(compiled.types))
 
 
-@kernel(reads=("compiled",), caches=("compiled",))
 def seq_tables(compiled: CompiledModel) -> list[tuple[list, list[int], list[int]]]:
     """Per-type ``(maps, srcs, tgts)`` with maps as python lists.
 
@@ -117,9 +115,7 @@ def seq_tables(compiled: CompiledModel) -> list[tuple[list, list[int], list[int]
 
 
 @kernel(
-    reads=("sites", "types"),
     writes=("state", "counts", "record"),
-    caches=("compiled",),
     dtypes={"state": "uint8", "counts": "int64"},
 )
 def run_trials_sequential(
@@ -186,12 +182,7 @@ def run_trials_sequential(
 # batched (conflict-free) kernels
 # ----------------------------------------------------------------------
 
-@kernel(
-    reads=("sites", "types"),
-    writes=("state", "counts"),
-    disjoint=("sites",),
-    dtypes={"state": "uint8", "counts": "int64"},
-)
+@kernel(writes=("state", "counts"), dtypes={"state": "uint8", "counts": "int64"})
 def run_trials_batch(
     state: np.ndarray,
     compiled: CompiledModel,
@@ -223,20 +214,14 @@ def run_trials_batch(
     return n_exec
 
 
-@kernel(
-    reads=("ct", "sel"),
-    writes=("state",),
-    disjoint=("sel",),
-    injective=("ct.maps",),
-    dtypes={"state": "uint8"},
-)
+@kernel(writes=("state",))
 def _execute_masked(state: np.ndarray, ct: CompiledType, sel: np.ndarray) -> int:
     """Match one type at many anchors and execute where enabled.
 
-    ``sel`` must be duplicate-free (``disjoint``) and ``ct.maps`` are
-    injective periodic neighbour maps, so every per-change footprint
-    gather ``m[hits]`` is itself duplicate-free — which is exactly the
-    fact the kernel linter uses to prove the target scatters safe.
+    ``sel`` must be duplicate-free and ``ct.maps`` are injective
+    periodic neighbour maps, so every per-change footprint gather
+    ``m[hits]`` is itself duplicate-free and the target scatters cannot
+    lose an update.
     """
     if sel.size == 0:
         return 0
@@ -250,11 +235,7 @@ def _execute_masked(state: np.ndarray, ct: CompiledType, sel: np.ndarray) -> int
     return int(hits.size)
 
 
-@kernel(
-    reads=("sites", "types"),
-    writes=("state", "counts"),
-    dtypes={"state": "uint8", "counts": "int64"},
-)
+@kernel(writes=("state", "counts"), dtypes={"state": "uint8", "counts": "int64"})
 def run_trials_batch_with_duplicates(
     state: np.ndarray,
     compiled: CompiledModel,
@@ -287,7 +268,6 @@ def run_trials_batch_with_duplicates(
     return n_exec
 
 
-@kernel(pure=True, reads=("sites",), returns="occurrence_index")
 def _occurrence_index(sites: np.ndarray) -> np.ndarray:
     """For each element, how many earlier elements have the same value.
 
@@ -311,7 +291,6 @@ def _occurrence_index(sites: np.ndarray) -> np.ndarray:
 # stacked-ensemble kernels: R independent replicas on an (R, N) state
 # ----------------------------------------------------------------------
 
-@kernel(reads=("compiled",), caches=("compiled",))
 def ensemble_tables(
     compiled: CompiledModel,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -360,7 +339,6 @@ def ensemble_tables(
     return tables
 
 
-@kernel(reads=("compiled",), caches=("compiled",))
 def conflict_lut(compiled: CompiledModel) -> np.ndarray:
     """Conservative site-pair conflict table on flat-index differences.
 
@@ -408,12 +386,7 @@ def conflict_lut(compiled: CompiledModel) -> np.ndarray:
     return lut
 
 
-@kernel(
-    reads=("reps", "types", "mask"),
-    writes=("counts",),
-    shapes={"counts": ("R", "T")},
-    dtypes={"counts": "int64", "mask": "bool"},
-)
+@kernel(writes=("counts",))
 def _stacked_counts(
     counts: np.ndarray, reps: np.ndarray, types: np.ndarray, mask: np.ndarray
 ) -> None:
@@ -423,7 +396,7 @@ def _stacked_counts(
     are *expected* here, so the accumulation runs through
     ``np.bincount`` on the combined key followed by one whole-array
     ``+=`` — a reduce, not a fancy-index scatter, hence immune to the
-    SR040 lost-update hazard by construction.
+    lost update a repeated index causes in ``counts[idx] += 1``.
     """
     n_types = counts.shape[1]
     hits = np.bincount(
@@ -433,13 +406,9 @@ def _stacked_counts(
 
 
 @kernel(
-    reads=("reps", "sites", "types"),
     writes=("states", "counts"),
-    caches=("compiled",),
     shapes={"states": ("R", "N"), "counts": ("R", "T")},
     dtypes={"states": "uint8", "counts": "int64"},
-    twin="run_trials_batch",
-    rename={"states": "state"},
 )
 def run_trials_stacked(
     states: np.ndarray,
@@ -490,18 +459,6 @@ def run_trials_stacked(
     return n_hit
 
 
-@kernel(
-    pure=True,
-    reads=("flat", "tmap", "csrc", "base", "types", "roff"),
-    shapes={
-        "tmap": ("C", "TN"),
-        "csrc": ("C", "T"),
-        "base": ("B",),
-        "types": ("B",),
-        "roff": ("B",),
-    },
-    dtypes={"flat": "uint8"},
-)
 def _match_flat(
     flat: np.ndarray,
     tmap: np.ndarray,
@@ -529,18 +486,7 @@ def _match_flat(
     return mask, idx_cols
 
 
-@kernel(
-    reads=("ctgt", "idx_cols", "types", "mask"),
-    writes=("flat",),
-    shapes={"idx_cols": ("C", "B"), "ctgt": ("C", "T"), "types": ("B",)},
-    dtypes={"flat": "uint8", "ctgt": "uint8", "mask": "bool"},
-    justify={
-        "SR041": "per-column indices of distinct hit trials are pairwise "
-        "disjoint by the partition non-overlap theorem (the batch "
-        "precondition of run_trials_stacked), and a within-trial repeat "
-        "across columns is the intended later-column-wins order"
-    },
-)
+@kernel(writes=("flat",))
 def _write_flat(
     flat: np.ndarray,
     ctgt: np.ndarray,
@@ -554,9 +500,7 @@ def _write_flat(
     so per-column scatters cannot interfere across trials; within one
     trial later columns win on a repeated site, matching the in-memory
     order of the previous single fancy-scatter formulation (and padded
-    columns rewrite change 0's value — idempotent).  The disjointness
-    argument lives outside the analyzer's fragment (it is the partition
-    theorem itself), hence the contract-level SR041 justification.
+    columns rewrite change 0's value — idempotent).
     """
     h_types = types[mask]
     for c in range(len(idx_cols)):
@@ -564,9 +508,7 @@ def _write_flat(
 
 
 @kernel(
-    reads=("sites", "types", "starts", "stops"),
     writes=("states", "counts"),
-    caches=("compiled",),
     shapes={
         "states": ("R", "N"),
         "sites": ("R", "B"),
@@ -574,8 +516,6 @@ def _write_flat(
         "counts": ("R", "T"),
     },
     dtypes={"states": "uint8", "counts": "int64"},
-    twin="run_trials_sequential",
-    rename={"states": "state"},
 )
 def run_trials_interleaved(
     states: np.ndarray,
@@ -659,11 +599,7 @@ def run_trials_interleaved(
     return n_exec
 
 
-@kernel(
-    reads=("type_index", "sites"),
-    writes=("state",),
-    dtypes={"state": "uint8"},
-)
+@kernel(writes=("state",), dtypes={"state": "uint8"})
 def execute_type_everywhere(
     state: np.ndarray,
     compiled: CompiledModel,

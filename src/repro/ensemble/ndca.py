@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.contracts import kernel
 from ..core.rng import draw_types
-from ..lint.contracts import kernel
 from .base import EnsembleBase
 
 __all__ = ["EnsembleNDCA"]
@@ -40,7 +40,6 @@ class EnsembleNDCA(EnsembleBase):
         self.window = int(window)
 
     @kernel(
-        reads=("self", "until", "active"),
         writes=(
             "self.states",
             "self.executed_per_type",
@@ -48,21 +47,6 @@ class EnsembleNDCA(EnsembleBase):
             "self.n_trials",
             "self._attempted_per_type",
         ),
-        caches=("self.compiled",),
-        disjoint=("active",),
-        shapes={
-            "active": ("A",),
-            "self.states": ("R", "N"),
-            "self.times": ("R",),
-            "self.n_trials": ("R",),
-            "self.executed_per_type": ("R", "T"),
-        },
-        dtypes={
-            "self.states": "uint8",
-            "self.times": "float64",
-            "self.n_trials": "int64",
-            "self.executed_per_type": "int64",
-        },
     )
     def _step_block(self, until: float, active: np.ndarray) -> int:
         comp = self.compiled

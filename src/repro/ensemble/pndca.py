@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.contracts import kernel
 from ..core.rng import make_rng, types_from_uniforms
-from ..lint.contracts import kernel
 from ..partition.partition import Partition
 from .base import EnsembleBase
 
@@ -116,7 +116,7 @@ class EnsemblePNDCA(EnsembleBase):
         if "schedule_rng" in extra:
             restore_rng_state(self.schedule_rng, extra["schedule_rng"])
 
-    @kernel(reads=("self",), writes=("self.partition",))
+    @kernel(writes=("self.partition",))
     def _choose_partition(self) -> Partition:
         """Shared 'choose a partition P' step (one choice for all replicas)."""
         if len(self.partitions) == 1:
@@ -131,12 +131,6 @@ class EnsemblePNDCA(EnsembleBase):
         return p
 
     # ------------------------------------------------------------------
-    @kernel(
-        reads=("self", "chunk", "active"),
-        caches=("self._stream_cache",),
-        disjoint=("chunk", "active"),
-        shapes={"chunk": ("C",), "active": ("A",)},
-    )
     def _chunk_streams(
         self, chunk: np.ndarray, active: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -162,7 +156,6 @@ class EnsemblePNDCA(EnsembleBase):
         return cached
 
     @kernel(
-        reads=("self", "chunk", "active", "index"),
         writes=(
             "self.states",
             "self.executed_per_type",
@@ -170,22 +163,6 @@ class EnsemblePNDCA(EnsembleBase):
             "self.times",
             "self._attempted_per_type",
         ),
-        caches=("self.compiled", "self._stream_cache"),
-        disjoint=("chunk", "active"),
-        shapes={
-            "chunk": ("C",),
-            "active": ("A",),
-            "self.states": ("R", "N"),
-            "self.times": ("R",),
-            "self.n_trials": ("R",),
-            "self.executed_per_type": ("R", "T"),
-        },
-        dtypes={
-            "self.states": "uint8",
-            "self.times": "float64",
-            "self.n_trials": "int64",
-            "self.executed_per_type": "int64",
-        },
     )
     def _visit_chunk(
         self, chunk: np.ndarray, active: np.ndarray, index: int = -1
@@ -223,7 +200,6 @@ class EnsemblePNDCA(EnsembleBase):
         self.tracer.on_chunk(index, c, float(self.times.min()))
 
     @kernel(
-        reads=("self", "until", "active"),
         writes=(
             "self.states",
             "self.executed_per_type",
@@ -233,9 +209,6 @@ class EnsemblePNDCA(EnsembleBase):
             "self._step_no",
             "self._attempted_per_type",
         ),
-        caches=("self.compiled", "self._stream_cache"),
-        disjoint=("active",),
-        shapes={"active": ("A",)},
     )
     def _step_block(self, until: float, active: np.ndarray) -> int:
         p = self._choose_partition()

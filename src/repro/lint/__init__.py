@@ -1,10 +1,10 @@
-"""Static conflict/race proofs for partitions, kernels and models.
+"""Static conflict/race proofs for partitions and models.
 
 ``repro.lint`` is a *static analysis* layer over the package: instead
 of checking properties empirically per lattice instance at runtime, it
 proves (or refutes, with a minimal counterexample) structural
-properties of the reaction patterns, the partitions and the kernels —
-once, symbolically, before a simulation ever runs.
+properties of the reaction patterns and the partitions — once,
+symbolically, before a simulation ever runs.
 
 Analysis passes, each emitting :class:`Diagnostic` records with stable
 ``SR0xx`` error codes (authoritative table:
@@ -22,28 +22,13 @@ Analysis passes, each emitting :class:`Diagnostic` records with stable
   NDCA probability mass at the chosen time step, dead/unreachable
   reactions and species, stoichiometry against declared conservation
   laws (:mod:`repro.core.conservation`).
-* :mod:`repro.lint.rng_lint` — the **RNG draw-accounting audit**: an
-  AST walk over the sequential kernels and their ensemble counterparts
-  in :mod:`repro.core.kernels` clients, tallying random draws per
-  trial stream, guarding the bit-identical-replica guarantee of the
-  ensemble engine.
-* :mod:`repro.lint.kernel_lint` — the **scatter/gather aliasing
-  prover** (with :mod:`repro.lint.ir` and
-  :mod:`repro.lint.contracts`): an abstract interpreter over the
-  vectorized NumPy kernels that proves scatter-write index sets
-  duplicate-free, infers symbolic shapes/dtypes, and checks each
-  kernel's ``@kernel(reads=..., writes=..., pure=...)`` effect
-  contract — including sequential/ensemble twin-contract agreement.
-  The C code behind the ``cnative`` twins is checked dynamically
-  instead: the differential suite in ``tests/test_backends.py`` demands
-  bit-identity with the NumPy reference and kills every seeded C
-  mutant.
-  ``python -m repro lint --kernels``.
 
-The process-level protocol of the executor, checkpoint and jobs layers
-is checked dynamically too: the slow ``TestProtocolMutantsAreKilled``
-tests run seeded protocol mutants against the executor, chaos and
-resilience tests (DESIGN.md §13).
+The kernels, their RNG draws, the C tier and the process-level
+protocol are checked dynamically instead.  The differential suite in
+``tests/test_backends.py`` demands bit-identity of every backend with
+the NumPy reference, and the kernel, ensemble and protocol tests kill
+the seeded mutants of DESIGN.md §8, §12 and §13 (the slow
+``Test*MutantsAreKilled`` classes).
 
 The complete code registry, generated from
 :data:`repro.lint.diagnostics.CODES` (full descriptions live there;
@@ -52,25 +37,15 @@ The complete code registry, generated from
 {code_table}
 
 Entry points: ``python -m repro lint`` (CI gate, see
-:mod:`repro.lint.cli`; ``--kernels`` / ``--scenarios`` for single
-passes) and the :func:`preflight_model` /
-:func:`preflight_partition` gates wired into the experiment drivers
-and the PNDCA construction paths.
+:mod:`repro.lint.cli`; ``--scenarios`` for the shipped scenarios) and
+the :func:`preflight_model` / :func:`preflight_partition` gates wired
+into the experiment drivers and the PNDCA construction paths.
 """
 
 from __future__ import annotations
 
-from .contracts import KernelContract, contract_of, kernel, registered_kernels
 from .diagnostics import CODES, Diagnostic, LintReport, code_table
 from .engine import LintError, preflight_model, preflight_partition, run_lint
-from .ir import KernelIR, build_ir
-from .kernel_lint import (
-    KERNEL_MODULES,
-    analyze_kernel,
-    check_twins,
-    lint_kernels,
-    runtime_write_collisions,
-)
 from .model_lint import lint_model
 from .offsets import Conflict, conflict_witnesses
 from .partition_lint import (
@@ -80,7 +55,6 @@ from .partition_lint import (
     prove_tiling,
     tiling_conflicts_on_shape,
 )
-from .rng_lint import audit_draws
 
 
 def _render_code_table() -> str:
@@ -108,26 +82,14 @@ __all__ = [
     "LintError",
     "Conflict",
     "TilingProof",
-    "KernelContract",
-    "KernelIR",
-    "KERNEL_MODULES",
-    "analyze_kernel",
-    "audit_draws",
-    "build_ir",
     "check_tiling_on_shape",
-    "check_twins",
     "code_table",
     "conflict_witnesses",
-    "contract_of",
-    "kernel",
-    "lint_kernels",
     "lint_model",
     "lint_partition",
     "preflight_model",
     "preflight_partition",
     "prove_tiling",
-    "registered_kernels",
     "run_lint",
-    "runtime_write_collisions",
     "tiling_conflicts_on_shape",
 ]

@@ -2,25 +2,19 @@
 
 Default invocation lints every registered model: sanity pass, then the
 symbolic conflict-freedom proof for the model's canonical modular
-tiling (``find_modular_tiling``), then — once — the RNG draw audit
-of the sequential/ensemble kernel pairs.  Exit status 0 iff no
-error-severity diagnostic fired (``--strict`` also fails on warnings).
+tiling (``find_modular_tiling``).  Exit status 0 iff no error-severity
+diagnostic fired (``--strict`` also fails on warnings); a malformed
+``--tiling`` or ``--shape``, or one whose dimension does not match the
+model, exits 2 with one line on stderr before anything is linted.
 
 Targeted runs::
 
     python -m repro lint --model ziff                  # one model
     python -m repro lint --model ziff --tiling 5:1,2   # explicit tiling
     python -m repro lint --model ziff --tiling 5:1,2 --shape 7x7
-    python -m repro lint --kernels --strict            # kernel pass only
     python -m repro lint --scenarios --strict          # shipped scenarios only
     python -m repro lint --json                        # machine-readable
     python -m repro lint --list-codes                  # error-code table
-
-``--kernels`` runs the kernel-level pass alone (scatter aliasing
-proofs SR040/SR041, shape/dtype dataflow SR042/SR043, effect
-contracts SR050/SR051) over every ``@kernel``-decorated function in
-:data:`repro.lint.kernel_lint.KERNEL_MODULES` — no models are built,
-so it is fast enough for a pre-commit hook.
 
 ``--shape`` switches the proof from "all aligned lattice sizes" to the
 exact borrow analysis for one finite periodic shape — use it to check
@@ -99,7 +93,7 @@ MODEL_REGISTRY: dict[str, Callable[[], tuple[Model, list[str] | None]]] = {
 
 
 def _parse_tiling(spec: str) -> tuple[int, tuple[int, ...]]:
-    """Parse ``"m:c0,c1,..."`` (e.g. ``"5:1,2"``)."""
+    """Parse ``"m:c0,c1,..."`` (e.g. ``"5:1,2"``) with ``m >= 1``."""
     try:
         m_str, _, coeff_str = spec.partition(":")
         m = int(m_str)
@@ -108,17 +102,26 @@ def _parse_tiling(spec: str) -> tuple[int, tuple[int, ...]]:
         raise argparse.ArgumentTypeError(
             f"tiling spec {spec!r} is not of the form 'm:c0,c1' (e.g. '5:1,2')"
         ) from None
+    if m < 1:
+        raise argparse.ArgumentTypeError(
+            f"tiling spec {spec!r}: modulus m must be >= 1, got {m}"
+        )
     return m, coeffs
 
 
 def _parse_shape(spec: str) -> tuple[int, ...]:
-    """Parse ``"LxM"`` / ``"L,M"`` (e.g. ``"7x7"``)."""
+    """Parse ``"LxM"`` / ``"L,M"`` (e.g. ``"7x7"``) with sides ``>= 1``."""
     try:
-        return tuple(int(s) for s in spec.replace("x", ",").split(","))
+        shape = tuple(int(s) for s in spec.replace("x", ",").split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"shape spec {spec!r} is not of the form 'LxM' (e.g. '7x7')"
         ) from None
+    if min(shape) < 1:
+        raise argparse.ArgumentTypeError(
+            f"shape spec {spec!r}: every side must be >= 1"
+        )
+    return shape
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -147,17 +150,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--strict", action="store_true", help="treat warnings as failures"
-    )
-    parser.add_argument(
-        "--no-rng-audit",
-        action="store_true",
-        help="skip the sequential-vs-ensemble RNG draw audit",
-    )
-    parser.add_argument(
-        "--kernels",
-        action="store_true",
-        help="run only the kernel aliasing/effect-contract pass "
-        "(SR040-SR043, SR050/SR051)",
     )
     parser.add_argument(
         "--scenarios",
@@ -192,61 +184,59 @@ def run(args: argparse.Namespace) -> int:
             print(f"{code}  {sev:<7s} {slug:<30s} {desc}")
         return 0
 
-    if args.kernels or args.scenarios:
-        report = LintReport()
-        if args.kernels:
-            from .kernel_lint import lint_kernels
+    report = LintReport()
+    if args.scenarios:
+        from ..scenario import ScenarioError, lint_scenario, scenario_registry
+        from .engine import LintError
 
-            report.extend(lint_kernels())
-        if args.scenarios:
-            from ..scenario import ScenarioError, lint_scenario, scenario_registry
-            from .engine import LintError
-
+        try:
+            registry = scenario_registry()
+        except ScenarioError as exc:
+            print(exc.args[0] if exc.args else exc, file=sys.stderr)
+            return 2
+        for name in sorted(registry):
+            spec = registry[name]
             try:
-                registry = scenario_registry()
+                scenario_report = lint_scenario(spec)
+            except LintError as exc:
+                report.extend(exc.report)
             except ScenarioError as exc:
-                print(exc.args[0] if exc.args else exc, file=sys.stderr)
+                print(
+                    f"scenario {name}: {exc.args[0] if exc.args else exc}",
+                    file=sys.stderr,
+                )
                 return 2
-            for name in sorted(registry):
-                spec = registry[name]
-                try:
-                    scenario_report = lint_scenario(spec)
-                except LintError as exc:
-                    report.extend(exc.report)
-                except ScenarioError as exc:
+            else:
+                report.extend(scenario_report)
+                report.note(
+                    f"scenario {name!r} ({spec.source}): preflight clean, "
+                    f"digest {spec.short_digest()}"
+                )
+    else:
+        names = [args.model] if args.model else sorted(MODEL_REGISTRY)
+        models = [(name, *MODEL_REGISTRY[name]()) for name in names]
+        given = {"--tiling": args.tiling and args.tiling[1], "--shape": args.shape}
+        for name, model, _ in models:
+            for flag, spec in given.items():
+                if spec and len(spec) != model.ndim:
                     print(
-                        f"scenario {name}: {exc.args[0] if exc.args else exc}",
+                        f"{flag} has {len(spec)} dimension(s) but model "
+                        f"{name!r} is {model.ndim}-d",
                         file=sys.stderr,
                     )
                     return 2
-                else:
-                    report.extend(scenario_report)
-                    report.note(
-                        f"scenario {name!r} ({spec.source}): preflight clean, "
-                        f"digest {spec.short_digest()}"
-                    )
-        if args.json:
-            print(report.to_json())
-        else:
-            print(report.render())
-        return 0 if report.ok(strict=args.strict) else 1
-
-    names = [args.model] if args.model else sorted(MODEL_REGISTRY)
-    report = LintReport()
-    for i, name in enumerate(names):
-        model, initial = MODEL_REGISTRY[name]()
-        tiling = args.tiling if args.tiling else _canonical_tiling(model)
-        if tiling is None:
-            report.note(f"model {name}: no modular tiling found (skipping proof)")
-        report.extend(
-            run_lint(
-                model,
-                tiling=tiling,
-                shape=args.shape,
-                initial_species=initial,
-                rng_audit=(i == 0 and not args.no_rng_audit),
+        for name, model, initial in models:
+            tiling = args.tiling if args.tiling else _canonical_tiling(model)
+            if tiling is None:
+                report.note(
+                    f"model {name}: no modular tiling found (skipping proof)"
+                )
+            report.extend(
+                run_lint(
+                    model, tiling=tiling, shape=args.shape,
+                    initial_species=initial,
+                )
             )
-        )
 
     if args.json:
         print(report.to_json())

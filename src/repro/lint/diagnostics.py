@@ -11,14 +11,11 @@ Code ranges
     partition / tiling race detection (the non-overlap rule),
 ``SR01x``
     model sanity (probability mass, reachability, conservation),
-``SR03x``
-    RNG draw accounting (sequential vs. ensemble kernels),
-``SR04x``
-    kernel dataflow: scatter aliasing proofs (SR040/SR041) and
-    shape/dtype inference (SR042/SR043),
-``SR05x``
-    kernel effect contracts: undeclared mutation (SR050) and
-    sequential/ensemble twin drift (SR051),
+``SR03x``, ``SR04x``, ``SR05x``
+    retired: the RNG draw audit's and the kernel aliasing prover's
+    codes.  The differential backend suite and the kernel and ensemble
+    tests kill the kernel and draw mutants they were written against,
+    so the ranges stay empty and their numbers are never reused,
 ``SR06x``
     retired: the native-tier verifier's codes.  The differential
     backend suite kills the C mutants they were written against, so the
@@ -103,57 +100,6 @@ CODES: dict[str, tuple[str, str, str]] = {
         "warning",
         "duplicate-reaction",
         "two reaction types share an identical change pattern",
-    ),
-    "SR030": (
-        "error",
-        "ensemble-extra-draw",
-        "ensemble replica stream draws a kind the sequential kernel never draws",
-    ),
-    "SR031": (
-        "error",
-        "schedule-draw-on-replica-stream",
-        "shared-schedule randomness drawn from a per-replica stream",
-    ),
-    "SR032": (
-        "warning",
-        "missing-replica-draw",
-        "sequential draw kind missing from the ensemble counterpart",
-    ),
-    "SR040": (
-        "error",
-        "scatter-lost-update",
-        "augmented fancy-index scatter whose index set may repeat "
-        "(numpy drops all but one update; use np.add.at or dedup)",
-    ),
-    "SR041": (
-        "error",
-        "scatter-write-alias",
-        "fancy-index scatter writes array values through possibly "
-        "repeated indices (surviving value is an ordering accident)",
-    ),
-    "SR042": (
-        "error",
-        "shape-broadcast-mismatch",
-        "kernel operands have provably incompatible shapes under "
-        "numpy broadcasting",
-    ),
-    "SR043": (
-        "warning",
-        "dtype-downcast",
-        "implicit store narrows the value dtype (information loss "
-        "without an explicit astype)",
-    ),
-    "SR050": (
-        "error",
-        "undeclared-mutation",
-        "kernel mutates an input its @kernel contract does not "
-        "declare in writes=/caches= (or mutates despite pure=True)",
-    ),
-    "SR051": (
-        "error",
-        "twin-contract-drift",
-        "sequential/ensemble kernel twins disagree on declared "
-        "effects after parameter renaming",
     ),
 }
 

@@ -1,8 +1,8 @@
 """Lint orchestration and the pre-flight gates.
 
 :func:`run_lint` assembles the full static report for a model (and
-optionally a partition/tiling): model sanity, partition race proof,
-RNG draw audit.  :func:`preflight_model` / :func:`preflight_partition`
+optionally a partition/tiling): model sanity and the partition race
+proof.  :func:`preflight_model` / :func:`preflight_partition`
 are the thin gates wired into simulator constructors and experiment
 drivers: they raise :class:`LintError` — a ``ValueError`` subclass, so
 existing callers that catch ``ValueError`` keep working — when any
@@ -84,22 +84,16 @@ def run_lint(
     dt: float | None = None,
     initial_species: Sequence[str] | None = None,
     conserved: Sequence[Mapping[str, float]] | None = None,
-    rng_audit: bool = False,
-    kernel_audit: bool = False,
     limit: int = 8,
 ) -> LintReport:
     """Full static report for one model and its parallel decomposition.
 
     Runs the model sanity pass, then — depending on what is supplied —
     the symbolic tiling proof (``tiling=(m, coeffs)``, optionally
-    specialised to a ``shape``), the partition lint, the RNG draw
-    audit and the kernel aliasing/effect-contract pass
-    (``kernel_audit``) — the last two are model-independent, so CLI
-    callers run them once, not per model.  Never raises on findings;
-    inspect ``report.ok()``.
+    specialised to a ``shape``) and the partition lint.  Never raises
+    on findings; inspect ``report.ok()``.
     """
     from .partition_lint import check_tiling_on_shape
-    from .rng_lint import audit_draws
 
     report = lint_model(
         model, dt=dt, initial_species=initial_species, conserved=conserved
@@ -128,10 +122,4 @@ def run_lint(
                     )
     if partition is not None:
         report.extend(lint_partition(partition, model, limit=limit, bounds=True))
-    if rng_audit:
-        report.extend(audit_draws())
-    if kernel_audit:
-        from .kernel_lint import lint_kernels
-
-        report.extend(lint_kernels())
     return report

@@ -5,8 +5,8 @@ account of what a run did and what it cost:
 
 * :mod:`repro.obs.metrics` — counters/gauges/histograms/phase timers
   collected into an immutable :class:`RunMetrics` record; the
-  :class:`CountingGenerator` wrapper accounts RNG draws by kind
-  (matching the static SR030 draw audit); all engines accept
+  :class:`CountingGenerator` wrapper accounts RNG draws by kind; all
+  engines accept
   ``metrics=`` and default to the zero-overhead :data:`NULL_METRICS`;
 * :mod:`repro.obs.trace` — opt-in span/event tracing hooks
   (``on_step`` / ``on_chunk`` / ``on_snapshot``), null-object

@@ -361,8 +361,9 @@ def run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
+    from ..lint.engine import LintError
+
     if args.scenario is not None:
-        from ..lint.engine import LintError
         from ..scenario import ScenarioError
 
         try:
@@ -383,14 +384,18 @@ def run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        records = run_bench(
-            names,
-            side=args.side,
-            until=args.until,
-            seed=args.seed,
-            n_replicas=args.replicas,
-            backend=args.backend,
-        )
+        try:
+            records = run_bench(
+                names,
+                side=args.side,
+                until=args.until,
+                seed=args.seed,
+                n_replicas=args.replicas,
+                backend=args.backend,
+            )
+        except LintError as exc:  # e.g. a side the five-chunk tiling rejects
+            print(exc, file=sys.stderr)
+            return 2
     if args.json:
         for record in records:
             path = write_bench_json(args.out, record)

@@ -325,10 +325,9 @@ def use_metrics(collector: MetricsCollector) -> Iterator[MetricsCollector]:
 # ----------------------------------------------------------------------
 # RNG draw accounting
 # ----------------------------------------------------------------------
-#: Generator methods counted as draws — deliberately the same set the
-#: static draw-accounting audit recognises (repro.lint.rng_lint
-#: GENERATOR_METHODS), so runtime counters and SR030 lint agree on
-#: what a "draw" is.
+#: Generator methods counted as draws: every ``numpy.random.Generator``
+#: method an engine or helper in this package calls to consume
+#: randomness, plus the common samplers a new engine might use.
 DRAW_METHODS = frozenset(
     {
         "random",

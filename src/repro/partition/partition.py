@@ -171,12 +171,9 @@ class Partition:
 
         A violation found here surfaces through the lint layer as
         ``SR003`` (or ``SR001``/``SR002`` for tiling-level conflicts);
-        the full ``SR001``..``SR051`` registry lives in
+        the full registry lives in
         :data:`repro.lint.diagnostics.CODES` and is printed by
-        ``python -m repro lint --list-codes``.  The kernel-level
-        complement — proving the *kernels* cannot reintroduce a race
-        through aliasing scatters — is ``SR040``/``SR041`` in
-        :mod:`repro.lint.kernel_lint`.
+        ``python -m repro lint --list-codes``.
         """
         from ..lint.offsets import Conflict, conflict_witnesses
 
@@ -257,9 +254,8 @@ class Partition:
         ``O(N * |D|)`` where ``|D|`` is the displacement difference set.
 
         The lint-layer equivalent is diagnostic code ``SR003`` (see
-        :data:`repro.lint.diagnostics.CODES` for the complete
-        ``SR001``..``SR051`` registry and ``python -m repro lint
-        --list-codes`` to print it).
+        :data:`repro.lint.diagnostics.CODES` for the complete registry
+        and ``python -m repro lint --list-codes`` to print it).
         """
         conflicts = self.find_conflicts(model, limit=16)
         if not conflicts:

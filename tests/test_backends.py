@@ -334,6 +334,8 @@ class _MutantBackend(Backend):
                 return n + 1  # off-by-one return
             if fault == "counts" and counts is not None and counts.size:
                 counts[0] += 1  # silent accounting drift
+            if fault == "sites" and len(sites):
+                sites[0] += 1  # writes an input outside the contract
             return n
 
         return {"run_trials_sequential": bad_sequential}
@@ -373,6 +375,36 @@ class TestMutantsAreCaught:
                 caught = True
                 break
         assert caught, f"mutant fault {fault!r} survived the differential harness"
+
+
+class TestUndeclaredWrites:
+    """No backend may change an argument outside the reference ``writes``."""
+
+    @pytest.mark.parametrize("kernel_name", DISPATCH_KERNELS)
+    def test_reference_kernels_keep_undeclared_inputs(
+        self, ziff, small_lattice, kernel_name
+    ):
+        comp = ziff.compile(small_lattice)
+        rng = np.random.default_rng(13)
+        for kwargs in fuzz_cases(comp, kernel_name, rng, 3):
+            assert compare_backends(kernel_name, kwargs, ("numpy",)) == []
+
+    def test_stand_in_writing_an_undeclared_input_is_reported(
+        self, ziff, small_lattice, mutant_registry
+    ):
+        """A reference stand-in in the oracle's place that writes
+        ``sites`` is reported even though every output agrees."""
+        mutant_registry(_MutantBackend("sites"))
+        comp = ziff.compile(small_lattice)
+        kwargs = fuzz_case(comp, "run_trials_sequential", np.random.default_rng(5))
+        assert len(kwargs["sites"])
+        mismatches = compare_backends(
+            "run_trials_sequential", kwargs, ("mutant-seeded", "numpy")
+        )
+        assert mismatches == [
+            "run_trials_sequential: input 'sites' outside writes changed "
+            "(mutant-seeded): 1 element(s) differ"
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -583,7 +615,7 @@ class TestCoverageMap:
         kernels call it, engines never do — so the assertion covers the
         engine-facing kernel module.
         """
-        from repro.lint.contracts import contract_of, registered_kernels
+        from repro.core.contracts import contract_of, registered_kernels
 
         mutating = {
             fn.__name__
@@ -593,7 +625,7 @@ class TestCoverageMap:
         assert mutating == set(DISPATCH_KERNELS)
 
     def test_every_dispatch_kernel_has_a_registered_twin_per_compiled_module(self):
-        from repro.lint.contracts import contract_of, registered_kernels
+        from repro.core.contracts import contract_of, registered_kernels
 
         twins = {
             contract_of(fn).twin

@@ -87,7 +87,7 @@ def _warning_report():
     from repro.lint.diagnostics import Diagnostic, LintReport
 
     report = LintReport()
-    report.add(Diagnostic("SR043", "kernel:fake", "seeded warning"))
+    report.add(Diagnostic("SR011", "model:fake", "seeded warning"))
     return report
 
 
@@ -116,19 +116,14 @@ class TestLintCli:
                 "code", "severity", "slug", "subject", "message", "data",
             }
 
-    def test_kernels_pass_json(self, capsys):
-        assert main(["lint", "--kernels", "--json", "--strict"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["ok"] is True and doc["diagnostics"] == []
-
     def test_strict_mode_fails_on_warnings(self, capsys, monkeypatch):
-        from repro.lint import kernel_lint
+        from repro.lint import cli
 
-        monkeypatch.setattr(kernel_lint, "lint_kernels", _warning_report)
-        assert main(["lint", "--kernels"]) == 0
+        monkeypatch.setattr(cli, "run_lint", lambda *a, **k: _warning_report())
+        assert main(["lint", "--model", "ziff"]) == 0
         capsys.readouterr()
-        assert main(["lint", "--kernels", "--strict"]) == 1
-        assert "SR043" in capsys.readouterr().out
+        assert main(["lint", "--model", "ziff", "--strict"]) == 1
+        assert "SR011" in capsys.readouterr().out
 
     def test_list_codes_spans_registry(self, capsys):
         from repro.lint.diagnostics import CODES
@@ -152,7 +147,55 @@ class TestLintCli:
     def test_list_codes_has_no_retired_range(self, capsys):
         assert main(["lint", "--list-codes"]) == 0
         out = capsys.readouterr().out
-        assert "SR06" not in out and "SR07" not in out
+        for retired in ("SR03", "SR04", "SR05", "SR06", "SR07"):
+            assert retired not in out
+
+
+class TestBadNumbers:
+    """Out-of-range numeric flags exit 2 with one line naming the flag,
+    before any work is done."""
+
+    def assert_refused(self, capsys, rc, flag):
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith(flag) and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_run_until(self, capsys, value):
+        self.assert_refused(capsys, main(["run", "zgb", "--until", value]), "--until")
+
+    def test_run_checkpoint_every_zero(self, capsys, tmp_path):
+        ckpt = tmp_path / "ckpts"
+        rc = main(["run", "zgb", "--checkpoint-every", "0",
+                   "--checkpoint-dir", str(ckpt)])
+        self.assert_refused(capsys, rc, "--checkpoint-every")
+        assert not ckpt.exists()
+
+    def test_run_checkpoint_seconds_nan(self, capsys, tmp_path):
+        rc = main(["run", "zgb", "--checkpoint-seconds", "nan",
+                   "--checkpoint-dir", str(tmp_path / "ckpts")])
+        self.assert_refused(capsys, rc, "--checkpoint-seconds")
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--side", "0"), ("--replicas", "0"), ("--until", "nan")]
+    )
+    def test_bench(self, capsys, tmp_path, flag, value):
+        rc = main(["bench", "--engines", "rsm", flag, value,
+                   "--json", "--out", str(tmp_path)])
+        self.assert_refused(capsys, rc, flag)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bench_side_the_partition_rejects(self, capsys, tmp_path):
+        """A side the five-chunk tiling does not fit fails the PNDCA
+        preflight: exit 2 with the lint report, no traceback."""
+        rc = main(["bench", "--engines", "pndca", "--side", "3", "--until", "1",
+                   "--json", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "non-overlap" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 SCENARIO_WITH_BACKEND = """\

@@ -1,44 +1,34 @@
-"""Tests for repro.lint.kernel_lint — the scatter-aliasing prover.
+"""Evidence for the kernel tier: seeded kernel and draw mutants and what kills them.
 
-Three layers:
+The vectorised kernels are correct only if a simultaneous scatter over
+a conflict-free batch never loses an update, every engine draws its
+randoms from the stream its sequential twin uses, and no kernel writes
+an argument outside its ``@kernel(writes=...)`` contract.
+``TestKernelMutantsAreKilled`` (marked ``slow``; CI's backend-matrix
+job runs it) breaks each of those promises in a copy of ``src/repro``
+and runs the tests named as its killers against the copy
+(``tests/mutants.py``).  DESIGN.md §8 lists the mutants, their killers
+and the one mutant no run can tell apart from the shipped code.
 
-* unit tests of the ``@kernel`` contract machinery and the dataflow IR
-  (uniqueness provenance, index classification, shape/dtype inference),
-* adversarial kernels triggering each SR04x/SR05x code, plus seeded
-  mutants of shipped kernels (``np.add.at``-style dedup replaced by a
-  bare ``+=`` fancy scatter) that the linter must catch,
-* differential tests pitting the static aliasing verdict against a
-  brute-force runtime enumeration of write-index collisions
-  (:func:`repro.lint.kernel_lint.runtime_write_collisions`) on the
-  ZGB, diffusion, Ising and type-partitioned configurations.
+The fast classes check the ``@kernel`` registry and pit
+:func:`repro.backends.fuzz.runtime_write_collisions` — a brute-force
+enumeration of write-index collisions — against the ZGB, diffusion,
+Ising and type-partitioned chunk batches.
 """
-
-import inspect
 
 import numpy as np
 import pytest
 
+from repro.backends.fuzz import runtime_write_collisions
 from repro.core import Lattice
-from repro.core.kernels import (
-    _execute_masked,
-    _occurrence_index,
-    _write_flat,
-    run_trials_batch,
-    run_trials_batch_with_duplicates,
-    run_trials_stacked,
-)
-from repro.lint import (
-    KERNEL_MODULES,
+from repro.core.contracts import (
+    KERNEL_REGISTRY,
     KernelContract,
-    analyze_kernel,
-    build_ir,
-    check_twins,
     contract_of,
     kernel,
-    lint_kernels,
     registered_kernels,
-    runtime_write_collisions,
 )
+from repro.core.kernels import run_trials_batch_with_duplicates
 from repro.models import diffusion_model_1d, ising_model_2d, zgb_model
 from repro.partition import (
     checkerboard,
@@ -47,38 +37,36 @@ from repro.partition import (
     split_by_orientation,
 )
 
+from .mutants import assert_control_passes, assert_mutant_killed
+
+#: the modules whose kernels carry ``@kernel`` contracts
+KERNEL_MODULES = (
+    "repro.core.kernels",
+    "repro.core.compiled",
+    "repro.ensemble.rsm",
+    "repro.ensemble.ndca",
+    "repro.ensemble.pndca",
+    "repro.backends.cnative",
+)
+
 
 # ----------------------------------------------------------------------
 # contract machinery
 # ----------------------------------------------------------------------
 class TestContracts:
     def test_decorator_registers_and_preserves(self):
-        @kernel(reads=("x",), writes=("out",))
+        @kernel(writes=("out",), dtypes={"out": "uint8"})
         def k(out, x):
             out[:] = x
 
         assert k.__name__ == "k"
         c = contract_of(k)
         assert isinstance(c, KernelContract)
-        assert c.writes == ("out",) and c.reads == ("x",)
-        assert not c.pure
-        assert "out" in c.allowed_writes()
-
-    def test_pure_with_writes_rejected(self):
-        with pytest.raises(ValueError, match="pure"):
-            kernel(pure=True, writes=("x",))(lambda x: None)
+        assert c.writes == ("out",) and c.dtypes == {"out": "uint8"}
+        assert KERNEL_REGISTRY[f"{k.__module__}.{k.__qualname__}"] is k
 
     def test_contract_of_undecorated_is_none(self):
         assert contract_of(lambda: None) is None
-
-    def test_caches_count_as_allowed_writes(self):
-        @kernel(reads=(), caches=("compiled",))
-        def k(compiled):
-            compiled._tables = {}
-
-        c = contract_of(k)
-        assert "compiled" in c.allowed_writes()
-        assert analyze_kernel(k).ok(strict=True)
 
     def test_registered_kernels_cover_all_modules(self):
         kernels = registered_kernels(KERNEL_MODULES)
@@ -89,7 +77,6 @@ class TestContracts:
             "run_trials_stacked",
             "run_trials_interleaved",
             "_execute_masked",
-            "_occurrence_index",
             "_stacked_counts",
             "_write_flat",
             "execute",
@@ -102,364 +89,109 @@ class TestContracts:
 
 
 # ----------------------------------------------------------------------
-# dataflow IR: uniqueness provenance and classification
+# seeded kernel and draw mutants
 # ----------------------------------------------------------------------
-class TestIR:
-    def test_arange_scatter_is_unique(self):
-        @kernel(reads=(), writes=("out",))
-        def k(out):
-            idx = np.arange(out.shape[0])
-            out[idx] += 1
+_KERNELS = "core/kernels.py"
+_ENSEMBLE = "tests/test_ensemble.py"
+_KERNEL_TESTS = "tests/test_kernels.py"
+_PNDCA_BIT_IDENTICAL = f"{_ENSEMBLE}::test_pndca_ordered_bit_identical"
 
-        ir = build_ir(k)
-        assert len(ir.scatters) == 1
-        assert ir.scatters[0].index_unique
-        assert analyze_kernel(k).ok(strict=True)
+#: name -> (file under src/repro, old text, new text, killer node ids)
+MUTANTS = {
+    # a repeated index in an augmented fancy scatter loses updates
+    "write-flat-augmented": (
+        _KERNELS,
+        "        flat[idx_cols[c][mask]] = ctgt[c][h_types]",
+        "        flat[idx_cols[c][mask]] += ctgt[c][h_types]",
+        [_PNDCA_BIT_IDENTICAL, f"{_ENSEMBLE}::test_rsm_multi_block_bit_identical"],
+    ),
+    "stacked-counts-lost-update": (
+        _KERNELS,
+        "    hits = np.bincount(\n"
+        "        reps[mask] * n_types + types[mask], minlength=counts.size\n"
+        "    )\n"
+        "    counts += hits.reshape(counts.shape)",
+        "    counts[reps[mask], types[mask]] += 1",
+        [_PNDCA_BIT_IDENTICAL, f"{_ENSEMBLE}::test_ndca_deterministic_time_bit_identical"],
+    ),
+    # the duplicate-free chains behind the plain scatters
+    "execute-masked-dedup-lost": (
+        _KERNELS,
+        "hits = sel[mask]",
+        "hits = np.concatenate((sel, sel))",
+        [
+            f"{_KERNEL_TESTS}::TestBatch::test_counts",
+            f"{_KERNEL_TESTS}::TestExecuteTypeEverywhere",
+        ],
+    ),
+    "occurrence-rounds-dropped": (
+        _KERNELS,
+        "occ = _occurrence_index(sites)",
+        "occ = np.zeros_like(sites)",
+        [
+            f"{_KERNEL_TESTS}::TestBatchWithDuplicates"
+            "::test_matches_sequential_on_fuzzed_repeat_streams"
+        ],
+    ),
+    # operand shapes that do not broadcast
+    "stacked-counts-flat-reshape": (
+        _KERNELS,
+        "    counts += hits.reshape(counts.shape)",
+        "    counts += hits.reshape(-1)",
+        [_PNDCA_BIT_IDENTICAL],
+    ),
+    # an implicit float64 -> float32 store
+    "replica-times-float32": (
+        "ensemble/base.py",
+        "self.times = np.zeros(r, dtype=np.float64)",
+        "self.times = np.zeros(r, dtype=np.float32)",
+        [_PNDCA_BIT_IDENTICAL, f"{_ENSEMBLE}::test_ndca_bit_identical"],
+    ),
+    # a kernel writing an argument outside its contract's writes
+    "interleaved-clobbers-starts": (
+        _KERNELS,
+        "ptr = np.asarray(starts, dtype=np.intp).copy()",
+        "ptr = np.asarray(starts, dtype=np.intp)",
+        [
+            "tests/test_backends.py::TestUndeclaredWrites"
+            "::test_reference_kernels_keep_undeclared_inputs"
+        ],
+    ),
+    # draws: the shared schedule on a replica stream, a replica's draws
+    # on another replica's stream, one extra replica draw
+    "schedule-on-replica-stream": (
+        "ensemble/pndca.py",
+        "schedule = self.schedule_rng.permutation(m)",
+        "schedule = self.rngs[0].permutation(m)",
+        [f"{_ENSEMBLE}::test_pndca_strategies_replica_isolated"],
+    ),
+    "replica-types-on-stream-0": (
+        "ensemble/rsm.py",
+        "types_blk[r] = draw_types(rng, comp.type_cum, n)",
+        "types_blk[r] = draw_types(self.rngs[0], comp.type_cum, n)",
+        [f"{_ENSEMBLE}::test_rsm_bit_identical"],
+    ),
+    "extra-replica-draw": (
+        "ensemble/ndca.py",
+        "            rng = self.rngs[r]\n",
+        "            rng = self.rngs[r]\n            rng.random()\n",
+        [f"{_ENSEMBLE}::test_ndca_bit_identical"],
+    ),
+}
 
-    def test_param_index_not_unique_without_disjoint(self):
-        @kernel(reads=("idx",), writes=("out",), dtypes={"idx": "intp"})
-        def k(out, idx):
-            out[idx] += 1
 
-        ir = build_ir(k)
-        assert len(ir.scatters) == 1
-        assert not ir.scatters[0].index_unique
+@pytest.mark.slow
+class TestKernelMutantsAreKilled:
+    def test_unmutated_copy_passes_every_killer(self, tmp_path):
+        assert_control_passes(tmp_path, MUTANTS)
 
-    def test_disjoint_param_is_unique(self):
-        @kernel(
-            reads=("idx",), writes=("out",),
-            disjoint=("idx",), dtypes={"idx": "intp"},
-        )
-        def k(out, idx):
-            out[idx] += 1
-
-        assert build_ir(k).scatters[0].index_unique
-        assert analyze_kernel(k).ok(strict=True)
-
-    def test_bool_mask_subset_preserves_uniqueness(self):
-        @kernel(
-            reads=("idx", "keep"), writes=("out",),
-            disjoint=("idx",), dtypes={"idx": "intp", "keep": "bool"},
-        )
-        def k(out, idx, keep):
-            out[idx[keep]] += 1
-
-        assert build_ir(k).scatters[0].index_unique
-
-    def test_injective_gather_at_unique_index_is_unique(self):
-        # the _execute_masked proof shape: m injective, hits unique
-        @kernel(
-            reads=("hits",), writes=("state",),
-            disjoint=("hits",), injective=("m",),
-            dtypes={"hits": "intp", "m": "intp"},
-        )
-        def k(state, m, hits):
-            state[m[hits]] = 3
-
-        assert build_ir(k).scatters[0].index_unique
-
-    def test_arithmetic_degrades_uniqueness(self):
-        @kernel(
-            reads=("idx",), writes=("out",),
-            disjoint=("idx",), dtypes={"idx": "intp"},
-        )
-        def k(out, idx):
-            out[idx * 2] += 1  # multiplication could collide after wrap
-
-        assert not build_ir(k).scatters[0].index_unique
-
-    def test_shift_preserves_uniqueness(self):
-        @kernel(
-            reads=("idx",), writes=("out",),
-            disjoint=("idx",), dtypes={"idx": "intp"},
-        )
-        def k(out, idx):
-            out[idx + 1] += 1  # a constant shift cannot create duplicates
-
-        assert build_ir(k).scatters[0].index_unique
-
-    def test_occurrence_round_mask_dedups(self):
-        @kernel(reads=("sites",), writes=("out",), dtypes={"sites": "intp"})
-        def k(out, sites):
-            occ = _occurrence_index(sites)
-            for r in range(int(occ.max()) + 1):
-                pick = occ == r
-                out[sites[pick]] += 1
-
-        ir = build_ir(k)
-        assert len(ir.scatters) == 1
-        assert ir.scatters[0].index_unique
-
-    def test_basic_and_mask_stores_are_not_scatters(self):
-        @kernel(reads=("mask",), writes=("out",), dtypes={"mask": "bool"})
-        def k(out, mask):
-            out[0] = 1
-            out[1:5] = 2
-            out[mask] = 3
-
-        assert build_ir(k).scatters == []
-        assert analyze_kernel(k).ok(strict=True)
-
-    def test_ufunc_at_is_safe(self):
-        @kernel(reads=("idx",), writes=("out",), dtypes={"idx": "intp"})
-        def k(out, idx):
-            np.add.at(out, idx, 1)
-
-        ir = build_ir(k)
-        assert ir.scatters == []
-        assert any("out" in m.roots for m in ir.mutations)
-        assert analyze_kernel(k).ok(strict=True)
+    @pytest.mark.parametrize("name", list(MUTANTS))
+    def test_mutant_is_killed(self, name, tmp_path):
+        assert_mutant_killed(tmp_path, name, MUTANTS)
 
 
 # ----------------------------------------------------------------------
-# adversarial kernels: one per diagnostic code
-# ----------------------------------------------------------------------
-class TestAdversarialKernels:
-    def test_sr040_augmented_fancy_scatter(self):
-        @kernel(reads=("idx",), writes=("counts",), dtypes={"idx": "intp"})
-        def bad(counts, idx):
-            counts[idx] += 1
-
-        report = analyze_kernel(bad)
-        assert report.by_code("SR040")
-        assert not report.ok()
-
-    def test_sr041_plain_fancy_scatter_with_array_rhs(self):
-        @kernel(
-            reads=("idx", "vals"), writes=("out",),
-            dtypes={"idx": "intp"},
-        )
-        def bad(out, idx, vals):
-            out[idx] = vals
-
-        assert analyze_kernel(bad).by_code("SR041")
-
-    def test_sr041_scalar_rhs_exempt(self):
-        @kernel(reads=("idx",), writes=("out",), dtypes={"idx": "intp"})
-        def ok(out, idx):
-            out[idx] = 7  # last-write-wins with an identical value
-
-        assert analyze_kernel(ok).ok(strict=True)
-
-    def test_sr042_provable_broadcast_mismatch(self):
-        @kernel(
-            pure=True, reads=("a", "b"),
-            shapes={"a": (3, 4), "b": (5, 4)},
-        )
-        def bad(a, b):
-            return a + b
-
-        assert analyze_kernel(bad).by_code("SR042")
-
-    def test_sr042_symbolic_dims_never_fire(self):
-        @kernel(
-            pure=True, reads=("a", "b"),
-            shapes={"a": ("R", 4), "b": ("Q", 4)},
-        )
-        def ok(a, b):
-            return a + b
-
-        assert analyze_kernel(ok).ok(strict=True)
-
-    def test_sr043_implicit_downcast(self):
-        @kernel(
-            reads=("x",), writes=("counts",),
-            dtypes={"counts": "int64", "x": "float64"},
-        )
-        def bad(counts, x):
-            counts[0] = x[0] * 0.5
-
-        assert analyze_kernel(bad).by_code("SR043")
-
-    def test_sr043_explicit_astype_exempt(self):
-        @kernel(
-            reads=("x",), writes=("counts",),
-            dtypes={"counts": "int64", "x": "float64"},
-        )
-        def ok(counts, x):
-            counts[:] = x.astype(np.int64)
-
-        assert analyze_kernel(ok).ok(strict=True)
-
-    def test_sr050_pure_kernel_mutates(self):
-        @kernel(pure=True, reads=("x",))
-        def bad(x):
-            x.fill(0)
-
-        report = analyze_kernel(bad)
-        diags = report.by_code("SR050")
-        assert diags and "pure" in diags[0].message
-
-    def test_sr050_undeclared_write(self):
-        @kernel(reads=("x",), writes=("out",))
-        def bad(out, x, scratch):
-            out[:] = x
-            scratch[:] = 0  # not declared
-
-        assert analyze_kernel(bad).by_code("SR050")
-
-    def test_sr050_prefix_rule_covers_attributes(self):
-        @kernel(reads=(), writes=("compiled",))
-        def ok(compiled):
-            compiled._seq_tables = {}
-
-        assert analyze_kernel(ok).ok(strict=True)
-
-    def test_sr050_local_copies_are_free(self):
-        @kernel(pure=True, reads=("starts",))
-        def ok(starts):
-            ptr = np.asarray(starts).copy()
-            ptr += 1  # mutates the local copy, not the argument
-            return ptr
-
-        assert analyze_kernel(ok).ok(strict=True)
-
-    def test_sr051_missing_twin(self):
-        @kernel(reads=(), writes=("out",), twin="no_such_kernel")
-        def solo(out):
-            out[:] = 0
-
-        report = check_twins([solo])
-        assert report.by_code("SR051")
-
-    def test_sr051_purity_drift(self):
-        @kernel(pure=True, reads=("x",))
-        def seq_k(x):
-            return x
-
-        @kernel(reads=("x",), writes=("x",), twin="seq_k")
-        def ens_k(x):
-            x[:] = 0
-
-        assert check_twins([seq_k, ens_k]).by_code("SR051")
-
-    def test_sr051_write_set_drift(self):
-        @kernel(reads=("sites",), writes=("state",))
-        def seq_w(state, sites):
-            state[0] = 1
-
-        @kernel(
-            reads=("sites",), writes=("states", "counts"),
-            twin="seq_w", rename={"states": "state"},
-        )
-        def ens_w(states, sites, counts):
-            states[0] = 1
-            counts[0] += 1
-
-        # counts is a shared-name drift candidate only if seq_w has it;
-        # it does not, so the drift is exactly on the shared params —
-        # here the sets agree and a note is produced
-        report = check_twins([seq_w, ens_w])
-        assert not report.by_code("SR051")
-        assert any("twin contracts agree" in n for n in report.notes)
-
-        @kernel(reads=("sites",), writes=(), twin="seq_w",
-                rename={"states": "state"})
-        def ens_drift(states, sites, state=None):
-            return None
-
-        # ens_drift shares the (renamed) "state" param but declares no
-        # write on it while the twin does -> drift
-        assert check_twins([seq_w, ens_drift]).by_code("SR051")
-
-    def test_pragma_justification_downgrades(self):
-        @kernel(reads=("idx", "vals"), writes=("out",), dtypes={"idx": "intp"})
-        def justified(out, idx, vals):
-            # lint: justified(SR041): disjointness proven out of band
-            out[idx] = vals
-
-        report = analyze_kernel(justified)
-        assert report.ok(strict=True)
-        assert any("justified" in n for n in report.notes)
-
-    def test_contract_justification_downgrades(self):
-        @kernel(
-            reads=("idx", "vals"), writes=("out",),
-            dtypes={"idx": "intp"},
-            justify={"SR041": "caller guarantees disjoint idx"},
-        )
-        def justified(out, idx, vals):
-            out[idx] = vals
-
-        assert analyze_kernel(justified).ok(strict=True)
-
-    def test_justification_is_per_code(self):
-        @kernel(
-            reads=("idx", "vals"), writes=("out",),
-            dtypes={"idx": "intp"},
-            justify={"SR041": "does not cover SR040"},
-        )
-        def still_bad(out, idx, vals):
-            out[idx] += vals
-
-        assert analyze_kernel(still_bad).by_code("SR040")
-
-
-# ----------------------------------------------------------------------
-# shipped kernels: strict-clean, and seeded mutants caught
-# ----------------------------------------------------------------------
-class TestShippedKernels:
-    def test_all_shipped_kernels_strict_clean(self):
-        report = lint_kernels()
-        assert report.ok(strict=True), report.render()
-
-    def test_twin_notes_present(self):
-        report = lint_kernels()
-        agree = [n for n in report.notes if "twin contracts agree" in n]
-        assert len(agree) >= 2  # stacked/batch and interleaved/sequential
-
-    def test_seeded_mutant_add_at_to_augmented(self):
-        """The acceptance-criterion mutant: np.add.at -> bare `+=`."""
-
-        @kernel(reads=("idx",), writes=("counts",), dtypes={"idx": "intp"})
-        def good(counts, idx):
-            np.add.at(counts, idx, 1)
-
-        assert analyze_kernel(good).ok(strict=True)
-        mutant = inspect.getsource(good).replace(
-            "np.add.at(counts, idx, 1)", "counts[idx] += 1"
-        )
-        report = analyze_kernel(good, source=mutant)
-        assert report.by_code("SR040"), report.render()
-
-    def test_seeded_mutant_write_flat(self):
-        """Mutating _write_flat's justified `=` into `+=` fires SR040.
-
-        The shipped contract justifies SR041 only; an augmented scatter
-        through the same possibly-repeated index is a new bug class and
-        must not inherit the justification.
-        """
-        src = inspect.getsource(_write_flat)
-        assert "] = ctgt" in src
-        mutant = src.replace("] = ctgt", "] += ctgt")
-        report = analyze_kernel(_write_flat, source=mutant)
-        assert report.by_code("SR040"), report.render()
-
-    def test_seeded_mutant_execute_masked_loses_dedup(self):
-        """Dropping the bool-mask dedup of _execute_masked fires SR041.
-
-        Shipped code scatters through ``m[hits]`` with ``hits`` a subset
-        of the ``disjoint`` ``sel``; replacing ``hits`` by a raw
-        concatenation destroys the uniqueness chain.
-        """
-        src = inspect.getsource(_execute_masked)
-        assert "hits = sel[mask]" in src
-        mutant = src.replace(
-            "hits = sel[mask]", "hits = np.concatenate((sel, sel))"
-        )
-        report = analyze_kernel(_execute_masked, source=mutant)
-        assert report.by_code("SR041"), report.render()
-
-    def test_occurrence_index_is_pure_and_clean(self):
-        report = analyze_kernel(_occurrence_index)
-        assert report.ok(strict=True), report.render()
-        ir = build_ir(_occurrence_index)
-        # occ[order] = occ_sorted: order = argsort(...) is injective
-        assert all(s.index_unique for s in ir.scatters)
-
-
-# ----------------------------------------------------------------------
-# differential: static verdict vs. runtime collision enumeration
+# runtime collision enumeration on partition chunk batches
 # ----------------------------------------------------------------------
 def _collision_free_chunks(model, lattice, partition, seed=0):
     comp = model.compile(lattice)
@@ -476,7 +208,7 @@ def _collision_free_chunks(model, lattice, partition, seed=0):
 
 
 class TestDifferential:
-    """Static aliasing verdict == brute-force runtime index enumeration."""
+    """Chunk batches never collide; adversarial batches do."""
 
     def test_zgb_five_chunk_batches_collision_free(self):
         lat = Lattice((10, 10))
@@ -540,9 +272,8 @@ class TestDifferential:
         """Runtime collisions exist <-> the dedup kernel must be used.
 
         The adversarial stream has collisions, the naive batch kernel
-        would lose updates (the SR040 failure mode), and the shipped
-        occurrence-round kernel executes it with strict sequential
-        semantics.
+        would lose updates, and the shipped occurrence-round kernel
+        executes it with strict sequential semantics.
         """
         model = zgb_model(0.5)
         lat = Lattice((10, 10))
@@ -562,9 +293,3 @@ class TestDifferential:
         run_trials_sequential(state_seq, comp, sites, types)
         run_trials_batch_with_duplicates(state_dup, comp, sites, types)
         np.testing.assert_array_equal(state_seq, state_dup)
-
-    def test_static_verdicts_match_runtime_model(self):
-        # the kernels the engine trusts for simultaneous batches are
-        # exactly the statically-clean ones
-        for fn in (run_trials_batch, run_trials_stacked, _execute_masked):
-            assert analyze_kernel(fn).ok(strict=True), fn.__name__

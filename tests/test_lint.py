@@ -9,7 +9,6 @@ from repro.lint import (
     Diagnostic,
     LintError,
     LintReport,
-    audit_draws,
     check_tiling_on_shape,
     conflict_witnesses,
     lint_model,
@@ -20,7 +19,6 @@ from repro.lint import (
     run_lint,
     tiling_conflicts_on_shape,
 )
-from repro.lint.rng_lint import audit_events, collect_draws, collect_draws_source
 from repro.partition import Partition, five_chunk_partition
 from repro.partition.partition import conflict_displacements
 from repro.partition.tilings import modular_tiling
@@ -279,134 +277,6 @@ class TestModelLint:
 
 
 # ----------------------------------------------------------------------
-# RNG draw-accounting audit
-# ----------------------------------------------------------------------
-class TestRngAudit:
-    def test_repo_kernels_clean(self):
-        """The shipped sequential/ensemble pairs honour the contract."""
-        report = audit_draws()
-        assert report.ok(strict=True), report.render()
-        assert len(report.notes) == 3  # one per audited pair
-
-    def test_collect_draws_sees_streams(self):
-        from repro.ensemble.pndca import EnsemblePNDCA
-
-        events = collect_draws(EnsemblePNDCA)
-        streams = {e.stream for e in events}
-        assert streams == {"replica", "schedule"}
-
-    def test_alias_resolution(self):
-        events = collect_draws_source(
-            """
-            class Ens:
-                def step(self):
-                    for r in range(2):
-                        rng = self.rngs[r]
-                        rng.random(3)
-            """
-        )
-        assert [(e.kind, e.stream) for e in events] == [("random", "replica")]
-
-    def test_helper_calls_mapped_to_kinds(self):
-        events = collect_draws_source(
-            """
-            class Seq:
-                def step(self):
-                    u = draw_types(self.rng, 5)
-                    s = draw_sites(self.rng, 5, 100)
-            """
-        )
-        assert {e.kind for e in events} == {"random", "integers"}
-
-    def test_unrelated_calls_ignored(self):
-        events = collect_draws_source(
-            """
-            class Seq:
-                def step(self):
-                    np.random.permutation(5)   # module-level: not a stream
-                    other.choice(3)            # unknown receiver
-                    self.rng.bit_generator     # not a draw
-            """
-        )
-        assert events == []
-
-    def test_synthetic_extra_draw_flagged(self):
-        seq = collect_draws_source(
-            """
-            class Seq:
-                def step(self):
-                    self.rng.random(3)
-            """
-        )
-        ens = collect_draws_source(
-            """
-            class Ens:
-                def step(self):
-                    for r in range(2):
-                        rng = self.rngs[r]
-                        rng.random(3)
-                        rng.integers(0, 5)  # extra draw: desynchronises
-            """
-        )
-        report = audit_events(seq, ens)
-        assert [d.code for d in report.errors] == ["SR030"]
-        assert report.errors[0].data["kind"] == "integers"
-
-    def test_synthetic_schedule_on_replica_stream(self):
-        seq = collect_draws_source(
-            """
-            class Seq:
-                def step(self):
-                    self.rng.permutation(5)
-                    self.rng.random(3)
-            """
-        )
-        ens = collect_draws_source(
-            """
-            class Ens:
-                def step(self):
-                    self.rngs[0].permutation(5)  # must be schedule_rng
-                    self.rngs[0].random(3)
-            """
-        )
-        report = audit_events(seq, ens, schedule_kinds=frozenset({"permutation"}))
-        codes = sorted(d.code for d in report.diagnostics)
-        assert "SR031" in codes  # wrong stream
-        assert "SR032" in codes  # schedule stream never draws it
-
-    def test_synthetic_missing_draw_warns(self):
-        seq = collect_draws_source(
-            """
-            class Seq:
-                def step(self):
-                    self.rng.random(3)
-                    self.rng.gamma(4.0)
-            """
-        )
-        ens = collect_draws_source(
-            """
-            class Ens:
-                def step(self):
-                    self.rngs[0].random(3)
-            """
-        )
-        report = audit_events(seq, ens)
-        assert [d.code for d in report.warnings] == ["SR032"]
-        assert report.ok()  # warning, not error
-
-    def test_optional_kinds_suppress_missing(self):
-        seq = collect_draws_source(
-            """
-            class Seq:
-                def step(self):
-                    self.rng.choice(5)
-            """
-        )
-        report = audit_events(seq, [], optional_kinds=frozenset({"choice"}))
-        assert report.ok(strict=True)
-
-
-# ----------------------------------------------------------------------
 # preflight gates
 # ----------------------------------------------------------------------
 class TestPreflight:
@@ -462,7 +332,7 @@ class TestPreflight:
 # ----------------------------------------------------------------------
 class TestRunLint:
     def test_full_report_for_ziff(self, ziff):
-        report = run_lint(ziff, tiling=(5, (1, 2)), rng_audit=True)
+        report = run_lint(ziff, tiling=(5, (1, 2)))
         assert report.ok(strict=True)
         assert any("proof" in n for n in report.notes)
 
@@ -513,7 +383,7 @@ class TestCli:
 
         from repro.__main__ import main
 
-        rc = main(["lint", "--model", "ziff", "--json", "--no-rng-audit"])
+        rc = main(["lint", "--model", "ziff", "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert payload["ok"] is True
@@ -530,7 +400,59 @@ class TestCli:
     def test_lint_all_models_default(self, capsys):
         from repro.__main__ import main
 
-        rc = main(["lint", "--no-rng-audit"])
+        rc = main(["lint"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "pt100" in out and "ziff" in out
+
+    def test_list_codes_covers_full_registry(self, capsys):
+        """The lint entry point itself (``repro.lint.cli``, not the
+        top-level ``repro lint`` wrapper) lists every registry code."""
+        from repro.lint.cli import main
+
+        assert main(["--list-codes"]) == 0
+        out = capsys.readouterr().out
+        for code in CODES:
+            assert code in out
+
+    @pytest.mark.parametrize("flag", ["--kernels", "--no-rng-audit"])
+    def test_retired_flags_are_rejected(self, capsys, flag):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", flag])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--model", "ziff", "--tiling", "0:1,2"], "m must be >= 1"),
+            (["--shape", "0x5"], "every side must be >= 1"),
+        ],
+    )
+    def test_bad_tiling_or_shape_value_exits_2(self, capsys, args, message):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", *args])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--tiling", "5:1"], "--tiling has 1 dimension(s)"),
+            (["--shape", "7"], "--shape has 1 dimension(s)"),
+            (["--model", "ziff", "--shape", "7x7x7"], "--shape has 3 dimension(s)"),
+        ],
+    )
+    def test_dimension_mismatch_exits_2_with_one_line(self, capsys, args, message):
+        from repro.__main__ import main
+
+        assert main(["lint", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert message in captured.err and "is 2-d" in captured.err

@@ -2,8 +2,7 @@
 
 Covers the collector/tracer primitives, the bit-identity contract
 (instrumentation must never perturb a trajectory), counter ground
-truth against engine results, agreement with the static SR030 RNG
-audit, atomic emission, and the bench CLI.
+truth against engine results, atomic emission, and the bench CLI.
 """
 
 import json
@@ -228,23 +227,6 @@ class TestEngineCounters:
         )
         assert snap.gauge("ensemble.n_replicas") == 3
         assert res.metrics is not None
-
-    def test_rng_draw_counter_agrees_with_sr030_lint(self, ziff, ten):
-        """Runtime draw kinds must be a subset of the static SR030 audit."""
-        from repro.lint.rng_lint import collect_draws
-
-        lat, p5 = ten
-        m = MetricsCollector()
-        PNDCA(ziff, lat, seed=3, partition=p5, metrics=m).run(until=3.0)
-        runtime_kinds = {
-            name.split(".")[1]
-            for name in m.snapshot().counters
-            if name.startswith("rng.")
-        }
-        static_kinds = {e.kind for e in collect_draws(PNDCA)}
-        assert runtime_kinds <= static_kinds, (
-            f"runtime draws {runtime_kinds - static_kinds} invisible to SR030"
-        )
 
     def test_ambient_collector_captures_simulator(self, ziff, ten):
         """`repro run --metrics` path: collector installed around construction."""

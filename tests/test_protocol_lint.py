@@ -11,30 +11,20 @@ sees a dead worker through its process sentinel.
 ``TestProtocolMutantsAreKilled`` (marked ``slow``; CI's resilience job
 runs it) breaks each of those promises in a copy of ``src/repro`` and
 runs the tests named as its killers in a fresh interpreter against the
-copy.  A failing test (exit 1), a crash (death by a signal) or a hang
-past :data:`TIMEOUT` counts as killed.  An unmutated copy must pass
-every killer.  DESIGN.md §13 lists the mutants, their killers, and the
-mutants no run can tell apart from the shipped code.
+copy (``tests/mutants.py``).  A failing test (exit 1), a crash (death
+by a signal) or a hang past the harness timeout counts as killed.  An
+unmutated copy must pass every killer.  DESIGN.md §13 lists the
+mutants, their killers, and the mutants no run can tell apart from the
+shipped code.
 """
 
 import json
-import os
-import shutil
-import signal
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro.lint.diagnostics import Diagnostic, LintReport
 
-_REPO = Path(__file__).resolve().parents[1]
-_PACKAGE = Path(repro.__file__).resolve().parent
-
-#: seconds a killer run may take before its mutant counts as hung
-TIMEOUT = 120
+from .mutants import assert_control_passes, assert_mutant_killed
 
 _EXECUTOR = "parallel/executor.py"
 _CHECKPOINT = "resilience/checkpoint.py"
@@ -130,71 +120,14 @@ MUTANTS = {
 }
 
 
-def _package_copy(tmp_path: Path, mutant: "tuple[str, str, str] | None") -> dict:
-    """Copy ``src/repro`` under ``tmp_path``, apply ``mutant``, and
-    return the environment that imports the copy."""
-    src = tmp_path / "src"
-    shutil.copytree(
-        _PACKAGE, src / "repro", ignore=shutil.ignore_patterns("__pycache__")
-    )
-    if mutant is not None:
-        rel, old, new = mutant
-        target = src / "repro" / rel
-        text = target.read_text()
-        assert old in text, f"mutant anchor not found in {rel}: {old!r}"
-        target.write_text(text.replace(old, new, 1))
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(src), os.environ.get("PYTHONPATH")))
-    )
-    return env
-
-
-def _run_killers(node_ids: "list[str]", env: dict) -> "tuple[int | None, str]":
-    """Exit code of pytest over ``node_ids`` (``None`` when it hung),
-    plus its output.  A hung run is killed with its whole process
-    group, pool workers included."""
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "pytest", *node_ids,
-            "-q", "-p", "no:cacheprovider", "-W", "error::ResourceWarning",
-        ],
-        cwd=_REPO,
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        start_new_session=True,
-    )
-    try:
-        out, _ = proc.communicate(timeout=TIMEOUT)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        out, _ = proc.communicate()
-        return None, out
-    return proc.returncode, out
-
-
 @pytest.mark.slow
 class TestProtocolMutantsAreKilled:
     def test_unmutated_copy_passes_every_killer(self, tmp_path):
-        env = _package_copy(tmp_path, None)
-        where = subprocess.run(
-            [sys.executable, "-c", "import repro; print(repro.__file__)"],
-            env=env, capture_output=True, text=True, check=True,
-        ).stdout
-        assert where.startswith(str(tmp_path)), where
-        killers = sorted({k for *_, ids in MUTANTS.values() for k in ids})
-        code, out = _run_killers(killers, env)
-        assert code == 0, out[-3000:]
+        assert_control_passes(tmp_path, MUTANTS)
 
     @pytest.mark.parametrize("name", list(MUTANTS))
     def test_mutant_is_killed(self, name, tmp_path):
-        rel, old, new, killers = MUTANTS[name]
-        code, out = _run_killers(killers, _package_copy(tmp_path, (rel, old, new)))
-        assert code is None or code == 1 or code < 0, (
-            f"mutant {name} survived {killers} (exit {code}):\n{out[-3000:]}"
-        )
+        assert_mutant_killed(tmp_path, name, MUTANTS)
 
 
 class TestIntegration:
@@ -204,7 +137,7 @@ class TestIntegration:
         def mk(code, file, line):
             return Diagnostic(code, "s", "m", {"file": file, "line": line})
 
-        report.add(mk("SR040", "b.py", 9))
+        report.add(mk("SR010", "b.py", 9))
         report.add(mk("SR001", "b.py", 5))
         report.add(mk("SR001", "a.py", 7))
         report.add(mk("SR001", "b.py", 2))
@@ -217,5 +150,5 @@ class TestIntegration:
             ("SR001", "a.py", 7),
             ("SR001", "b.py", 2),
             ("SR001", "b.py", 5),
-            ("SR040", "b.py", 9),
+            ("SR010", "b.py", 9),
         ]
