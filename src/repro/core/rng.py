@@ -53,7 +53,9 @@ def draw_types(rng: np.random.Generator, cum: np.ndarray, n: int) -> np.ndarray:
     return types_from_uniforms(cum, rng.random(n))
 
 
-def types_from_uniforms(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+def types_from_uniforms(
+    cum: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Map uniforms in ``[0, 1)`` to type indices against ``cum``.
 
     Elementwise equal to ``np.searchsorted(cum, u, side="right")`` for
@@ -61,15 +63,23 @@ def types_from_uniforms(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     pins ``cum[-1] == 1.0`` and ``Generator.random`` draws from
     ``[0, 1)``).  For the small tables of a reaction model, summing one
     broadcast comparison per interior edge beats numpy's generic binary
-    search by an order of magnitude on large blocks; big tables fall
-    back to ``searchsorted``.
+    search by an order of magnitude on large blocks; the sum runs in
+    ``uint8`` (at most 15 edges cannot overflow it), which moves an
+    eighth of the bytes an ``intp`` accumulator would.  Big tables fall
+    back to ``searchsorted``.  ``out``, an ``intp`` array of ``u``'s
+    shape, receives the indices (and is returned) instead of a fresh
+    array.
     """
-    if len(cum) <= 16:
-        out = np.zeros(u.shape, dtype=np.intp)
+    if len(cum) > 16:
+        index = np.searchsorted(cum, u, side="right")
+    else:
+        index = np.zeros(u.shape, dtype=np.uint8)
         for edge in cum[:-1]:
-            out += u >= edge
-        return out
-    return np.searchsorted(cum, u, side="right").astype(np.intp)
+            index += u >= edge
+    if out is None:
+        return index.astype(np.intp)
+    out[...] = index
+    return out
 
 
 def draw_sites(rng: np.random.Generator, n_sites: int, n: int) -> np.ndarray:

@@ -8,8 +8,13 @@ processes attach to it once, and each chunk update is split into
 per-worker slices executed concurrently — lock-free, because the
 non-overlap rule guarantees the slices touch disjoint sites.
 
-A run is bit-identical to the serial PNDCA given the same
-master-drawn randoms.  The performance side of Fig. 7 is measured on
+A second segment, the trial stream, holds one chunk's sites and the
+master-drawn uniforms.  The master copies them in once per chunk, so
+what crosses a worker's pipes is only the slice bounds ``(a, b)`` out
+and a ``(counts, wall)`` reply back, whatever the chunk's size; each
+worker maps its uniforms to reaction types itself.  A run is
+bit-identical to the serial PNDCA given the same master-drawn
+randoms.  The performance side of Fig. 7 is measured on
 this executor by the ``parallel-pndca-500`` workload of
 ``benchmarks/perf`` (500x500 ZGB, one worker per CPU), next to the
 calibrated machine model's prediction
@@ -38,6 +43,7 @@ import numpy as np
 from ..backends import resolve_backend
 from ..core.lattice import Lattice
 from ..core.model import Model
+from ..core.rng import types_from_uniforms
 from ..obs.metrics import NULL_METRICS, MetricsCollector
 from ..obs.trace import NULL_TRACER, Tracer
 from ..resilience.supervisor import RecoveryLadder, Supervisor, WorkerInitError
@@ -48,28 +54,41 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ParallelChunkExecutor", "ParallelPNDCA"]
 
-#: the worker's shared-memory mapping, kept open for the process lifetime
+#: the worker's shared-memory mappings, kept open for the process lifetime
 _worker_shm = None
+
+
+def _stream_views(buf, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """The trial stream's ``n_sites`` sites, then ``n_sites`` uniforms."""
+    sites = np.ndarray((n_sites,), dtype=np.intp, buffer=buf)
+    u = np.ndarray((n_sites,), dtype=np.float64, buffer=buf, offset=sites.nbytes)
+    return sites, u
 
 
 def _init_worker(
     shm_name: str,
+    stream_name: str,
     n_sites: int,
     model: Model,
     lattice: Lattice,
     backend_name: str = "numpy",
 ):
-    """Worker setup: attach to the shared state and compile the model.
+    """Worker setup: attach to the shared state and the trial stream,
+    compile the model and allocate the slice's type buffer.
 
-    Returns the worker's task handler, :func:`_run_slice` bound to the
-    shared state.  Backends are not picklable (a compiled one holds
+    Returns the worker's task handler, :func:`_run_slice` bound to all
+    of them.  Backends are not picklable (a compiled one holds
     library handles), so the master ships only the backend *name*;
     each worker re-resolves it locally — quietly, since the master
     already warned once if the requested backend had to fall back.
     """
     global _worker_shm
-    _worker_shm = shared_memory.SharedMemory(name=shm_name)
-    state = np.ndarray((n_sites,), dtype=np.uint8, buffer=_worker_shm.buf)
+    _worker_shm = (
+        shared_memory.SharedMemory(name=shm_name),
+        shared_memory.SharedMemory(name=stream_name),
+    )
+    state = np.ndarray((n_sites,), dtype=np.uint8, buffer=_worker_shm[0].buf)
+    sites, u = _stream_views(_worker_shm[1].buf, n_sites)
     try:
         kernels = resolve_backend(backend_name, warn=False).kernel_set()
     except ValueError:
@@ -77,20 +96,25 @@ def _init_worker(
         # to a spawn-context worker; degrade to the reference kernels
         # rather than fail the setup (results are identical by contract)
         kernels = resolve_backend("numpy").kernel_set()
-    return partial(_run_slice, state, model.compile(lattice), kernels)
+    types = np.empty(n_sites, dtype=np.intp)
+    return partial(_run_slice, state, model.compile(lattice), kernels, sites, u, types)
 
 
-def _run_slice(state, compiled, kernels, job) -> tuple[np.ndarray, float]:
-    """Execute a conflict-free ``(sites, types)`` trial slice.
+def _run_slice(
+    state, compiled, kernels, sites, u, types, job
+) -> tuple[np.ndarray, float]:
+    """Execute trials ``a:b`` of the trial stream, ``job = (a, b)``.
 
-    Returns the per-type executed counts plus the slice's wall time —
-    the per-worker timing the master aggregates at the chunk barrier.
-    The serial rung runs whole chunks through it in-process.
+    Maps the slice's uniforms to reaction types in the worker's own
+    buffer, then runs the conflict-free batch.  Returns the per-type
+    executed counts plus the slice's wall time — the per-worker timing
+    the master aggregates at the chunk barrier.
     """
-    sites, types = job
+    a, b = job
     w0 = _time.perf_counter()
+    types_from_uniforms(compiled.type_cum, u[a:b], out=types[a:b])
     counts = np.zeros(compiled.n_types, dtype=np.int64)
-    kernels.run_trials_batch(state, compiled, sites, types, counts=counts)
+    kernels.run_trials_batch(state, compiled, sites[a:b], types[a:b], counts=counts)
     return counts, _time.perf_counter() - w0
 
 
@@ -149,11 +173,12 @@ class ParallelChunkExecutor:
 
     Lifecycle
     ---------
-    The shared-memory segment is released (closed *and* unlinked) by
-    :meth:`close` — also on construction failure (a bad ``context``
-    name does not leak the segment) and, as a safety net, from
-    ``__del__`` during interpreter shutdown.  A worker whose setup
-    raises fails closed: :class:`~repro.resilience.supervisor.WorkerInitError`
+    Both shared-memory segments, the state and the trial stream, are
+    released (closed *and* unlinked) by :meth:`close` — also on
+    construction failure (a bad ``context`` name leaks neither) and, as
+    a safety net, from ``__del__`` during interpreter shutdown.  A
+    worker whose setup raises fails closed:
+    :class:`~repro.resilience.supervisor.WorkerInitError`
     carries its message out of the first :meth:`execute_chunk` that
     reaches it, after the executor has closed itself.  After
     ``close()`` every state access (:attr:`state`, :meth:`load_state`,
@@ -193,17 +218,26 @@ class ParallelChunkExecutor:
         # failed __init__ never touches half-built resources
         self._closed = True
         self._pool = None
+        self._stream_shm = None
         self._shm = shared_memory.SharedMemory(create=True, size=lattice.n_sites)
         try:
             self._state: np.ndarray | None = np.ndarray(
                 (lattice.n_sites,), dtype=np.uint8, buffer=self._shm.buf
             )
             self._state[:] = 0
+            # the trial stream: intp sites, then float64 uniforms
+            self._stream_shm = shared_memory.SharedMemory(
+                create=True, size=16 * lattice.n_sites
+            )
+            self._sites, self._uniforms = _stream_views(
+                self._stream_shm.buf, lattice.n_sites
+            )
             self._pool = Supervisor(
                 n_workers,
                 _init_worker,
                 (
                     self._shm.name,
+                    self._stream_shm.name,
                     lattice.n_sites,
                     model,
                     lattice,
@@ -212,7 +246,7 @@ class ParallelChunkExecutor:
                 context=context,
             )
         except BaseException:
-            # view or worker creation failed: the segment must not outlive us
+            # view or worker creation failed: no segment may outlive us
             self._release_shm()
             raise
         self.context = self._pool.context
@@ -253,30 +287,50 @@ class ParallelChunkExecutor:
         """True once the executor has fallen back to serial execution."""
         return self._ladder.degraded
 
-    def execute_chunk(self, sites: np.ndarray, types: np.ndarray) -> np.ndarray:
+    def execute_chunk(self, sites: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         """Execute a conflict-free chunk batch across the workers.
 
-        The batch is split into ``n_workers`` contiguous slices; each
-        worker executes its slice against the shared state without
-        locks (disjoint neighborhoods).  Blocks until all slices are
-        done (the per-chunk barrier); a lost slice walks the recovery
-        ladder (see the class docstring).  Returns the per-type
-        executed counts (length ``n_types``).
+        ``uniforms`` are the master-drawn ``[0, 1)`` variates that pick
+        each trial's reaction type (see
+        :func:`~repro.core.rng.types_from_uniforms`).  Both arrays are
+        copied into the trial stream, and the batch is split into
+        ``n_workers`` contiguous slices; each worker maps and executes
+        its slice against the shared state without locks (disjoint
+        neighborhoods).  Blocks until all slices are done (the
+        per-chunk barrier); a lost slice walks the recovery ladder (see
+        the class docstring).  Returns the per-type executed counts
+        (length ``n_types``).
+
+        Malformed input raises ``ValueError`` before anything is
+        written or dispatched, so it never reaches the ladder.
         """
         if self._closed:
             raise RuntimeError("executor is closed")
+        sites, uniforms = np.asarray(sites), np.asarray(uniforms)
+        if sites.ndim != 1 or uniforms.shape != sites.shape:
+            raise ValueError(
+                f"chunk input mismatch: sites {sites.shape} and uniforms "
+                f"{uniforms.shape} must be 1-d and of equal length"
+            )
         n = len(sites)
-        n_types = len(self.model.reaction_types)
+        if sites.dtype.kind not in "iu" or uniforms.dtype.kind != "f":
+            raise ValueError(
+                f"chunk input dtypes: sites must be integers and uniforms "
+                f"floats, got {sites.dtype} and {uniforms.dtype}"
+            )
+        if n > self.lattice.n_sites:
+            raise ValueError(
+                f"chunk of {n} trials exceeds the {self.lattice.n_sites}-site "
+                f"trial stream"
+            )
         if n == 0:
-            return np.zeros(n_types, dtype=np.int64)
+            return np.zeros(len(self.model.reaction_types), dtype=np.int64)
         if self._ladder.degraded:
-            return self._exec_serial(sites, types)
-        bounds = np.linspace(0, n, self.n_workers + 1).astype(int)
-        jobs = [
-            (sites[a:b], types[a:b])
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
+            return self._exec_serial(sites, uniforms)
+        self._sites[:n] = sites
+        self._uniforms[:n] = uniforms
+        bounds = np.linspace(0, n, self.n_workers + 1).astype(int).tolist()
+        jobs = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         m = self.metrics
         tracer = self.tracer
         # consistent pre-chunk snapshot: restoring it rolls back any
@@ -313,7 +367,7 @@ class ParallelChunkExecutor:
         m.inc("executor.degraded")
         if tracer.enabled:
             tracer.on_recovery("serial-fallback", {"after_retries": self.max_retries})
-        return self._exec_serial(sites, types)
+        return self._exec_serial(sites, uniforms)
 
     def _dispatch(
         self, jobs: list[tuple]
@@ -356,43 +410,47 @@ class ParallelChunkExecutor:
                 m.observe("executor.slice.wall", slice_wall)
         return np.sum([c for c, _ in results], axis=0).astype(np.int64), None, []
 
-    def _exec_serial(self, sites: np.ndarray, types: np.ndarray) -> np.ndarray:
-        """In-process execution of one chunk batch (the last rung), through
-        the *selected* backend, so a run that degrades mid-way executes
-        the very kernels the workers did."""
+    def _exec_serial(self, sites: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """In-process execution of one chunk batch (the last rung): the
+        master maps the types, then runs the *selected* backend, so a
+        run that degrades mid-way executes the very kernels the workers
+        did."""
         if self._compiled_master is None:
             self._compiled_master = self.model.compile(self.lattice)
-        counts, wall = _run_slice(
-            self.state, self._compiled_master, self._kernels, (sites, types)
-        )
+        comp = self._compiled_master
+        w0 = _time.perf_counter()
+        types = types_from_uniforms(comp.type_cum, uniforms)
+        counts = np.zeros(comp.n_types, dtype=np.int64)
+        self._kernels.run_trials_batch(self.state, comp, sites, types, counts=counts)
         m = self.metrics
         if m.enabled:
-            m.observe("executor.chunk.wall", wall)
+            m.observe("executor.chunk.wall", _time.perf_counter() - w0)
             m.inc("executor.chunks")
             m.inc("executor.serial_chunks")
         return counts
 
     # ------------------------------------------------------------------
     def _release_shm(self) -> None:
-        """Drop the state view, close and unlink the segment (idempotent)."""
-        self._state = None
-        shm = getattr(self, "_shm", None)
-        if shm is None:
-            return
-        self._shm = None
-        try:
-            shm.close()
-        except Exception:  # pragma: no cover - interpreter-shutdown safety
-            pass
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - double unlink
-            pass
-        except Exception:  # pragma: no cover - interpreter-shutdown safety
-            pass
+        """Drop the views, close and unlink both segments (idempotent)."""
+        self._state = self._sites = self._uniforms = None
+        for attr in ("_shm", "_stream_shm"):
+            shm = getattr(self, attr, None)
+            if shm is None:
+                continue
+            setattr(self, attr, None)
+            try:
+                shm.close()
+            except Exception:  # pragma: no cover - interpreter-shutdown safety
+                pass
+            try:
+                shm.unlink()
+            except FileNotFoundError:  # pragma: no cover - double unlink
+                pass
+            except Exception:  # pragma: no cover - interpreter-shutdown safety
+                pass
 
     def close(self) -> None:
-        """Stop the workers and release the shared-memory block.
+        """Stop the workers and release both shared-memory segments.
 
         Idempotent, and safe to call from ``__del__`` during
         interpreter shutdown: a partially torn-down supervisor or
@@ -433,12 +491,21 @@ class ParallelPNDCA(_ca.PNDCA):
     All random draws happen in the master process, so a run is
     bit-identical to the serial :class:`~repro.ca.pndca.PNDCA` with the
     same seed and strategy — the executor only changes *who executes*.
+    The workers map the uniforms to types with the executor's own rate
+    table, so the executor must be bound to this engine's lattice *and*
+    model (species, reaction types and rates).
     """
 
     def __init__(self, *args, executor: ParallelChunkExecutor, **kwargs):
         super().__init__(*args, **kwargs)
         if executor.lattice != self.lattice:
             raise ValueError("executor is bound to a different lattice")
+        theirs, ours = executor.model, self.model
+        if theirs is not ours and (
+            theirs.species.names != ours.species.names
+            or theirs.reaction_types != ours.reaction_types
+        ):
+            raise ValueError("executor is bound to a different model")
         if self.uses_sequential_fallback:
             raise ValueError(
                 "parallel execution requires a conflict-free partition"
@@ -457,16 +524,17 @@ class ParallelPNDCA(_ca.PNDCA):
         self.algorithm = f"ParallelPNDCA[p={executor.n_workers},m={self.partition.m}]"
 
     def _visit_chunk(self, chunk: np.ndarray, index: int = -1) -> None:
-        from ..core.rng import draw_types
-
-        types = draw_types(self.rng, self.compiled.type_cum, chunk.size)
-        counts = self.executor.execute_chunk(chunk, types)
+        # the very draws draw_types makes; the workers map them to types
+        uniforms = self.rng.random(chunk.size)
+        counts = self.executor.execute_chunk(chunk, uniforms)
         self.executed_per_type += counts
         self.n_trials += chunk.size
         self.time += self.time_increment(chunk.size)
         m = self.metrics
         if m.enabled:
-            self._record_attempts(types)
+            self._record_attempts(
+                types_from_uniforms(self.compiled.type_cum, uniforms)
+            )
             executed = int(counts.sum())
             m.inc("pndca.chunk.visits")
             m.observe("pndca.chunk.size", chunk.size)

@@ -1,10 +1,14 @@
 """Tests for the multiprocessing shared-memory executor."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.ca import PNDCA
 from repro.core import Lattice
+from repro.core.rates import selection_table
+from repro.models import ziff_model
 from repro.parallel.executor import ParallelChunkExecutor, ParallelPNDCA
 from repro.partition import five_chunk_partition
 
@@ -17,22 +21,28 @@ def setup(ziff):
     return lat, p5
 
 
+def uniforms_for(model, t, n):
+    """``n`` uniforms that all select reaction type ``t``: the midpoint
+    of its bin in the cumulative rate table."""
+    cum, _ = selection_table(model.rates)
+    lo = cum[t - 1] if t else 0.0
+    return np.full(n, (lo + cum[t]) / 2)
+
+
 class TestExecutor:
     def test_execute_chunk_counts(self, ziff, setup):
         lat, p5 = setup
         with ParallelChunkExecutor(ziff, lat, n_workers=2) as ex:
             t = ziff.type_index("CO_ads")
             chunk = p5.chunks[0]
-            counts = ex.execute_chunk(chunk, np.full(chunk.size, t, dtype=np.intp))
+            counts = ex.execute_chunk(chunk, uniforms_for(ziff, t, chunk.size))
             assert counts[t] == chunk.size  # empty lattice: all succeed
             assert (ex.state[chunk] == ziff.species.code("CO")).all()
 
     def test_empty_chunk(self, ziff, setup):
         lat, _ = setup
         with ParallelChunkExecutor(ziff, lat, n_workers=2) as ex:
-            counts = ex.execute_chunk(
-                np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-            )
+            counts = ex.execute_chunk(np.empty(0, dtype=np.intp), np.empty(0))
             assert counts.sum() == 0
 
     def test_load_state(self, ziff, setup):
@@ -74,7 +84,7 @@ class TestExecutor:
         with ParallelChunkExecutor(ziff, lat, n_workers=2, context="spawn") as ex:
             t = ziff.type_index("CO_ads")
             chunk = p5.chunks[0]
-            counts = ex.execute_chunk(chunk, np.full(chunk.size, t, dtype=np.intp))
+            counts = ex.execute_chunk(chunk, uniforms_for(ziff, t, chunk.size))
             assert counts[t] == chunk.size
 
     def test_closed_executor_rejects_work(self, ziff, setup):
@@ -82,8 +92,48 @@ class TestExecutor:
         ex = ParallelChunkExecutor(ziff, lat, n_workers=1)
         ex.close()
         with pytest.raises(RuntimeError):
-            ex.execute_chunk(p5.chunks[0], np.zeros(p5.chunks[0].size, dtype=np.intp))
+            ex.execute_chunk(p5.chunks[0], np.zeros(p5.chunks[0].size))
         ex.close()  # idempotent
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["short", "long", "2-d", "0-d", "int-uniforms", "float-sites", "over-n-sites"],
+    )
+    def test_bad_chunk_input_fails_closed(self, ziff, setup, bad):
+        """Malformed input is a caller error: it raises in the master
+        before dispatch instead of walking the recovery ladder (it used
+        to burn both retries and leave the executor degraded)."""
+        from repro.obs import MetricsCollector
+
+        lat, p5 = setup
+        chunk = p5.chunks[0]
+        n = chunk.size
+        u = uniforms_for(ziff, ziff.type_index("CO_ads"), n)
+        sites, uniforms = {
+            "short": (chunk, u[:-1]),
+            "long": (chunk[:-1], u),
+            "2-d": (chunk.reshape(1, -1), u.reshape(1, -1)),
+            "0-d": (chunk[0], u[0]),
+            "int-uniforms": (chunk, np.zeros(n, dtype=np.intp)),
+            "float-sites": (chunk.astype(float), u),
+            "over-n-sites": (
+                np.arange(lat.n_sites + 1) % lat.n_sites,
+                np.zeros(lat.n_sites + 1),
+            ),
+        }[bad]
+        m = MetricsCollector()
+        with ParallelChunkExecutor(ziff, lat, n_workers=2, metrics=m) as ex:
+            with pytest.raises(ValueError, match="chunk"):
+                ex.execute_chunk(sites, uniforms)
+            assert not ex.degraded
+            assert m.snapshot().counter("executor.retries", 0) == 0
+            assert (ex.state == 0).all()  # nothing ran
+            # the next valid chunk still runs on the workers
+            counts = ex.execute_chunk(chunk, u)
+            assert counts.sum() == n
+            snap = m.snapshot()
+            assert snap.counter("executor.serial_chunks", 0) == 0
+            assert snap.histograms["executor.slice.wall"].count == 2
 
     def test_n_workers_validation(self, ziff, setup):
         lat, _ = setup
@@ -112,14 +162,16 @@ class TestExecutorTeardown:
         monkeypatch.setattr(
             executor_mod.shared_memory, "SharedMemory", recording_shm
         )
-        # an unknown start method makes mp.get_context raise after the
-        # segment has been created — the buggy __init__ leaked it
+        # an unknown start method makes mp.get_context raise after both
+        # segments (state and trial stream) have been created — the
+        # buggy __init__ leaked them
         with pytest.raises(ValueError):
             ParallelChunkExecutor(ziff, lat, n_workers=1, context="no-such-method")
-        assert len(created) == 1
-        # the segment must be unlinked: re-attaching by name must fail
-        with pytest.raises(FileNotFoundError):
-            real_shm(name=created[0])
+        assert len(created) == 2
+        # every segment must be unlinked: re-attaching by name must fail
+        for name in created:
+            with pytest.raises(FileNotFoundError):
+                real_shm(name=name)
 
         class UnmappableShm(real_shm):
             """Creates the real segment, but its buffer cannot be viewed."""
@@ -140,9 +192,9 @@ class TestExecutorTeardown:
         # must release the segment too
         with pytest.raises(OSError, match="simulated mapping failure"):
             ParallelChunkExecutor(ziff, lat, n_workers=1)
-        assert len(created) == 2
+        assert len(created) == 3
         with pytest.raises(FileNotFoundError):
-            real_shm(name=created[1])
+            real_shm(name=created[2])
 
     def test_failing_worker_setup_fails_closed(self, ziff, setup, monkeypatch):
         """A worker whose setup raises is not respawned forever: the
@@ -159,14 +211,15 @@ class TestExecutorTeardown:
         monkeypatch.setattr(executor_mod, "_init_worker", broken_setup)
         lat, p5 = setup
         ex = ParallelChunkExecutor(ziff, lat, n_workers=2, context="fork")
-        name = ex._shm.name
+        names = [ex._shm.name, ex._stream_shm.name]
         chunk = p5.chunks[0]
         with pytest.raises(WorkerInitError, match="simulated setup failure"):
-            ex.execute_chunk(chunk, np.zeros(chunk.size, dtype=np.intp))
+            ex.execute_chunk(chunk, np.zeros(chunk.size))
         with pytest.raises(RuntimeError, match="closed"):
             ex.state
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
 
     def test_state_access_raises_after_close(self, ziff, setup):
         lat, _ = setup
@@ -189,16 +242,29 @@ class TestExecutorTeardown:
         ex = ParallelChunkExecutor.__new__(ParallelChunkExecutor)
         ex.__del__()
 
-    def test_close_is_idempotent_and_releases(self, ziff, setup):
+    def test_close_is_idempotent_and_releases(self, ziff, setup, monkeypatch):
         from multiprocessing import shared_memory
 
+        from repro.parallel import executor as executor_mod
+
         lat, _ = setup
+        created: list[str] = []
+        real_shm = shared_memory.SharedMemory
+
+        def recording_shm(*args, **kwargs):
+            shm = real_shm(*args, **kwargs)
+            if kwargs.get("create"):
+                created.append(shm.name)
+            return shm
+
+        monkeypatch.setattr(executor_mod.shared_memory, "SharedMemory", recording_shm)
         ex = ParallelChunkExecutor(ziff, lat, n_workers=1)
-        name = ex._shm.name
+        assert len(created) == 2  # the state and the trial stream
         ex.close()
         ex.close()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+        for name in created:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
 
 
 class TestParallelPNDCA:
@@ -215,6 +281,31 @@ class TestParallelPNDCA:
         assert rs.n_executed == rp.n_executed
         assert np.array_equal(rs.executed_per_type, rp.executed_per_type)
         assert rs.final_time == pytest.approx(rp.final_time)
+
+    def test_eight_workers_bit_identical(self, ziff):
+        """Stress the shared trial stream with more workers than a CI
+        runner has cores, each mapping its own slice of the uniforms:
+        the run still equals the serial one, with no slice retried."""
+        from repro.obs import MetricsCollector
+
+        lat = Lattice((20, 20))
+        p5 = five_chunk_partition(lat)
+        serial = PNDCA(ziff, lat, seed=5, partition=p5, strategy="random-order")
+        rs = serial.run(until=3.0)
+        m = MetricsCollector()
+        with ParallelChunkExecutor(ziff, lat, n_workers=8, metrics=m) as ex:
+            par = ParallelPNDCA(
+                ziff, lat, seed=5, partition=p5, strategy="random-order",
+                executor=ex,
+            )
+            rp = par.run(until=3.0)
+        assert np.array_equal(rs.final_state.array, rp.final_state.array)
+        assert np.array_equal(rs.executed_per_type, rp.executed_per_type)
+        assert rs.final_time == rp.final_time
+        snap = m.snapshot()
+        assert snap.counter("executor.retries", 0) == 0
+        chunks = snap.counter("executor.chunks")
+        assert snap.histograms["executor.slice.wall"].count == 8 * chunks > 0
 
     def test_result_survives_executor_close(self, ziff, setup):
         lat, p5 = setup
@@ -242,6 +333,53 @@ class TestParallelPNDCA:
         with ParallelChunkExecutor(ziff, Lattice((20, 20)), n_workers=1) as ex:
             with pytest.raises(ValueError, match="different lattice"):
                 ParallelPNDCA(ziff, lat, seed=0, partition=p5, executor=ex)
+
+    def test_model_mismatch(self, ziff, setup):
+        """The workers map uniforms with the executor's rate table: an
+        executor built for other rates would silently diverge."""
+        lat, p5 = setup
+        other = ziff_model(k_co=5.0, k_o2=0.5, k_co2=2.0)
+        with ParallelChunkExecutor(other, lat, n_workers=1) as ex:
+            with pytest.raises(ValueError, match="different model"):
+                ParallelPNDCA(ziff, lat, seed=0, partition=p5, executor=ex)
+        # an equal model built separately is the same binding
+        twin = ziff_model(k_co=1.0, k_o2=0.5, k_co2=2.0)
+        with ParallelChunkExecutor(twin, lat, n_workers=1) as ex:
+            ParallelPNDCA(ziff, lat, seed=0, partition=p5, executor=ex)
+
+    def test_task_payloads_do_not_scale_with_the_chunk(self, ziff, monkeypatch):
+        """Only slice bounds cross the task pipes: every payload is a few
+        bytes, and the traffic per chunk visit is independent of the
+        lattice (it used to carry 16 B per trial)."""
+        from repro.obs import MetricsCollector
+        from repro.resilience.supervisor import Supervisor
+
+        sizes: list[int] = []
+        submit = Supervisor.submit
+
+        def recording_submit(self, wid, payload, *args, **kwargs):
+            sizes.append(len(pickle.dumps(payload)))
+            return submit(self, wid, payload, *args, **kwargs)
+
+        monkeypatch.setattr(Supervisor, "submit", recording_submit)
+        per_visit = {}
+        for side in (20, 60):
+            sizes.clear()
+            lat = Lattice((side, side))
+            p5 = five_chunk_partition(lat)
+            m = MetricsCollector()
+            with ParallelChunkExecutor(ziff, lat, n_workers=2) as ex:
+                par = ParallelPNDCA(
+                    ziff, lat, seed=3, partition=p5, executor=ex, metrics=m
+                )
+                par.run(until=1.0)
+            visits = m.snapshot().counter("executor.chunks")
+            assert len(sizes) == 2 * visits > 0
+            assert max(sizes) < 256
+            per_visit[side] = sum(sizes) / visits
+        # 9x the trials per chunk, the same bytes per visit (a pickled
+        # bound may grow by a byte once it passes 255)
+        assert per_visit[60] <= per_visit[20] + 4
 
     def test_metrics_shared_and_bit_identical(self, ziff, setup):
         from repro.obs import MetricsCollector
@@ -310,9 +448,7 @@ class TestExecutorBackend:
                 ex._ladder.degraded = True  # jump straight to the last rung
                 t = ziff.type_index("CO_ads")
                 chunk = p5.chunks[0]
-                counts = ex.execute_chunk(
-                    chunk, np.full(chunk.size, t, dtype=np.intp)
-                )
+                counts = ex.execute_chunk(chunk, uniforms_for(ziff, t, chunk.size))
                 assert counts[t] == chunk.size
             # the regression: zero calls here meant the degraded rung
             # bypassed the backend and hard-coded the reference kernel

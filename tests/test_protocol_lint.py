@@ -36,6 +36,8 @@ _CLOSE_RELEASES = f"{_TEARDOWN}::test_close_is_idempotent_and_releases"
 _RESUME = "tests/test_resilience.py::test_resume_bit_identical"
 _SUPERVISOR_TESTS = "tests/test_chaos.py::TestSupervisor"
 _COUNTS = "tests/test_executor.py::TestExecutor::test_execute_chunk_counts"
+_BIT_IDENTICAL = "tests/test_executor.py::TestParallelPNDCA::test_bit_identical_to_serial"
+_DEGRADE = "tests/test_chaos.py::TestExecutorRecovery::test_exhausted_retries_degrade_to_serial"
 
 #: name -> (file under src/repro, old text, new text, killer node ids)
 MUTANTS = {
@@ -103,6 +105,24 @@ MUTANTS = {
         "self._shm.name,",
         "self._shm,",
         [_COUNTS],
+    ),
+    "stream-not-unlinked": (
+        _EXECUTOR,
+        "            try:\n                shm.unlink()",
+        '            try:\n                if attr == "_shm":\n                    shm.unlink()',
+        [_CLOSE_RELEASES],
+    ),
+    "worker-reads-slice-prefix": (
+        _EXECUTOR,
+        "u[a:b]",
+        "u[:b - a]",
+        [_BIT_IDENTICAL],
+    ),
+    "serial-rung-unmapped": (
+        _EXECUTOR,
+        "self.state, comp, sites, types, counts=counts",
+        "self.state, comp, sites, uniforms, counts=counts",
+        [_DEGRADE],
     ),
     "stale-reply-counted": (
         _SUPERVISOR,

@@ -9,6 +9,7 @@ from repro.core.rng import (
     draw_types,
     make_rng,
     spawn_rngs,
+    types_from_uniforms,
 )
 
 
@@ -48,6 +49,28 @@ class TestDraws:
         frac = (draws == 0).mean()
         assert frac == pytest.approx(0.25, abs=0.02)
         assert draws.dtype == np.intp
+
+    @pytest.mark.parametrize("n_types", [3, 16, 17, 40])
+    def test_types_from_uniforms_into_out(self, n_types):
+        """``out=`` gives the fresh-array result on both paths: the
+        edge sum (<= 16 edges) and ``searchsorted`` (> 16), even when
+        the buffer holds stale indices."""
+        rng = make_rng(n_types)
+        rates = rng.random(n_types) + 0.1
+        cum = np.cumsum(rates / rates.sum())
+        cum[-1] = 1.0
+        u = rng.random(5000)
+        fresh = types_from_uniforms(cum, u)
+        assert np.array_equal(fresh, np.searchsorted(cum, u, side="right"))
+        out = np.full(u.size, 99, dtype=np.intp)
+        got = types_from_uniforms(cum, u, out=out)
+        assert got is out
+        assert np.array_equal(out, fresh)
+        # a view into a larger buffer, as the executor's workers pass
+        buf = np.full(3 * u.size, -1, dtype=np.intp)
+        types_from_uniforms(cum, u, out=buf[u.size:2 * u.size])
+        assert np.array_equal(buf[u.size:2 * u.size], fresh)
+        assert (buf[:u.size] == -1).all() and (buf[2 * u.size:] == -1).all()
 
     def test_draw_sites_range(self):
         s = draw_sites(make_rng(0), 50, 10000)
