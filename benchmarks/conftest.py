@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import bench_record, write_bench_json, write_text_atomic
+from repro.obs import write_text_atomic
 
 REPORT_DIR = Path(__file__).parent / "reports"
 
@@ -31,15 +31,5 @@ def save_report(report_dir):
         path = report_dir / f"{name}.txt"
         write_text_atomic(path, text + "\n")
         return path
-
-    return _save
-
-
-@pytest.fixture
-def save_bench_json(report_dir):
-    """Atomically write a schema-validated ``BENCH_<name>.json`` report."""
-
-    def _save(name: str, **fields) -> Path:
-        return write_bench_json(report_dir, bench_record(name=name, **fields))
 
     return _save

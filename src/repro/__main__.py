@@ -29,11 +29,6 @@ Commands
     gates (lint, fingerprint, mean-field) — both CI gates.
 ``algorithms``
     Print the algorithm taxonomy table.
-``bench [--engines ...] [--backend NAME] [--json] [--check FILE ...]``
-    Small instrumented benchmark runs with machine-readable telemetry:
-    ``--json`` writes schema-validated ``BENCH_<engine>.json`` reports
-    (``BENCH_<engine>-<backend>.json`` for non-numpy backends),
-    ``--check`` validates existing report files (the CI gate).
 ``lint [--model NAME] [--tiling M:C0,C1] [--shape LxM] [--scenarios] [--json] [--strict]``
     Static verification: model sanity, symbolic partition race proofs
     and the scenario preflight (``--scenarios``) — see :mod:`repro.lint`;
@@ -98,6 +93,9 @@ def _cmd_run(args) -> int:
     from contextlib import ExitStack
 
     if _bad_number(args, ("--checkpoint-every",), ("--until", "--checkpoint-seconds")):
+        return 2
+    if args.seed is not None and args.seed < 0:
+        print(f"--seed must be >= 0, got {args.seed}", file=sys.stderr)
         return 2
     if args.backend is not None:
         from repro.backends import check_backend_name
@@ -268,14 +266,6 @@ def _cmd_scenarios(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    if _bad_number(args, ("--side", "--replicas"), ("--until",)):
-        return 2
-    from repro.obs.bench import run
-
-    return run(args)
-
-
 def _cmd_sweep(args) -> int:
     from repro.jobs.cli import run
 
@@ -401,13 +391,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     add_lint_arguments(p_lint)
     p_lint.set_defaults(fn=_cmd_lint)
-    from repro.obs.bench import add_bench_arguments
-
-    p_bench = sub.add_parser(
-        "bench", help="instrumented benchmarks with machine-readable telemetry"
-    )
-    add_bench_arguments(p_bench)
-    p_bench.set_defaults(fn=_cmd_bench)
     sub.add_parser("info", help="package information").set_defaults(fn=_cmd_info)
     args = parser.parse_args(argv)
     try:

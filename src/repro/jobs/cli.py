@@ -1,8 +1,7 @@
 """``python -m repro sweep``: the batch-orchestrator command line.
 
-Mirrors the structure of :mod:`repro.obs.bench` and
-:mod:`repro.lint.cli`: :func:`add_sweep_arguments` wires the
-subparser, :func:`run` is the dispatch target.  The chaos flags exist
+Mirrors the structure of :mod:`repro.lint.cli`: :func:`add_sweep_arguments`
+wires the subparser, :func:`run` is the dispatch target.  The chaos flags exist
 for the soak gate and for reproducing field failures — a seeded
 ``--chaos kill-job@3`` campaign replays the identical failure scenario
 every time, which is what makes the recovery paths testable in CI.

@@ -38,6 +38,7 @@ and resumes equals the serial ``repro run --sweep`` baseline — CI's
 
 from __future__ import annotations
 
+import math
 import signal as _signal
 import sys
 import time as _time
@@ -141,8 +142,12 @@ class JobOrchestrator:
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
         self._ladder = RecoveryLadder(self.max_retries)
-        if self.deadline is not None and self.deadline <= 0:
+        if self.deadline is not None and not (
+            math.isfinite(self.deadline) and self.deadline > 0
+        ):
             raise ValueError(f"deadline must be > 0, got {self.deadline}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         self._writer: JournalWriter | None = None
         self._signal: int | None = None
         self._old_handlers: dict[int, Any] = {}

@@ -1,4 +1,4 @@
-"""repro.obs — runtime observability: metrics, tracing, bench telemetry.
+"""repro.obs — runtime observability: metrics, tracing, atomic emission.
 
 The observability layer (DESIGN.md §9) gives every engine a first-class
 account of what a run did and what it cost:
@@ -11,29 +11,18 @@ account of what a run did and what it cost:
 * :mod:`repro.obs.trace` — opt-in span/event tracing hooks
   (``on_step`` / ``on_chunk`` / ``on_snapshot``), null-object
   :data:`NULL_TRACER` by default;
-* :mod:`repro.obs.emit` — atomic file emission, JSON-lines streams and
-  the ``repro.bench/1`` schema for ``BENCH_<name>.json`` telemetry;
-* :mod:`repro.obs.bench` — the reference micro-benchmarks behind
-  ``python -m repro bench [--json]``.
+* :mod:`repro.obs.emit` — atomic file emission (temp file, fsync,
+  ``os.replace``) for checkpoints and reports.
+
+``python -m repro run <id> --metrics`` prints a run's collected
+metrics; performance claims are measured with ``benchmarks/perf``.
 
 Enabling metrics or tracing never changes a trajectory: runs are
 bit-identical with the layer on or off (asserted by the differential
 tests in ``tests/test_obs.py``).
 """
 
-from .emit import (
-    BENCH_SCHEMA,
-    BenchSchemaError,
-    append_jsonl,
-    bench_record,
-    git_rev,
-    host_info,
-    load_bench_json,
-    validate_bench_record,
-    write_bench_json,
-    write_json_atomic,
-    write_text_atomic,
-)
+from .emit import write_json_atomic, write_text_atomic
 from .metrics import (
     NULL_METRICS,
     CountingGenerator,
@@ -66,15 +55,6 @@ __all__ = [
     "NULL_TRACER",
     "Span",
     # emit
-    "BENCH_SCHEMA",
-    "BenchSchemaError",
-    "append_jsonl",
-    "bench_record",
-    "git_rev",
-    "host_info",
-    "load_bench_json",
-    "validate_bench_record",
-    "write_bench_json",
     "write_json_atomic",
     "write_text_atomic",
 ]

@@ -1,80 +1,25 @@
-"""Machine-readable telemetry emission: atomic files, jsonl, BENCH schema.
+"""Atomic file emission: a crashed writer never leaves a truncated file.
 
-Benchmark telemetry only has value if every record is (a) complete —
-a crashed run must never leave a truncated file that later comparisons
-silently read — and (b) schema-stable, so trajectories of
-``BENCH_<name>.json`` files diff across commits.  This module provides
-both halves with zero dependencies:
-
-* :func:`write_text_atomic` / :func:`write_json_atomic` — write to a
-  temp file in the destination directory, fsync, then ``os.replace``:
-  readers observe either the old content or the complete new content,
-  never a partial write;
-* :func:`append_jsonl` — one JSON document per line (trace/metric
-  streams);
-* :func:`bench_record` / :func:`validate_bench_record` /
-  :func:`write_bench_json` / :func:`load_bench_json` — the
-  ``repro.bench/1`` schema: host info, git revision, seed, model,
-  lattice, timings and the metrics dict of one engine run.  Loading
-  validates and **fails loudly** (:class:`BenchSchemaError`) on
-  partial or malformed JSON.
-
-Schema ``repro.bench/1`` (all keys required unless noted)::
-
-    {
-      "schema":    "repro.bench/1",
-      "name":      str,              # record name -> BENCH_<name>.json
-      "host":      {"python", "implementation", "platform", "machine",
-                    "cpu_count"},
-      "git_rev":   str | null,       # commit hash if resolvable
-      "seed":      int | null,
-      "model":     str,
-      "lattice":   [int, ...],
-      "algorithm": str,
-      "timings":   {"wall_s": float, "trials": int,
-                    "trials_per_s": float, ...},
-      "metrics":   {counters/gauges/histograms/phases dicts},
-      "extra":     {...}             # optional free-form
-    }
+:func:`write_text_atomic` / :func:`write_json_atomic` write to a temp
+file in the destination directory, fsync, then ``os.replace``: readers
+observe either the old content or the complete new content, never a
+partial write.  Checkpoints (:mod:`repro.resilience.checkpoint`) and
+the benchmark reports go through them.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import platform
-import sys
 import tempfile
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from .metrics import RunMetrics
 
-__all__ = [
-    "BENCH_SCHEMA",
-    "BenchSchemaError",
-    "write_text_atomic",
-    "write_json_atomic",
-    "append_jsonl",
-    "host_info",
-    "git_rev",
-    "bench_record",
-    "validate_bench_record",
-    "write_bench_json",
-    "load_bench_json",
-]
-
-#: schema identifier stamped into every record
-BENCH_SCHEMA = "repro.bench/1"
+__all__ = ["write_text_atomic", "write_json_atomic"]
 
 
-class BenchSchemaError(ValueError):
-    """A bench record is malformed, truncated or schema-invalid."""
-
-
-# ----------------------------------------------------------------------
-# atomic writers
-# ----------------------------------------------------------------------
 def write_text_atomic(path: str | Path, text: str) -> Path:
     """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
 
@@ -108,22 +53,6 @@ def write_json_atomic(path: str | Path, obj: Any) -> Path:
     )
 
 
-def append_jsonl(path: str | Path, record: Mapping[str, Any]) -> Path:
-    """Append one record as a single JSON line.
-
-    The record is serialised *before* the file is opened, so a
-    serialisation failure cannot leave a partial line behind; the
-    single ``write`` of one line keeps concurrent appenders intact on
-    POSIX filesystems.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(record, sort_keys=True, default=_jsonify)
-    with open(path, "a") as fh:
-        fh.write(line + "\n")
-    return path
-
-
 def _jsonify(value: Any) -> Any:
     """Fallback serialiser: numpy scalars/arrays and RunMetrics."""
     if isinstance(value, RunMetrics):
@@ -133,185 +62,3 @@ def _jsonify(value: Any) -> Any:
     if hasattr(value, "tolist"):
         return value.tolist()
     raise TypeError(f"not JSON-serialisable: {value!r} ({type(value).__name__})")
-
-
-# ----------------------------------------------------------------------
-# record construction
-# ----------------------------------------------------------------------
-def host_info() -> dict:
-    """Reproducibility context of the executing host."""
-    return {
-        "python": sys.version.split()[0],
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-    }
-
-
-def git_rev(start: str | Path | None = None) -> str | None:
-    """Current commit hash, resolved by reading ``.git`` directly.
-
-    No subprocess: walks up from ``start`` (default: the repository
-    containing this package, then the working directory) to the first
-    ``.git`` directory, follows ``HEAD`` through loose refs and
-    ``packed-refs``.  Returns ``None`` when nothing resolves — the
-    schema allows it (installed wheels have no repository).
-    """
-    candidates = []
-    if start is not None:
-        candidates.append(Path(start))
-    else:
-        candidates += [Path(__file__).resolve(), Path.cwd()]
-    for origin in candidates:
-        node = origin if origin.is_dir() else origin.parent
-        for directory in (node, *node.parents):
-            git_dir = directory / ".git"
-            if not git_dir.is_dir():
-                continue
-            try:
-                head = (git_dir / "HEAD").read_text().strip()
-                if not head.startswith("ref:"):
-                    return head or None  # detached HEAD
-                ref = head.split(None, 1)[1]
-                loose = git_dir / ref
-                if loose.is_file():
-                    return loose.read_text().strip() or None
-                packed = git_dir / "packed-refs"
-                if packed.is_file():
-                    for line in packed.read_text().splitlines():
-                        if line.endswith(" " + ref):
-                            return line.split()[0]
-            except OSError:
-                pass
-            return None
-    return None
-
-
-def bench_record(
-    name: str,
-    *,
-    algorithm: str,
-    model: str,
-    lattice_shape: tuple[int, ...] | list[int],
-    seed: int | None,
-    timings: Mapping[str, float],
-    metrics: RunMetrics | Mapping | None = None,
-    extra: Mapping[str, Any] | None = None,
-) -> dict:
-    """Assemble one schema-``repro.bench/1`` record (validated)."""
-    if isinstance(metrics, RunMetrics):
-        metrics_dict = metrics.to_dict()
-    else:
-        metrics_dict = dict(metrics) if metrics else {}
-    record = {
-        "schema": BENCH_SCHEMA,
-        "name": name,
-        "host": host_info(),
-        "git_rev": git_rev(),
-        "seed": seed,
-        "model": model,
-        "lattice": [int(x) for x in lattice_shape],
-        "algorithm": algorithm,
-        "timings": {k: float(v) for k, v in timings.items()},
-        "metrics": metrics_dict,
-    }
-    if extra:
-        record["extra"] = dict(extra)
-    validate_bench_record(record)
-    return record
-
-
-# ----------------------------------------------------------------------
-# validation
-# ----------------------------------------------------------------------
-_REQUIRED_FIELDS: dict[str, type | tuple[type, ...]] = {
-    "schema": str,
-    "name": str,
-    "host": dict,
-    "git_rev": (str, type(None)),
-    "seed": (int, type(None)),
-    "model": str,
-    "lattice": list,
-    "algorithm": str,
-    "timings": dict,
-    "metrics": dict,
-}
-
-_REQUIRED_HOST_KEYS = ("python", "implementation", "platform", "machine", "cpu_count")
-_REQUIRED_TIMING_KEYS = ("wall_s", "trials", "trials_per_s")
-
-
-def validate_bench_record(record: Any) -> None:
-    """Raise :class:`BenchSchemaError` listing every schema violation."""
-    problems: list[str] = []
-    if not isinstance(record, dict):
-        raise BenchSchemaError(
-            f"bench record must be a JSON object, got {type(record).__name__}"
-        )
-    for key, types in _REQUIRED_FIELDS.items():
-        if key not in record:
-            problems.append(f"missing field {key!r}")
-        elif not isinstance(record[key], types):
-            problems.append(
-                f"field {key!r} has type {type(record[key]).__name__}, "
-                f"expected {types if isinstance(types, type) else '/'.join(t.__name__ for t in types)}"
-            )
-    if record.get("schema") not in (None, BENCH_SCHEMA) and "schema" in record:
-        problems.append(
-            f"unknown schema {record['schema']!r} (expected {BENCH_SCHEMA!r})"
-        )
-    if isinstance(record.get("name"), str) and not record["name"]:
-        problems.append("field 'name' must be non-empty")
-    if isinstance(record.get("host"), dict):
-        for key in _REQUIRED_HOST_KEYS:
-            if key not in record["host"]:
-                problems.append(f"host info missing {key!r}")
-    if isinstance(record.get("lattice"), list):
-        if not record["lattice"] or not all(
-            isinstance(x, int) and x > 0 for x in record["lattice"]
-        ):
-            problems.append("field 'lattice' must be a non-empty list of positive ints")
-    if isinstance(record.get("timings"), dict):
-        for key in _REQUIRED_TIMING_KEYS:
-            value = record["timings"].get(key)
-            if value is None:
-                problems.append(f"timings missing {key!r}")
-            elif not isinstance(value, (int, float)) or value < 0:
-                problems.append(f"timings[{key!r}] must be a non-negative number")
-    if problems:
-        raise BenchSchemaError(
-            "invalid bench record: " + "; ".join(problems)
-        )
-
-
-# ----------------------------------------------------------------------
-# BENCH_<name>.json files
-# ----------------------------------------------------------------------
-def write_bench_json(directory: str | Path, record: dict) -> Path:
-    """Validate and write ``BENCH_<name>.json`` atomically; returns the path."""
-    validate_bench_record(record)
-    directory = Path(directory)
-    return write_json_atomic(directory / f"BENCH_{record['name']}.json", record)
-
-
-def load_bench_json(path: str | Path) -> dict:
-    """Load and validate one bench record, failing loudly on damage.
-
-    A truncated/partial file (the failure mode of non-atomic writers)
-    raises :class:`BenchSchemaError` naming the file and the JSON
-    parse position instead of silently yielding garbage.
-    """
-    path = Path(path)
-    text = path.read_text()
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BenchSchemaError(
-            f"{path}: not valid JSON (truncated or corrupt record?): {exc}"
-        ) from exc
-    try:
-        validate_bench_record(record)
-    except BenchSchemaError as exc:
-        raise BenchSchemaError(f"{path}: {exc}") from exc
-    return record

@@ -21,8 +21,8 @@ it computes.  Three rules keep the layer honest:
    the collected values into a :class:`RunMetrics` record (plain
    dicts of floats — JSON-ready via :meth:`RunMetrics.to_dict`).
 
-Naming scheme (stable across PRs — the bench telemetry schema keys
-off it):
+Naming scheme (stable across PRs — ``run --metrics`` output and the
+``benchmarks/perf`` executor and job layers key off it):
 
 ``trials.attempted`` / ``trials.executed``
     counters, accumulated per step block;

@@ -28,7 +28,7 @@ Hook points (wired by the engines):
     simulated clock.
 
 Events are recorded as plain tuples; :meth:`Tracer.to_records` renders
-them JSON-ready for the :func:`repro.obs.emit.append_jsonl` emitter.
+them as JSON-ready dicts.
 An enabled tracer grows with the run — it is a debugging/benchmark
 instrument, not an always-on logger.
 """

@@ -33,6 +33,7 @@ Usage::
 
 from __future__ import annotations
 
+import math
 import time as _time
 from functools import partial
 from multiprocessing import shared_memory
@@ -200,7 +201,9 @@ class ParallelChunkExecutor:
         chaos: "ChaosMonkey | None" = None,
         backend=None,
     ):
-        if chunk_timeout is not None and chunk_timeout <= 0:
+        if chunk_timeout is not None and not (
+            math.isfinite(chunk_timeout) and chunk_timeout > 0
+        ):
             raise ValueError(f"chunk_timeout must be > 0, got {chunk_timeout}")
         self._ladder = RecoveryLadder(max_retries)
         self.model = model

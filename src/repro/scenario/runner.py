@@ -52,9 +52,9 @@ def provenance(
 ) -> dict:
     """The cache key of a scenario run: ``(digest, params, seed)``.
 
-    Stamped into run output and into ``repro bench`` records
-    (``extra["scenario"]``) so completed runs are reusable as cache
-    hits by anything that trusts determinism.
+    A JSON-ready dict naming the scenario (name, source, digest) and
+    the seed and parameters of one run, so a completed run can be
+    reused as a cache hit by anything that trusts determinism.
     """
     return {
         "name": spec.name,

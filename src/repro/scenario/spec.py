@@ -41,7 +41,7 @@ the canonical JSON rendering of the *validated* document, so comments
 and formatting do not change it but any semantic edit (a rate, the
 lattice, the engine) does.  Completed runs are cache-keyable by
 ``(digest, params, seed)``; the digest is stamped into run output and
-bench provenance.
+keys the sweep journal.
 """
 
 from __future__ import annotations
@@ -307,6 +307,13 @@ def _get_int(table: Mapping, key: str, where: str, default=None):
     return v
 
 
+def _get_seed(table: Mapping, where: str, default: int) -> int:
+    seed = _get_int(table, "seed", where, default=default)
+    if seed < 0:
+        raise _err(f"{where}.seed: must be >= 0, got {seed}")
+    return seed
+
+
 def _positive_rate(value: Any, where: str) -> float:
     if _get_bool_free_number(value) or not isinstance(value, (int, float)):
         raise _err(f"{where}: rate must be a number, got {type(value).__name__}")
@@ -510,7 +517,7 @@ def _parse_engine(doc: Mapping) -> EngineSpec:
 def _parse_run(doc: Mapping, model: ModelSpec) -> RunSpec:
     table = _require_table(doc, "run", "scenario")
     _reject_unknown(table, ("seed", "until", "initial"), "run")
-    seed = _get_int(table, "seed", "run", default=0)
+    seed = _get_seed(table, "run", default=0)
     until = _get_number(table, "until", "run", default=5.0)
     if not until > 0:
         raise _err(f"run.until: must be positive, got {until}")
@@ -546,6 +553,8 @@ def _parse_sweep(doc: Mapping, model: ModelSpec) -> SweepSpec | None:
     until: tuple[float, ...] = ()
     if "seed" in table:
         seed = _scalar_list(table["seed"], "sweep.seed", int)
+        if any(v < 0 for v in seed):
+            raise _err(f"sweep.seed: seeds must be >= 0, got {list(seed)}")
     if "until" in table:
         until = tuple(
             float(v)
@@ -614,7 +623,7 @@ def _parse_gates(doc: Mapping, model: ModelSpec, run: RunSpec) -> GatesSpec:
             raise _err(f"gates.fingerprint.until: must be positive, got {until}")
         fingerprint = FingerprintGate(
             digest=digest,
-            seed=_get_int(fp, "seed", "gates.fingerprint", default=run.seed),
+            seed=_get_seed(fp, "gates.fingerprint", default=run.seed),
             until=float(until),
         )
     meanfield = None
@@ -644,7 +653,7 @@ def _parse_gates(doc: Mapping, model: ModelSpec, run: RunSpec) -> GatesSpec:
             species=tuple(species_raw),
             t=float(t),
             tol=float(tol),
-            seed=_get_int(mf, "seed", "gates.meanfield", default=run.seed),
+            seed=_get_seed(mf, "gates.meanfield", default=run.seed),
         )
     return GatesSpec(
         fingerprint=fingerprint,

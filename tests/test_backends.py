@@ -25,8 +25,8 @@ Layout
   (``CountingGenerator`` counters) across backends;
 * checkpoint portability: a run checkpointed under one backend
   resumes under another (the backend never enters the fingerprint);
-* per-backend BENCH records, and the ``slow`` >= 3x speedup gate on
-  the sequential hot kernel at 256 x 256.
+* the ``slow`` >= 3x speedup gate on the sequential hot kernel at
+  256 x 256.
 """
 
 import os
@@ -796,37 +796,7 @@ class TestCheckpointPortability:
 
 
 # ----------------------------------------------------------------------
-# per-backend BENCH records
-# ----------------------------------------------------------------------
-class TestBenchRecords:
-    def test_default_backend_keeps_plain_record_name(self):
-        from repro.obs.bench import run_engine_bench
-
-        record = run_engine_bench("pndca", side=10, until=1.0)
-        assert record["name"] == "pndca"
-        assert record["extra"]["backend"] == "numpy"
-
-    @requires_compiled
-    def test_compiled_backend_gets_suffixed_record(self):
-        from repro.obs.bench import run_engine_bench
-
-        record = run_engine_bench("pndca", side=10, until=1.0, backend=COMPILED[0])
-        assert record["name"] == f"pndca-{COMPILED[0]}"
-        assert record["extra"]["backend"] == COMPILED[0]
-        assert record["schema"] == "repro.bench/1"
-
-    @requires_compiled
-    def test_backend_records_are_bit_identical_in_physics(self):
-        """Same seed, different backend: identical trials, different name."""
-        from repro.obs.bench import run_engine_bench
-
-        a = run_engine_bench("pndca", side=10, until=1.0, backend="numpy")
-        b = run_engine_bench("pndca", side=10, until=1.0, backend=COMPILED[0])
-        assert a["timings"]["trials"] == b["timings"]["trials"]
-
-
-# ----------------------------------------------------------------------
-# the headline speedup gate (slow; exercised by the CI bench job)
+# the headline speedup gate (slow; the CI backend-matrix job runs it)
 # ----------------------------------------------------------------------
 @requires_compiled
 @pytest.mark.slow

@@ -292,8 +292,9 @@ class TestExecutorRecovery:
 
     def test_parameter_validation(self, ziff, setup):
         lat, _ = setup
-        with pytest.raises(ValueError, match="chunk_timeout"):
-            ParallelChunkExecutor(ziff, lat, chunk_timeout=0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="chunk_timeout"):
+                ParallelChunkExecutor(ziff, lat, chunk_timeout=bad)
         with pytest.raises(ValueError, match="max_retries"):
             ParallelChunkExecutor(ziff, lat, max_retries=-1)
 

@@ -178,24 +178,37 @@ class TestBadNumbers:
                    "--checkpoint-dir", str(tmp_path / "ckpts")])
         self.assert_refused(capsys, rc, "--checkpoint-seconds")
 
-    @pytest.mark.parametrize(
-        "flag, value", [("--side", "0"), ("--replicas", "0"), ("--until", "nan")]
-    )
-    def test_bench(self, capsys, tmp_path, flag, value):
-        rc = main(["bench", "--engines", "rsm", flag, value,
-                   "--json", "--out", str(tmp_path)])
-        self.assert_refused(capsys, rc, flag)
-        assert list(tmp_path.iterdir()) == []
+    def test_run_seed_negative(self, capsys, tmp_path):
+        ckpt = tmp_path / "ckpts"
+        rc = main(["run", "zgb", "--seed", "-1", "--checkpoint-dir", str(ckpt)])
+        self.assert_refused(capsys, rc, "--seed")
+        assert not ckpt.exists()
 
-    def test_bench_side_the_partition_rejects(self, capsys, tmp_path):
-        """A side the five-chunk tiling does not fit fails the PNDCA
-        preflight: exit 2 with the lint report, no traceback."""
-        rc = main(["bench", "--engines", "pndca", "--side", "3", "--until", "1",
-                   "--json", "--out", str(tmp_path)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "non-overlap" in err and "Traceback" not in err
-        assert list(tmp_path.iterdir()) == []
+    def test_sweep_seed_negative(self, capsys, tmp_path):
+        journal = tmp_path / "campaign"
+        rc = main(["sweep", "ab2-desorption", "--seed", "-1",
+                   "--journal", str(journal)])
+        self.assert_refused(capsys, rc, "seed")
+        assert not journal.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_sweep_deadline(self, capsys, tmp_path, value):
+        """A deadline that can never be enforced is refused by the
+        orchestrator before the journal exists."""
+        journal = tmp_path / "campaign"
+        rc = main(["sweep", "ab2-desorption", "--deadline", value,
+                   "--journal", str(journal)])
+        self.assert_refused(capsys, rc, "deadline")
+        assert not journal.exists()
+
+
+def test_bench_command_is_retired(capsys):
+    """``benchmarks/perf`` is the one benchmark path; ``bench`` is no
+    longer a command."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 SCENARIO_WITH_BACKEND = """\
@@ -235,11 +248,6 @@ class TestUnknownBackend:
 
     def test_run(self, capsys):
         self.assert_refused(capsys, main(["run", "zgb", "--backend", "bogus"]))
-
-    def test_bench(self, capsys, tmp_path):
-        rc = main(["bench", "--backend", "bogus", "--json", "--out", str(tmp_path)])
-        self.assert_refused(capsys, rc)
-        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_fails_before_the_journal(self, capsys, tmp_path):
         journal = tmp_path / "campaign"

@@ -2,7 +2,7 @@
 
 Covers the collector/tracer primitives, the bit-identity contract
 (instrumentation must never perturb a trajectory), counter ground
-truth against engine results, atomic emission, and the bench CLI.
+truth against engine results, and atomic emission.
 """
 
 import json
@@ -18,20 +18,14 @@ from repro.dmc.base import CoverageObserver
 from repro.ensemble import EnsemblePNDCA, EnsembleRSM
 from repro.models import ziff_model
 from repro.obs import (
-    BENCH_SCHEMA,
     NULL_METRICS,
     NULL_TRACER,
-    BenchSchemaError,
     CountingGenerator,
     MetricsCollector,
     Tracer,
-    bench_record,
     current_metrics,
     format_metrics,
-    load_bench_json,
     use_metrics,
-    validate_bench_record,
-    write_bench_json,
     write_text_atomic,
 )
 from repro.partition import five_chunk_partition
@@ -330,7 +324,7 @@ class TestTracer:
 
 
 # ----------------------------------------------------------------------
-# emission: atomicity + schema
+# emission: atomicity
 # ----------------------------------------------------------------------
 class TestEmit:
     def test_write_text_atomic(self, tmp_path):
@@ -341,97 +335,6 @@ class TestEmit:
         assert target.read_text() == "replaced\n"
         # no stray temp files left behind
         assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
-
-    def test_bench_record_is_schema_valid(self, ziff):
-        rec = bench_record(
-            name="unit",
-            algorithm="RSM",
-            model=ziff.name,
-            lattice_shape=(10, 10),
-            seed=1,
-            timings={"wall_s": 0.1, "trials": 100, "trials_per_s": 1000.0},
-        )
-        validate_bench_record(rec)
-        assert rec["schema"] == BENCH_SCHEMA
-
-    def test_validation_collects_all_problems(self):
-        with pytest.raises(BenchSchemaError) as exc:
-            validate_bench_record({"schema": BENCH_SCHEMA, "name": "x"})
-        msg = str(exc.value)
-        assert "timings" in msg and "algorithm" in msg
-
-    def test_wrong_schema_tag_rejected(self):
-        with pytest.raises(BenchSchemaError, match="schema"):
-            validate_bench_record({"schema": "other/9", "name": "x"})
-
-    def test_write_and_load_round_trip(self, tmp_path, ziff):
-        rec = bench_record(
-            name="roundtrip",
-            algorithm="PNDCA",
-            model=ziff.name,
-            lattice_shape=(10, 10),
-            seed=7,
-            timings={"wall_s": 0.5, "trials": 10, "trials_per_s": 20.0},
-            metrics={"counters": {"steps": 3}},
-        )
-        path = write_bench_json(tmp_path, rec)
-        assert path.name == "BENCH_roundtrip.json"
-        assert load_bench_json(path) == rec
-
-    def test_truncated_json_fails_loudly(self, tmp_path):
-        path = tmp_path / "BENCH_bad.json"
-        path.write_text('{"schema": "repro.bench/1", "name": "bad", "tim')
-        with pytest.raises(BenchSchemaError, match="BENCH_bad.json"):
-            load_bench_json(path)
-
-
-# ----------------------------------------------------------------------
-# bench CLI (the CI entry point)
-# ----------------------------------------------------------------------
-class TestBenchCLI:
-    def test_json_emits_valid_reports_for_three_engines(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        rc = main(
-            [
-                "bench", "--json", "--out", str(tmp_path),
-                "--engines", "rsm,pndca,ensemble-pndca",
-                "--side", "10", "--until", "2.0",
-            ]
-        )
-        assert rc == 0
-        files = sorted(tmp_path.glob("BENCH_*.json"))
-        assert len(files) == 3
-        for f in files:
-            rec = load_bench_json(f)  # validates
-            assert rec["timings"]["trials"] > 0
-            assert rec["metrics"]["counters"]["trials.executed"] > 0
-        # stdout carries the same records as a JSON array
-        out = capsys.readouterr().out
-        payload = json.loads(out[out.index("[") :])
-        assert len(payload) == 3
-
-    def test_check_passes_on_valid_and_fails_on_invalid(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        rc = main(
-            ["bench", "--json", "--out", str(tmp_path),
-             "--engines", "rsm", "--side", "10", "--until", "1.0"]
-        )
-        assert rc == 0
-        good = str(tmp_path / "BENCH_rsm.json")
-        assert main(["bench", "--check", good]) == 0
-        bad = tmp_path / "BENCH_broken.json"
-        bad.write_text('{"schema": "repro.bench/1"')
-        capsys.readouterr()
-        assert main(["bench", "--check", good, str(bad)]) == 1
-        assert "BENCH_broken.json" in capsys.readouterr().err
-
-    def test_unknown_engine_rejected(self, capsys):
-        from repro.__main__ import main
-
-        rc = main(["bench", "--engines", "no-such-engine"])
-        assert rc == 2
 
 
 # ----------------------------------------------------------------------

@@ -136,16 +136,22 @@ BAD_DOCS = [
     (edited("until = 1.0", "until = -2.0"), "run.until: must be positive"),
     (edited("until = 1.0", 'until = 1.0\ninitial = "Q"'),
      "run.initial: species 'Q' is not declared"),
+    (edited("seed = 0", "seed = -1"), "run.seed: must be >= 0, got -1"),
     # --- sweep grids --------------------------------------------------
     (BASE + "\n[sweep]\n", "sweep: declared but empty"),
     (BASE + "\n[sweep]\nseed = 3\n", "sweep.seed: expected a non-empty list"),
     (BASE + "\n[sweep]\nseed = [1, 2.5]\n", "sweep.seed: expected a list of integers"),
+    (BASE + "\n[sweep]\nseed = [1, -2]\n", "sweep.seed: seeds must be >= 0, got [1, -2]"),
     (BASE + "\n[sweep]\nuntil = [1.0, -1.0]\n", "sweep.until: horizons must be positive"),
     (BASE + "\n[sweep.rates]\nX_ads = [0.1]\n", "'X_ads' names no declared reaction"),
     (BASE + "\n[sweep.rates]\nA_ads = [0.1, -0.2]\n", "must be strictly positive"),
     (BASE + "\n[sweep.params]\ny = [0.5]\n", "only preset models take parameter sweeps"),
     # --- gates --------------------------------------------------------
     (BASE + '\n[gates.fingerprint]\ndigest = "xyz"\n', "expected 16 lowercase hex digits"),
+    (BASE + '\n[gates.fingerprint]\ndigest = "0123456789abcdef"\nseed = -1\n',
+     "gates.fingerprint.seed: must be >= 0, got -1"),
+    (BASE + '\n[gates.meanfield]\nspecies = ["A"]\nt = 1.0\ntol = 0.1\nseed = -3\n',
+     "gates.meanfield.seed: must be >= 0, got -3"),
     (BASE + "\n[gates]\nmass_dt = 0.0\n", "gates.mass_dt: must be a positive number"),
     (BASE + "\n[gates]\nvibes = 1\n", "gates: unknown key(s) ['vibes']"),
     # --- document shape -----------------------------------------------
@@ -404,15 +410,3 @@ class TestScenarioCli:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "scenarios (declarative TOML" in out and "zgb" in out
-
-    def test_bench_scenario_record(self, capsys, tmp_path):
-        import json
-
-        assert main(
-            ["bench", "--scenario", "zgb", "--json", "--out", str(tmp_path)]
-        ) == 0
-        record = json.loads((tmp_path / "BENCH_scenario-zgb.json").read_text())
-        spec = get_scenario("zgb")
-        prov = record["extra"]["scenario"]
-        assert prov["digest"] == spec.digest()
-        assert prov["seed"] == spec.run.seed and prov["params"] == {}
