@@ -3,18 +3,18 @@
 Commands
 --------
 ``list``
-    List the reproduction experiments (tables/figures) and algorithms.
-``run <experiment-id|run-id|scenario> [--metrics] [--backend NAME]``
+    List the reproduction experiments (tables/figures) and the scenario zoo.
+``run <experiment-id|scenario> [--metrics] [--backend NAME]``
     Run one experiment by registry id and print its report
-    (e.g. ``python -m repro run fig4``); ``--metrics`` appends the
-    run's collected counters/histograms (see :mod:`repro.obs`);
-    ``--backend`` selects the kernel backend (numpy/cnative/auto, see
-    :mod:`repro.backends`; an unknown name exits 2) — an execution
-    detail only, results are bit-identical across backends.  The
-    argument may also name a resilience run (``zgb-rsm`` ...), a zoo
-    scenario (``zgb``, ``no-co`` ... — see ``scenarios``) or a
-    scenario file (``path/to/scenario.toml``); scenario runs accept
-    ``--sweep`` and the checkpoint/resume options.
+    (e.g. ``python -m repro run fig4``), or run a zoo scenario
+    (``zgb``, ``no-co`` ... — see ``scenarios``) or a scenario file
+    (``path/to/scenario.toml``) and print its ``digest`` line; scenario
+    runs accept ``--sweep`` and the checkpoint/resume options.
+    ``--metrics`` appends the run's collected counters/histograms (see
+    :mod:`repro.obs`); ``--backend`` selects the kernel backend
+    (numpy/cnative/auto, see :mod:`repro.backends`; an unknown name
+    exits 2) — an execution detail only, results are bit-identical
+    across backends.
 ``sweep <scenario>... [--jobs N] [--journal DIR] [--resume]``
     Crash-safe batch orchestration of scenario sweeps: expand the
     declared ``[sweep]`` grids into a job set, execute it on supervised
@@ -46,7 +46,6 @@ import sys
 
 def _cmd_list(_args) -> int:
     import repro.experiments as experiments
-    from repro.resilience.runs import RUNS
     from repro.scenario import scenario_registry
 
     print("experiments (python -m repro run <id>):")
@@ -55,11 +54,6 @@ def _cmd_list(_args) -> int:
         # docstring-less modules get an empty summary, not a crash
         doc_lines = (module.__doc__ or "").strip().splitlines()
         doc = doc_lines[0] if doc_lines else ""
-        print(f"  {key:<22s} {doc}")
-    print()
-    print("resilience runs (checkpoint/resume-capable):")
-    for key in sorted(RUNS):
-        _, doc = RUNS[key]
         print(f"  {key:<22s} {doc}")
     print()
     print("scenarios (declarative TOML; details: python -m repro scenarios):")
@@ -106,68 +100,59 @@ def _cmd_run(args) -> int:
             print(exc, file=sys.stderr)
             return 2
 
-    import repro.experiments as experiments
-    from repro.resilience.runs import RUNS, run_resilience
+    from repro.scenario import is_scenario_ref
+
+    if is_scenario_ref(args.experiment):
+        refusal = _scenario_flags_refusal(args)
+        target = _run_scenario
+    else:
+        refusal = _experiment_flags_refusal(args)
+        target = _run_experiment
+    if refusal:
+        print(refusal, file=sys.stderr)
+        return 2
 
     with ExitStack() as stack:
         if args.backend is not None:
             from repro.backends import resolve_backend, use_backend
 
             stack.enter_context(use_backend(resolve_backend(args.backend)))
-        return _cmd_run_inner(args, experiments, RUNS, run_resilience)
+        if args.metrics:
+            from repro.obs import MetricsCollector, use_metrics
+
+            collector = MetricsCollector()
+            stack.enter_context(use_metrics(collector))
+        code = target(args)
+    if args.metrics and code == 0:
+        from repro.obs import format_metrics
+
+        print()
+        print(format_metrics(collector.snapshot()))
+    return code
 
 
-def _cmd_run_inner(args, experiments, RUNS, run_resilience) -> int:
+def _scenario_flags_refusal(args) -> str | None:
+    """Why a scenario run's checkpoint flags cannot work, or ``None``."""
+    if args.checkpoint_dir is None:
+        for flag in ("--checkpoint-every", "--checkpoint-seconds"):
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                return f"{flag} needs --checkpoint-dir to write checkpoints into"
+        if args.resume in ("", "."):
+            return "--resume without a path needs --checkpoint-dir to search"
+    return None
 
-    if args.experiment in RUNS:
-        from repro.resilience.checkpoint import ResilienceError
-        from repro.resilience.runs import DEFAULT_UNTIL
 
-        if args.sweep:
-            print(
-                f"--sweep only applies to scenario runs, not resilience run "
-                f"{args.experiment!r}",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            return run_resilience(
-                args.experiment,
-                seed=args.seed if args.seed is not None else 0,
-                until=args.until if args.until is not None else DEFAULT_UNTIL,
-                checkpoint_dir=args.checkpoint_dir,
-                checkpoint_every=args.checkpoint_every,
-                checkpoint_seconds=args.checkpoint_seconds,
-                resume=args.resume,
-            )
-        except ResilienceError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+def _experiment_flags_refusal(args) -> str | None:
+    """Why an experiment id cannot run with these flags, or ``None``."""
+    from repro.experiments import REGISTRY as registry
 
-    from repro.scenario import ScenarioError, is_scenario_ref
+    if args.experiment not in registry:
+        from repro.scenario import scenario_names
 
-    if is_scenario_ref(args.experiment):
-        from repro.lint.engine import LintError
-        from repro.resilience.checkpoint import ResilienceError
-        from repro.scenario import find_scenario, run_scenario
-
-        try:
-            spec = find_scenario(args.experiment)
-            return run_scenario(
-                spec,
-                seed=args.seed,
-                until=args.until,
-                backend=args.backend,  # explicit CLI choice wins over the spec
-                sweep=args.sweep,
-                checkpoint_dir=args.checkpoint_dir,
-                checkpoint_every=args.checkpoint_every,
-                checkpoint_seconds=args.checkpoint_seconds,
-                resume=args.resume,
-            )
-        except (ScenarioError, LintError, ResilienceError) as exc:
-            print(exc.args[0] if exc.args else exc, file=sys.stderr)
-            return 2
-
+        return (
+            f"unknown experiment {args.experiment!r}; known experiments: "
+            f"{sorted(registry)}; scenarios: {scenario_names()}"
+        )
     # all four checkpoint/resume flags are meaningless for the report
     # experiments — reject each of them consistently instead of
     # silently ignoring the cadence flags
@@ -179,41 +164,46 @@ def _cmd_run_inner(args, experiments, RUNS, run_resilience) -> int:
     }
     offending = sorted(k for k, v in checkpoint_flags.items() if v is not None)
     if offending:
-        print(
-            f"{', '.join(offending)} only apply to resilience runs "
-            f"({', '.join(sorted(RUNS))}) and scenario runs, not experiment "
-            f"{args.experiment!r}",
-            file=sys.stderr,
+        return (
+            f"{', '.join(offending)} only apply to scenario runs, not "
+            f"experiment {args.experiment!r}"
         )
-        return 2
     if args.sweep:
-        print(
+        return (
             f"--sweep only applies to scenario runs, not experiment "
-            f"{args.experiment!r}",
-            file=sys.stderr,
+            f"{args.experiment!r}"
         )
-        return 2
-    if args.metrics:
-        from repro.obs import MetricsCollector, format_metrics, use_metrics
+    return None
 
-        collector = MetricsCollector()
-        try:
-            with use_metrics(collector):
-                print(experiments.report(args.experiment))
-        except KeyError as exc:
-            # exc.args[0] is the clean message; printing the KeyError
-            # itself would wrap it in stray quotes (repr)
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        print()
-        print(format_metrics(collector.snapshot()))
-        return 0
-    try:
-        print(experiments.report(args.experiment))
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+
+def _run_experiment(args) -> int:
+    from repro.experiments import report
+
+    print(report(args.experiment))
     return 0
+
+
+def _run_scenario(args) -> int:
+    from repro.lint.engine import LintError
+    from repro.resilience.checkpoint import ResilienceError
+    from repro.scenario import ScenarioError, find_scenario, run_scenario
+
+    try:
+        spec = find_scenario(args.experiment)
+        return run_scenario(
+            spec,
+            seed=args.seed,
+            until=args.until,
+            backend=args.backend,  # explicit CLI choice wins over the spec
+            sweep=args.sweep,
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_seconds=args.checkpoint_seconds,
+            resume=args.resume,
+        )
+    except (ScenarioError, LintError, ResilienceError) as exc:
+        print(exc.args[0] if exc.args else exc, file=sys.stderr)
+        return 2
 
 
 def _cmd_scenarios(args) -> int:
@@ -308,8 +298,8 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("list", help="list reproduction experiments").set_defaults(
         fn=_cmd_list
     )
-    p_run = sub.add_parser("run", help="run one experiment and print its report")
-    p_run.add_argument("experiment", help="experiment or resilience run id (see 'list')")
+    p_run = sub.add_parser("run", help="run one experiment or scenario")
+    p_run.add_argument("experiment", help="experiment id or scenario (see 'list')")
     p_run.add_argument(
         "--metrics",
         action="store_true",
@@ -317,13 +307,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_run.add_argument(
         "--until", type=float, default=None,
-        help="simulated-time horizon (resilience/scenario runs only; "
-        "default 5, or the scenario's declared horizon)",
+        help="simulated-time horizon (scenario runs only; default: the "
+        "scenario's declared horizon)",
     )
     p_run.add_argument(
         "--seed", type=int, default=None,
-        help="engine seed (resilience/scenario runs only; default 0, or "
-        "the scenario's declared seed)",
+        help="engine seed (scenario runs only; default: the scenario's "
+        "declared seed)",
     )
     p_run.add_argument(
         "--sweep", action="store_true",
@@ -332,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_run.add_argument(
         "--checkpoint-dir", metavar="DIR",
-        help="write repro.ckpt/1 checkpoints into DIR (resilience runs only)",
+        help="write repro.ckpt/1 checkpoints into DIR (scenario runs only)",
     )
     p_run.add_argument(
         "--checkpoint-every", type=int, metavar="N",

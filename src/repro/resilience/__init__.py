@@ -23,8 +23,6 @@ restartable and every recovery path testable:
   truncate/corrupt a checkpoint, fail an emit write.  Every recovery
   path of the executor and the checkpointer is exercised reproducibly
   in ``tests/test_chaos.py`` rather than trusted on faith.
-* :mod:`repro.resilience.runs` — named checkpointable engine runs for
-  ``python -m repro run <id> --checkpoint-dir D`` / ``--resume``.
 * :mod:`repro.resilience.supervisor` — the one supervised worker pool
   (a ``Process``, a task pipe and a result pipe per slot) and the one
   recovery ladder (retry after backoff, respawning only the lost slot,

@@ -1,134 +1,25 @@
-"""Named resilience runs: checkpointable ZGB engine configurations.
+"""Run helpers shared by the checkpointable ``repro run`` path.
 
-The ``python -m repro run`` command accepts, besides the experiment
-registry ids, the run ids defined here — small fixed ZGB configurations
-of every engine with a resume path.  They exist for two reasons:
-
-* an *operational* entry point: ``--checkpoint-dir``/``--resume`` turn
-  any of them into an interruptible, resumable run;
-* a *CI gate*: each run prints a deterministic digest line
-  (``digest <sha256/16> t=... trials=...``), so the workflow can
-  assert that checkpoint → kill → resume reproduces the uninterrupted
-  run bit for bit by comparing two lines of stdout.
-
-Every run id maps to a factory ``(seed) -> engine``; engines are
-deliberately small (seconds, not minutes) because their job is to
-exercise the resume path, not to generate physics.
+:func:`run_digest` is the machine-diffable fingerprint every scenario
+run prints (``digest <sha256/16> t=... trials=...``): two runs print
+the same line exactly when they reached a bit-identical point, so the
+CI gates can assert that checkpoint → kill → resume reproduces the
+uninterrupted run by comparing two lines of stdout.  The scenario
+runner (:mod:`repro.scenario.runner`) and the fingerprint gate
+(:mod:`repro.scenario.gates`) use the helpers here.
 """
 
 from __future__ import annotations
 
 import hashlib
-import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
-from .checkpoint import (
-    Checkpointer,
-    CheckpointPolicy,
-    ResilienceError,
-    last_good_checkpoint,
-    use_checkpoints,
-)
+from .checkpoint import ResilienceError, last_good_checkpoint
 
-__all__ = ["RUNS", "make_engine", "run_digest", "run_resilience"]
-
-#: default simulated-time horizon of the named runs
-DEFAULT_UNTIL = 5.0
-
-_SHAPE = (10, 10)
-_Y_CO = 0.51
-
-
-def _zgb_lattice():
-    from ..core.lattice import Lattice
-    from ..models.zgb import zgb_model
-
-    return zgb_model(_Y_CO), Lattice(_SHAPE)
-
-
-def _mk_rsm(seed: int):
-    from ..dmc.rsm import RSM
-
-    model, lat = _zgb_lattice()
-    return RSM(model, lat, seed=seed)
-
-
-def _mk_ndca(seed: int):
-    from ..ca.ndca import NDCA
-
-    model, lat = _zgb_lattice()
-    return NDCA(model, lat, seed=seed)
-
-
-def _mk_pndca(seed: int):
-    from ..ca.pndca import PNDCA
-    from ..partition.tilings import five_chunk_partition
-
-    model, lat = _zgb_lattice()
-    return PNDCA(
-        model, lat, seed=seed,
-        partition=five_chunk_partition(lat), strategy="random-order",
-    )
-
-
-def _mk_lpndca(seed: int):
-    from ..ca.lpndca import LPNDCA
-    from ..partition.tilings import five_chunk_partition
-
-    model, lat = _zgb_lattice()
-    return LPNDCA(
-        model, lat, seed=seed, partition=five_chunk_partition(lat), L=4,
-    )
-
-
-def _mk_ensemble_rsm(seed: int):
-    from ..ensemble.rsm import EnsembleRSM
-
-    model, lat = _zgb_lattice()
-    return EnsembleRSM(
-        model, lat, n_replicas=4, seed=seed, sample_interval=1.0,
-    )
-
-
-def _mk_ensemble_pndca(seed: int):
-    from ..ensemble.pndca import EnsemblePNDCA
-    from ..partition.tilings import five_chunk_partition
-
-    model, lat = _zgb_lattice()
-    return EnsemblePNDCA(
-        model, lat, n_replicas=4, seed=seed, sample_interval=1.0,
-        partition=five_chunk_partition(lat), strategy="random-order",
-        schedule_seed=0,
-    )
-
-
-#: run id -> (factory, one-line description)
-RUNS: dict[str, tuple[Callable[[int], Any], str]] = {
-    "zgb-rsm": (_mk_rsm, "ZGB / RSM on 10x10 (checkpointable)"),
-    "zgb-ndca": (_mk_ndca, "ZGB / NDCA on 10x10 (checkpointable)"),
-    "zgb-pndca": (_mk_pndca, "ZGB / PNDCA five-chunk on 10x10 (checkpointable)"),
-    "zgb-lpndca": (_mk_lpndca, "ZGB / L-PNDCA five-chunk, L=4 (checkpointable)"),
-    "zgb-ensemble-rsm": (
-        _mk_ensemble_rsm, "ZGB / stacked RSM ensemble, R=4 (checkpointable)",
-    ),
-    "zgb-ensemble-pndca": (
-        _mk_ensemble_pndca, "ZGB / stacked PNDCA ensemble, R=4 (checkpointable)",
-    ),
-}
-
-
-def make_engine(run_id: str, seed: int = 0):
-    """Instantiate the engine behind a resilience run id."""
-    try:
-        factory, _ = RUNS[run_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown resilience run {run_id!r}; choose from {sorted(RUNS)}"
-        ) from None
-    return factory(seed)
+__all__ = ["run_digest"]
 
 
 def run_digest(engine: Any) -> str:
@@ -178,64 +69,3 @@ def _resolve_resume(resume: str | Path, checkpoint_dir: str | Path | None) -> Pa
             raise ResilienceError(f"no good checkpoint found in {target}")
         return good
     return target
-
-
-def run_resilience(
-    run_id: str,
-    seed: int = 0,
-    until: float = DEFAULT_UNTIL,
-    checkpoint_dir: str | Path | None = None,
-    checkpoint_every: int | None = None,
-    checkpoint_seconds: float | None = None,
-    resume: str | Path | None = None,
-    out=None,
-) -> int:
-    """Execute one named resilience run (the CLI backend).
-
-    Prints a human summary plus the machine-diffable ``digest`` line;
-    returns a process exit code.
-    """
-    out = out if out is not None else sys.stdout
-    engine = make_engine(run_id, seed=seed)
-    if resume is not None:
-        path = _resolve_resume(resume, checkpoint_dir)
-        engine.resume(path)
-        print(f"resumed from {path}", file=out)
-    if _engine_time(engine) >= until:
-        # the checkpoint already reached (or passed) the horizon
-        print(f"nothing to do: t={_engine_time(engine):g} >= until={until:g}", file=out)
-        print(f"digest {run_digest(engine)} t={_engine_time(engine):.17g} "
-              f"trials={int(np.sum(engine.n_trials))}", file=out)
-        return 0
-
-    if checkpoint_dir is not None:
-        if checkpoint_every is None and checkpoint_seconds is None:
-            checkpoint_every = 10
-        ckpt = Checkpointer(
-            Path(checkpoint_dir),
-            CheckpointPolicy(
-                every_steps=checkpoint_every, every_seconds=checkpoint_seconds
-            ),
-            tag=run_id,
-        )
-        try:
-            with use_checkpoints(ckpt):
-                engine.run(until=until)
-        except KeyboardInterrupt as exc:
-            print(f"interrupted: {exc}", file=out)
-            print(f"digest {run_digest(engine)} t={_engine_time(engine):.17g} "
-                  f"trials={int(np.sum(engine.n_trials))}", file=out)
-            return 130
-        # final flush: short runs may never cross the policy cadence,
-        # and a completed run should always be resumable from its end
-        ckpt.flush(engine)
-        if ckpt.last_path is not None:
-            print(f"last checkpoint: {ckpt.last_path}", file=out)
-    else:
-        engine.run(until=until)
-
-    print(f"{run_id}: t={_engine_time(engine):g}, "
-          f"trials={int(np.sum(engine.n_trials))}", file=out)
-    print(f"digest {run_digest(engine)} t={_engine_time(engine):.17g} "
-          f"trials={int(np.sum(engine.n_trials))}", file=out)
-    return 0

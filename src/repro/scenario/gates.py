@@ -7,9 +7,9 @@ Three gate tiers, in increasing cost:
   :func:`repro.scenario.compile.lint_scenario`; a scenario that fails
   never reaches an engine.
 * **fingerprint** — a statistical-regression gate: the engine is run at
-  a fixed ``(seed, until)`` and its state digest (same
-  :func:`repro.resilience.runs.run_digest` the checkpoint CI gate
-  diffs) must equal the recorded value.  Determinism makes this an
+  a fixed ``(seed, until)`` and its state digest (the
+  :func:`repro.resilience.runs.run_digest` that ``repro run`` prints
+  and the checkpoint CI gate diffs) must equal the recorded value.  Determinism makes this an
   exact regression test of the entire stack — model compilation, RNG
   stream, kernels, engine — per scenario.
 * **meanfield** — a physics cross-check where tractable: selected

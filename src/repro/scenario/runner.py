@@ -2,10 +2,8 @@
 
 A scenario run prints, in order: a provenance header (scenario name,
 source, content digest), the run summary, and the machine-diffable
-``digest`` line in exactly the format of the resilience runs — so a
-scenario that reconstructs a Python-constructed configuration can be
-checked bit-identical by diffing two ``digest`` lines of stdout (the
-CI scenarios gate does this for ZGB).
+``digest`` line (:func:`repro.resilience.runs.run_digest`) — so two
+runs can be checked bit-identical by diffing two lines of stdout.
 
 Sweeps (``--sweep``) expand the scenario's declared grids into the
 cartesian product and run every point, one ``sweep ... digest ...``
@@ -16,13 +14,13 @@ executor, :func:`run_sweep_point`, is shared with the batch
 orchestrator (:mod:`repro.jobs`) — a job worker's digest line is
 bit-identical to the serial loop's because both are this function.
 
-Checkpointing works exactly as for the named resilience runs: all
-engines a scenario can construct implement the versioned checkpoint
-protocol, so ``--checkpoint-dir``/``--resume`` apply unchanged.  Under
-``--sweep``, ``--checkpoint-dir`` routes each grid point to its own
-``<dir>/<jobkey>/`` subdirectory (the same job keys the orchestrator
-uses); only ``--resume`` stays rejected there — resuming a sweep needs
-the write-ahead journal, i.e. ``repro sweep --resume``.
+All engines a scenario can construct implement the versioned
+checkpoint protocol, so ``--checkpoint-dir``/``--resume`` apply to
+every scenario.  Under ``--sweep``, ``--checkpoint-dir`` routes each
+grid point to its own ``<dir>/<jobkey>/`` subdirectory (the same job
+keys the orchestrator uses); only ``--resume`` stays rejected there —
+resuming a sweep needs the write-ahead journal, i.e.
+``repro sweep --resume``.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .compile import build_engine, lint_scenario
-from .spec import ScenarioSpec
+from .spec import ScenarioError, ScenarioSpec
 
 __all__ = [
     "provenance",
@@ -100,6 +98,45 @@ def _digest_line(engine) -> str:
     )
 
 
+def _run_engine(
+    engine,
+    until: float,
+    spec: ScenarioSpec,
+    checkpoint_dir: str | Path | None,
+    every: int | None,
+    seconds: float | None,
+    *,
+    signals: bool = True,
+) -> Path | None:
+    """Run ``engine`` to ``until``; returns the last checkpoint written.
+
+    Without ``checkpoint_dir`` nothing is checkpointed (``None``); with
+    only the directory set, a checkpoint is taken every 10 step blocks.
+    """
+    if checkpoint_dir is None:
+        engine.run(until=until)
+        return None
+    from ..resilience.checkpoint import (
+        Checkpointer,
+        CheckpointPolicy,
+        use_checkpoints,
+    )
+
+    if every is None and seconds is None:
+        every = 10
+    ckpt = Checkpointer(
+        Path(checkpoint_dir),
+        CheckpointPolicy(every_steps=every, every_seconds=seconds),
+        tag=spec.name,
+    )
+    with use_checkpoints(ckpt, signals=signals):
+        engine.run(until=until)
+    # final flush: short runs may never cross the policy cadence, and a
+    # completed run should always be resumable from its end
+    ckpt.flush(engine)
+    return ckpt.last_path
+
+
 def run_sweep_point(
     spec: ScenarioSpec,
     overrides: Mapping[str, Any],
@@ -130,29 +167,12 @@ def run_sweep_point(
     )
     horizon = spec.run.until if until is None else until
     run_until = o_until if o_until is not None else horizon
-    if checkpoint_dir is not None:
-        from ..resilience.checkpoint import (
-            Checkpointer,
-            CheckpointPolicy,
-            use_checkpoints,
-        )
-
-        if checkpoint_every is None and checkpoint_seconds is None:
-            checkpoint_every = 10
-        ckpt = Checkpointer(
-            Path(checkpoint_dir),
-            CheckpointPolicy(
-                every_steps=checkpoint_every, every_seconds=checkpoint_seconds
-            ),
-            tag=spec.name,
-        )
-        # signals stay with the caller: the orchestrator (or the serial
-        # sweep loop) owns interrupt semantics, not an individual point
-        with use_checkpoints(ckpt, signals=False):
-            engine.run(until=run_until)
-        ckpt.flush(engine)
-    else:
-        engine.run(until=run_until)
+    # signals stay with the caller: the orchestrator (or the serial
+    # sweep loop) owns interrupt semantics, not an individual point
+    _run_engine(
+        engine, run_until, spec, checkpoint_dir, checkpoint_every,
+        checkpoint_seconds, signals=False,
+    )
     label = format_overrides(overrides) or "(base)"
     return f"sweep {label} {_digest_line(engine)}"
 
@@ -183,16 +203,12 @@ def run_scenario(
 
     if sweep:
         if resume is not None:
-            from .spec import ScenarioError
-
             raise ScenarioError(
                 "--sweep --resume needs the write-ahead journal: use "
                 "`repro sweep <scenario> --journal DIR --resume` (the "
                 "batch orchestrator) to resume a sweep campaign"
             )
         if spec.sweep is None:
-            from .spec import ScenarioError
-
             raise ScenarioError(
                 f"scenario {spec.name!r} declares no [sweep] table"
             )
@@ -249,34 +265,17 @@ def run_scenario(
         print(_digest_line(engine), file=out)
         return 0
 
-    if checkpoint_dir is not None:
-        from ..resilience.checkpoint import (
-            Checkpointer,
-            CheckpointPolicy,
-            use_checkpoints,
+    try:
+        last = _run_engine(
+            engine, horizon, spec, checkpoint_dir, checkpoint_every,
+            checkpoint_seconds,
         )
-
-        if checkpoint_every is None and checkpoint_seconds is None:
-            checkpoint_every = 10
-        ckpt = Checkpointer(
-            Path(checkpoint_dir),
-            CheckpointPolicy(
-                every_steps=checkpoint_every, every_seconds=checkpoint_seconds
-            ),
-            tag=spec.name,
-        )
-        try:
-            with use_checkpoints(ckpt):
-                engine.run(until=horizon)
-        except KeyboardInterrupt as exc:
-            print(f"interrupted: {exc}", file=out)
-            print(_digest_line(engine), file=out)
-            return 130
-        ckpt.flush(engine)
-        if ckpt.last_path is not None:
-            print(f"last checkpoint: {ckpt.last_path}", file=out)
-    else:
-        engine.run(until=horizon)
+    except KeyboardInterrupt as exc:
+        print(f"interrupted: {exc}", file=out)
+        print(_digest_line(engine), file=out)
+        return 130
+    if last is not None:
+        print(f"last checkpoint: {last}", file=out)
 
     print(
         f"{spec.name}: t={_engine_time(engine):g}, "

@@ -32,10 +32,8 @@ from .parallel.domain import DomainDecomposedRSM
 __all__ = [
     "AlgorithmInfo",
     "REGISTRY",
-    "ENSEMBLE_REGISTRY",
     "list_algorithms",
     "make_simulator",
-    "make_ensemble",
     "describe_all",
 ]
 
@@ -152,40 +150,6 @@ REGISTRY: dict[str, AlgorithmInfo] = {
 def list_algorithms() -> list[str]:
     """The registered algorithm keys."""
     return sorted(REGISTRY)
-
-
-#: algorithms with a stacked multi-replica (ensemble) implementation;
-#: each is bit-identical per replica to the sequential class above
-ENSEMBLE_REGISTRY: dict[str, type] = {}
-
-
-def _fill_ensemble_registry() -> None:
-    # deferred import: repro.ensemble imports kernels/partition machinery
-    from .ensemble import EnsembleNDCA, EnsemblePNDCA, EnsembleRSM
-
-    ENSEMBLE_REGISTRY.update(
-        {"rsm": EnsembleRSM, "ndca": EnsembleNDCA, "pndca": EnsemblePNDCA}
-    )
-
-
-def make_ensemble(key: str, model: Model, lattice: Lattice, **kwargs):
-    """Construct the stacked multi-replica variant of an algorithm.
-
-    Same keys as :func:`make_simulator` for the algorithms that have an
-    ensemble implementation (``rsm``, ``ndca``, ``pndca``); kwargs are
-    the ensemble constructor's (``seeds`` / ``n_replicas`` + ``seed``,
-    ``sample_interval``, per-algorithm knobs).
-    """
-    if not ENSEMBLE_REGISTRY:
-        _fill_ensemble_registry()
-    try:
-        cls = ENSEMBLE_REGISTRY[key]
-    except KeyError:
-        raise KeyError(
-            f"no ensemble implementation for {key!r}; "
-            f"known: {sorted(ENSEMBLE_REGISTRY)}"
-        ) from None
-    return cls(model, lattice, **kwargs)
 
 
 def make_simulator(

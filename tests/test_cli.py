@@ -63,7 +63,7 @@ class TestCli:
         are rejected consistently now."""
         assert main(["run", "table1", *flags]) == 2
         err = capsys.readouterr().err
-        assert flags[0] in err and "only apply to resilience runs" in err
+        assert flags[0] in err and "only apply to scenario runs" in err
 
     def test_sweep_rejected_for_experiments(self, capsys):
         assert main(["run", "table1", "--sweep"]) == 2
@@ -161,6 +161,7 @@ class TestBadNumbers:
         assert captured.out == ""
         assert captured.err.splitlines() == [captured.err.strip()]
         assert captured.err.startswith(flag) and "Traceback" not in captured.err
+        return captured.err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_run_until(self, capsys, value):
@@ -177,6 +178,19 @@ class TestBadNumbers:
         rc = main(["run", "zgb", "--checkpoint-seconds", "nan",
                    "--checkpoint-dir", str(tmp_path / "ckpts")])
         self.assert_refused(capsys, rc, "--checkpoint-seconds")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--checkpoint-every", "5"], ["--checkpoint-seconds", "5"], ["--resume"]],
+        ids=["every", "seconds", "bare-resume"],
+    )
+    def test_run_checkpoint_flag_without_dir(self, capsys, tmp_path, monkeypatch, flags):
+        """Regression: the cadence flags wrote no checkpoint and exited 0;
+        a bare --resume printed the header and built the engine first."""
+        monkeypatch.chdir(tmp_path)
+        err = self.assert_refused(capsys, main(["run", "zgb", *flags]), flags[0])
+        assert "--checkpoint-dir" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_seed_negative(self, capsys, tmp_path):
         ckpt = tmp_path / "ckpts"
@@ -200,6 +214,31 @@ class TestBadNumbers:
                    "--journal", str(journal)])
         self.assert_refused(capsys, rc, "deadline")
         assert not journal.exists()
+
+
+def test_retired_run_ids_point_to_scenarios(capsys):
+    """The named ``zgb-*`` runs are gone; the refusal lists the
+    experiment ids and the zoo scenarios, so ``zgb`` is one line away."""
+    assert main(["run", "zgb-rsm"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("unknown experiment 'zgb-rsm'")
+    assert "'fig4'" in err and "'zgb'" in err and "'no-co'" in err
+
+
+def test_metrics_on_scenario_run(capsys):
+    """``--metrics`` prints a metrics block after a scenario's digest
+    line, and collecting metrics leaves the trajectory unchanged."""
+    assert main(["run", "zgb", "--until", "1"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["run", "zgb", "--until", "1", "--metrics"]) == 0
+    out = capsys.readouterr().out
+    digests = [ln for ln in out.splitlines() if ln.startswith("digest ")]
+    assert digests == [ln for ln in plain.splitlines() if ln.startswith("digest ")]
+    metrics = out.split(digests[0], 1)[1]
+    assert "counters:" in metrics and "trials.attempted" in metrics
 
 
 def test_bench_command_is_retired(capsys):

@@ -537,18 +537,18 @@ class TestSignalDiscipline:
 
 # ----------------------------------------------------------------------
 class TestCLI:
-    def test_round_trip_digest(self, ziff, tmp_path, capsys):
+    def test_round_trip_digest(self, tmp_path, capsys):
         from repro.__main__ import main
 
         d = str(tmp_path / "ckpts")
-        assert main(["run", "zgb-rsm", "--until", "2",
+        assert main(["run", "zgb", "--until", "2",
                      "--checkpoint-dir", d]) == 0
         full = capsys.readouterr().out
         digest = [ln for ln in full.splitlines() if ln.startswith("digest ")]
         assert len(digest) == 1
 
         # resume from the newest good checkpoint in the directory
-        assert main(["run", "zgb-rsm", "--until", "2", "--resume", d]) == 0
+        assert main(["run", "zgb", "--until", "2", "--resume", d]) == 0
         resumed = capsys.readouterr().out
         digest2 = [ln for ln in resumed.splitlines() if ln.startswith("digest ")]
         assert digest == digest2
@@ -558,15 +558,15 @@ class TestCLI:
         from repro.resilience import checkpoint_paths as ckpt_paths
 
         d = tmp_path / "ckpts"
-        assert main(["run", "zgb-pndca", "--until", "2",
+        assert main(["run", "no-co", "--until", "2",
                      "--checkpoint-dir", str(d), "--checkpoint-every", "3"]) == 0
         base = [ln for ln in capsys.readouterr().out.splitlines()
                 if ln.startswith("digest ")]
+        assert base[0].startswith("digest f7aacf8b5d26d623 ")
         paths = ckpt_paths(d)
-        assert len(paths) >= 2
-        mid = paths[len(paths) // 2]
-        assert main(["run", "zgb-pndca", "--until", "2",
-                     "--resume", str(mid)]) == 0
+        assert len(paths) == 27
+        assert main(["run", "no-co", "--until", "2",
+                     "--resume", str(paths[1])]) == 0
         resumed = [ln for ln in capsys.readouterr().out.splitlines()
                    if ln.startswith("digest ")]
         assert base == resumed
@@ -580,14 +580,14 @@ class TestCLI:
         from repro.__main__ import main
 
         assert main(["run", "table1", "--resume", "/nowhere"]) == 2
-        assert "resilience runs" in capsys.readouterr().err
+        assert "only apply to scenario runs" in capsys.readouterr().err
 
     def test_resume_corrupt_names_last_good(self, tmp_path, capsys):
         from repro.__main__ import main
         from repro.resilience import checkpoint_paths as ckpt_paths
 
         d = tmp_path / "ckpts"
-        assert main(["run", "zgb-rsm", "--until", "1",
+        assert main(["run", "zgb", "--until", "1",
                      "--checkpoint-dir", str(d), "--checkpoint-every", "1"]) == 0
         capsys.readouterr()
         paths = ckpt_paths(d)
@@ -597,7 +597,7 @@ class TestCLI:
         with pytest.raises(CheckpointCorruptError, match="last good checkpoint"):
             load_checkpoint(corrupt)
         # bare --resume from the directory silently skips the bad file
-        assert main(["run", "zgb-rsm", "--until", "1",
+        assert main(["run", "zgb", "--until", "1",
                      "--checkpoint-dir", str(d), "--resume"]) == 0
         out = capsys.readouterr().out
         assert "resumed from" in out
