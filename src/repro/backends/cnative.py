@@ -221,6 +221,55 @@ int64_t repro_run_interleaved(
     }
     return n_exec;
 }
+
+/* What a bound chunk visit trusts: the state, the packed tables, the
+ * type selection table cum (n_edges = its length - 1 interior edges,
+ * cum[n_edges] == 1) and counts (T,) int64 or NULL, all checked once
+ * when the visit is bound. */
+typedef struct {
+    uint8_t *state;
+    const int64_t *maps;
+    const uint8_t *srcs;
+    const uint8_t *tgts;
+    const int32_t *nch;
+    int64_t c_max;
+    int64_t n_sites;
+    const double *cum;
+    int64_t n_edges;
+    int64_t *counts;
+} repro_visit_t;
+
+#define REPRO_VISIT_BLOCK 1024
+
+/* One chunk visit from uniforms: each u in [0, 1) picks type
+ * #{e : u >= cum[e]}, mapped edge by edge over a block of trials into
+ * a local buffer (wide enough for any table), then the block runs
+ * through repro_run_trials.  Returns the number of executed trials. */
+int64_t repro_visit_uniforms(
+    const repro_visit_t *h,
+    const int64_t *sites,
+    const double *u,
+    int64_t n_trials)
+{
+    int64_t types[REPRO_VISIT_BLOCK];
+    int64_t n_exec = 0;
+    for (int64_t a = 0; a < n_trials; a += REPRO_VISIT_BLOCK) {
+        const double *ub = u + a;
+        const int64_t n =
+            n_trials - a < REPRO_VISIT_BLOCK ? n_trials - a : REPRO_VISIT_BLOCK;
+        for (int64_t j = 0; j < n; ++j)
+            types[j] = 0;
+        for (int64_t e = 0; e < h->n_edges; ++e) {
+            const double edge = h->cum[e];
+            for (int64_t j = 0; j < n; ++j)
+                types[j] += ub[j] >= edge;
+        }
+        n_exec += repro_run_trials(
+            h->state, h->maps, h->srcs, h->tgts, h->nch, h->c_max,
+            h->n_sites, sites + a, types, n, h->counts, (int64_t *)0);
+    }
+    return n_exec;
+}
 """
 
 
@@ -302,6 +351,7 @@ CTYPES_SIGNATURES: "dict[str, tuple[tuple[str, ...], str]]" = {
          "ptr", "ptr", "i64", "i64", "ptr", "i64"),
         "i64",
     ),
+    "repro_visit_uniforms": (("ptr", "ptr", "ptr", "i64"), "i64"),
 }
 
 _CTYPES_KINDS = {"ptr": ctypes.c_void_p, "i64": ctypes.c_int64}
@@ -734,6 +784,33 @@ def c_execute_type_everywhere(
     return _run_stream(state, compiled, s_arr, t_arr, None, None)
 
 
+class _VisitHandle(ctypes.Structure):
+    """The C ``repro_visit_t``: the addresses a bound visit trusts."""
+
+    arrays: tuple  # what the addresses point into, kept alive
+    _fields_ = [
+        ("state", ctypes.c_void_p),
+        ("maps", ctypes.c_void_p),
+        ("srcs", ctypes.c_void_p),
+        ("tgts", ctypes.c_void_p),
+        ("nch", ctypes.c_void_p),
+        ("c_max", ctypes.c_int64),
+        ("n_sites", ctypes.c_int64),
+        ("cum", ctypes.c_void_p),
+        ("n_edges", ctypes.c_int64),
+        ("counts", ctypes.c_void_p),
+    ]
+
+
+#: the visit kernels; on an engine's trial stream each equals strict
+#: sequential execution, so all three share ``repro_visit_uniforms``
+_VISIT_KERNELS = (
+    "run_trials_sequential",
+    "run_trials_batch",
+    "run_trials_batch_with_duplicates",
+)
+
+
 class CNativeBackend(Backend):
     """Tier-1 compiled backend: C via the system compiler + ctypes."""
 
@@ -742,6 +819,57 @@ class CNativeBackend(Backend):
 
     def available(self) -> bool:
         return cnative_available()
+
+    def bind_visit(
+        self,
+        state: np.ndarray,
+        compiled: CompiledModel,
+        counts: np.ndarray,
+        kernel: str,
+    ) -> Callable[[np.ndarray, np.ndarray], int]:
+        """One C call per visit, checked once here.
+
+        The state, the counts and the tables are checked at bind time
+        (dtype, shape, contiguity, ``cum[-1] == 1``) and their
+        addresses packed into a :class:`_VisitHandle`.  A call then
+        passes only the sites pointer, the uniforms pointer and the
+        length: the engines' streams are valid by construction (see
+        :mod:`repro.core.contracts`).  Anything the C entry cannot take
+        gets the default bind instead.
+        """
+        lib = _lib()
+        cum = compiled.type_cum
+        n_types = len(compiled.types)
+        if not (
+            lib is not None
+            and kernel in _VISIT_KERNELS
+            and np.dtype(np.intp) == np.int64
+            and state.dtype == np.uint8
+            and state.shape == (compiled.n_sites,)
+            and state.flags.c_contiguous
+            and counts.dtype == np.int64
+            and counts.shape == (n_types,)
+            and counts.flags.c_contiguous
+            and cum.dtype == np.float64
+            and cum.shape == (n_types,)
+            and cum.flags.c_contiguous
+            and cum[-1] == 1.0
+        ):
+            return super().bind_visit(state, compiled, counts, kernel)
+        maps, srcs, tgts, nch = cnative_tables(compiled)
+        handle = _VisitHandle(
+            state.ctypes.data, maps.ctypes.data, srcs.ctypes.data,
+            tgts.ctypes.data, nch.ctypes.data, maps.shape[1],
+            compiled.n_sites, cum.ctypes.data, n_types - 1, counts.ctypes.data,
+        )
+        handle.arrays = (state, maps, srcs, tgts, nch, cum, counts)
+        ref = ctypes.byref(handle)
+        call = lib.repro_visit_uniforms
+
+        def visit(sites: np.ndarray, u: np.ndarray) -> int:
+            return call(ref, sites.ctypes.data, u.ctypes.data, sites.size)
+
+        return visit
 
     def kernels(self) -> Mapping[str, Callable]:
         return {

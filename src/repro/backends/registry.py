@@ -132,6 +132,28 @@ class Backend:
             self._kernel_set = cached
         return cached
 
+    def bind_visit(self, state, compiled, counts, kernel: str) -> Callable:
+        """A chunk visit bound to one state array, model and counts.
+
+        Returns ``visit(sites, u)``: it maps the uniforms ``u`` to
+        reaction types with :func:`~repro.core.rng.types_from_uniforms`,
+        runs the :class:`KernelSet` entry named ``kernel`` over
+        ``(sites, types)`` against ``state``, adds the executed counts
+        per type to ``counts`` and returns how many trials executed.
+        Backends may override it with a faster call that trusts the
+        engines' streams (see :mod:`repro.core.contracts`).
+        """
+        from ..core.rng import types_from_uniforms
+
+        run = getattr(self.kernel_set(), kernel)
+        cum = compiled.type_cum
+
+        def visit(sites, u) -> int:
+            types = types_from_uniforms(cum, u)
+            return run(state, compiled, sites, types, counts=counts)
+
+        return visit
+
     def __repr__(self) -> str:
         return f"<Backend {self.name} tier={self.tier}>"
 

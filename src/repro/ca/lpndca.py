@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.rng import draw_types
 from ..dmc.base import SimulatorBase
 from ..partition.partition import Partition
 
@@ -123,33 +122,25 @@ class LPNDCA(SimulatorBase):
                 or (chunk_selection == "uniform" and self._equal_sizes)
             )
         )
+        self._visit_kernel = (
+            "run_trials_sequential"
+            if self._rsm_equivalent or self.uses_sequential_fallback
+            else "run_trials_batch_with_duplicates"
+        )
         self.algorithm = f"L-PNDCA[m={partition.m},L={L},{chunk_selection}]"
 
     # ------------------------------------------------------------------
-    def _visit(self, chunk: np.ndarray, n_trials: int, index: int = -1) -> None:
+    def _visit_trials(self, chunk: np.ndarray, n_trials: int, index: int = -1) -> None:
         """``n_trials`` random trials (with replacement) inside a chunk."""
-        comp = self.compiled
-        m = self.metrics
         if chunk.size == 1:
             sites = np.repeat(chunk, n_trials)
         else:
             sites = chunk[self.rng.integers(0, chunk.size, size=n_trials)]
-        types = draw_types(self.rng, comp.type_cum, n_trials)
-        if m.enabled:
-            executed0 = int(self.executed_per_type.sum())
-            self._record_attempts(types)
-        if self.uses_sequential_fallback:
-            self.kernels.run_trials_sequential(
-                self.state.array, comp, sites, types, counts=self.executed_per_type
-            )
-        else:
-            self.kernels.run_trials_batch_with_duplicates(
-                self.state.array, comp, sites, types, counts=self.executed_per_type
-            )
+        executed = self._visit_sites(sites)
         self.n_trials += n_trials
         self.time += self.time_increment(n_trials)
+        m = self.metrics
         if m.enabled:
-            executed = int(self.executed_per_type.sum()) - executed0
             m.inc("lpndca.chunk.visits")
             m.observe("lpndca.visit.L", n_trials)
             if n_trials:
@@ -171,14 +162,7 @@ class LPNDCA(SimulatorBase):
         p = self.partition
         n = self.lattice.n_sites
         if self._rsm_equivalent:
-            sites = self.rng.integers(0, n, size=n).astype(np.intp)
-            types = draw_types(self.rng, self.compiled.type_cum, n)
-            if self.metrics.enabled:
-                self._record_attempts(types)
-            self.kernels.run_trials_sequential(
-                self.state.array, self.compiled, sites, types,
-                counts=self.executed_per_type,
-            )
+            self._visit_sites(self.rng.integers(0, n, size=n).astype(np.intp))
             self.n_trials += n
             self.time += self.time_increment(n)
             self._notify()
@@ -196,7 +180,7 @@ class LPNDCA(SimulatorBase):
                 L = min(L, budget)
                 if L <= 0:
                     break
-                self._visit(chunk, L, int(i))
+                self._visit_trials(chunk, L, int(i))
                 budget -= L
             return n - budget if budget < n else n
         # repeat-loop selections
@@ -206,6 +190,6 @@ class LPNDCA(SimulatorBase):
             chunk = p.chunks[i]
             L = chunk.size if self.L == "chunk" else int(self.L)
             L = min(L, n - trials)
-            self._visit(chunk, L, i)
+            self._visit_trials(chunk, L, i)
             trials += L
         return n

@@ -13,8 +13,10 @@ Section 5::
 
 Because the partition's chunks satisfy the non-overlap rule, *all
 sites of a chunk can be updated simultaneously* — the source of
-parallelism.  In this package a chunk update is a single vectorised
-batch (:func:`repro.core.kernels.run_trials_batch`); the
+parallelism.  In this package a chunk update is a single call of the
+backend's bound visit (:meth:`repro.backends.Backend.bind_visit`): the
+vectorised batch (:func:`repro.core.kernels.run_trials_batch`) under
+``numpy``, one C call under ``cnative``; the
 multiprocessing executor (:mod:`repro.parallel.executor`) distributes
 the same batches over worker processes, and the stacked ensemble
 (:class:`repro.ensemble.EnsemblePNDCA`) extends them across R
@@ -45,7 +47,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.rng import draw_types
 from ..dmc.base import SimulatorBase
 from ..partition.partition import Partition
 
@@ -111,6 +112,13 @@ class PNDCA(SimulatorBase):
         self.uses_sequential_fallback = any(
             not p.is_conflict_free(self.model) for p in partitions
         )
+        # the fallback visits a chunk's sites in storage order (the
+        # paper's pseudo-code does not prescribe one) and draws the same
+        # randoms, so the two kernels agree on conflict-free chunks
+        self._visit_kernel = (
+            "run_trials_sequential" if self.uses_sequential_fallback
+            else "run_trials_batch"
+        )
         self.algorithm = f"PNDCA[{strategy},m={self.partition.m}]"
         if len(partitions) > 1:
             self.algorithm = (
@@ -146,30 +154,11 @@ class PNDCA(SimulatorBase):
     # ------------------------------------------------------------------
     def _visit_chunk(self, chunk: np.ndarray, index: int = -1) -> None:
         """One trial per site of the chunk, then advance the time."""
-        comp = self.compiled
-        m = self.metrics
-        types = draw_types(self.rng, comp.type_cum, chunk.size)
-        if m.enabled:
-            executed0 = int(self.executed_per_type.sum())
-            self._record_attempts(types)
-        if self.uses_sequential_fallback:
-            # site visiting order follows the chunk's storage order (the
-            # paper's pseudo-code does not prescribe one); keeping the
-            # rng consumption identical to the vectorised path makes the
-            # two kernels bit-compatible on conflict-free chunks
-            self.kernels.run_trials_sequential(
-                self.state.array, comp, chunk, types,
-                counts=self.executed_per_type,
-            )
-        else:
-            self.kernels.run_trials_batch(
-                self.state.array, comp, chunk, types,
-                counts=self.executed_per_type,
-            )
+        executed = self._visit_sites(chunk)
         self.n_trials += chunk.size
         self.time += self.time_increment(chunk.size)
+        m = self.metrics
         if m.enabled:
-            executed = int(self.executed_per_type.sum()) - executed0
             m.inc("pndca.chunk.visits")
             m.observe("pndca.chunk.size", chunk.size)
             m.observe("pndca.chunk.occupancy", chunk.size / self.lattice.n_sites)

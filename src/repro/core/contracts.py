@@ -16,6 +16,25 @@
 
 The decorator returns the function unchanged and registers it in
 :data:`KERNEL_REGISTRY`.
+
+Trusted streams
+---------------
+The ``cnative`` twins of the public kernels bound-check every site and
+type before their C code runs, because external callers and
+:mod:`repro.backends.fuzz` reach them with arbitrary input.  A chunk
+visit bound by :meth:`repro.backends.Backend.bind_visit` checks
+nothing per call: the engines' streams are valid by construction, for
+two reasons.
+
+* Sites.  :class:`~repro.partition.partition.Partition` checks at
+  construction that its chunks hold every lattice site exactly once,
+  all within ``[0, N)``.  PNDCA visits whole chunks, L-PNDCA draws its
+  sites from a chunk (or, at L = 1, uniformly from ``[0, N)``), and
+  :meth:`~repro.parallel.executor.ParallelChunkExecutor.execute_chunk`
+  range-checks the sites it splits into slices.
+* Types.  :func:`~repro.core.rates.selection_table` pins
+  ``cum[-1] == 1``, so a uniform ``u`` in ``[0, 1)`` maps to the type
+  ``#{e : u >= cum[e]}``, which is at most ``n_types - 1``.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from __future__ import annotations
 import time as _wall
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from ..core.compiled import CompiledModel
 from ..core.events import EventTrace
 from ..core.lattice import Lattice
 from ..core.model import Model
-from ..core.rng import make_rng
+from ..core.rng import make_rng, types_from_uniforms
 from ..core.state import Configuration
 from ..obs.metrics import CountingGenerator, MetricsCollector, RunMetrics, current_metrics
 from ..obs.trace import NULL_TRACER, Tracer
@@ -316,6 +316,11 @@ class SimulatorBase(ABC):
         self.executed_per_type = np.zeros(model.n_types, dtype=np.int64)
         #: per-type attempted-trial totals (filled only when metrics on)
         self._attempted_per_type = np.zeros(model.n_types, dtype=np.int64)
+        #: the backend's chunk visit and the state array it is bound to
+        #: (see _visit_sites); the uniforms buffer it reads, grown on use
+        self._visit_state: np.ndarray | None = None
+        self._visit: Any = None
+        self._uniforms = np.empty(0)
 
         #: rate of the per-trial waiting-time distribution, N * K
         self.nk_rate = lattice.n_sites * self.compiled.total_rate
@@ -351,6 +356,36 @@ class SimulatorBase(ABC):
             return
         for obs in self.observers:
             obs.maybe_sample(self.time, self.state)
+
+    #: the dispatch kernel a chunk visit runs (engines with visits set it)
+    _visit_kernel = "run_trials_sequential"
+
+    def _visit_sites(self, sites: np.ndarray) -> int:
+        """One trial at each of ``sites``: a chunk visit; returns the
+        number of trials that executed.
+
+        The uniforms that pick the reaction types are drawn into the
+        engine's buffer (the very draws :func:`~repro.core.rng.draw_types`
+        makes) and passed with ``sites`` to the backend's bound visit
+        (:meth:`~repro.backends.Backend.bind_visit`).  The visit is bound
+        on first use and again whenever ``state.array`` is a different
+        array from the one it was bound to: ``ParallelPNDCA`` rebinds it
+        into shared memory after construction.
+        """
+        n = sites.size
+        if self._uniforms.size < n:
+            self._uniforms = np.empty(n)
+        u = self.rng.random(out=self._uniforms[:n])
+        if self._visit_state is not self.state.array:
+            self._visit_state = self.state.array
+            self._visit = self.backend.bind_visit(
+                self.state.array, self.compiled, self.executed_per_type,
+                self._visit_kernel,
+            )
+        executed = self._visit(sites, u)
+        if self.metrics.enabled:
+            self._record_attempts(types_from_uniforms(self.compiled.type_cum, u))
+        return executed
 
     def _record_attempts(self, types: np.ndarray) -> None:
         """Accumulate per-type attempted-trial counts (metrics path only)."""

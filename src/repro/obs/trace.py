@@ -133,7 +133,7 @@ class Tracer:
 
     # -- export --------------------------------------------------------
     def to_records(self) -> list[dict]:
-        """Spans + events as JSON-ready dicts (for the jsonl emitter)."""
+        """Spans + events as JSON-ready dicts, one per span or event."""
         records: list[dict] = [s.to_dict() for s in self.spans]
         records += [
             {"kind": kind, "wall": wall, "sim_time": sim_time, **payload}

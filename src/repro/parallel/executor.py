@@ -75,13 +75,14 @@ def _init_worker(
     backend_name: str = "numpy",
 ):
     """Worker setup: attach to the shared state and the trial stream,
-    compile the model and allocate the slice's type buffer.
+    compile the model and bind the backend's chunk visit to them.
 
-    Returns the worker's task handler, :func:`_run_slice` bound to all
-    of them.  Backends are not picklable (a compiled one holds
-    library handles), so the master ships only the backend *name*;
-    each worker re-resolves it locally — quietly, since the master
-    already warned once if the requested backend had to fall back.
+    Returns the worker's task handler, :func:`_run_slice` bound to the
+    visit, its counts buffer and the stream.  Backends are not
+    picklable (a compiled one holds library handles), so the master
+    ships only the backend *name*; each worker re-resolves it locally —
+    quietly, since the master already warned once if the requested
+    backend had to fall back.
     """
     global _worker_shm
     _worker_shm = (
@@ -91,32 +92,31 @@ def _init_worker(
     state = np.ndarray((n_sites,), dtype=np.uint8, buffer=_worker_shm[0].buf)
     sites, u = _stream_views(_worker_shm[1].buf, n_sites)
     try:
-        kernels = resolve_backend(backend_name, warn=False).kernel_set()
+        backend = resolve_backend(backend_name, warn=False)
     except ValueError:
         # a custom backend registered only in the master is invisible
         # to a spawn-context worker; degrade to the reference kernels
         # rather than fail the setup (results are identical by contract)
-        kernels = resolve_backend("numpy").kernel_set()
-    types = np.empty(n_sites, dtype=np.intp)
-    return partial(_run_slice, state, model.compile(lattice), kernels, sites, u, types)
+        backend = resolve_backend("numpy")
+    compiled = model.compile(lattice)
+    counts = np.zeros(compiled.n_types, dtype=np.int64)
+    visit = backend.bind_visit(state, compiled, counts, "run_trials_batch")
+    return partial(_run_slice, visit, counts, sites, u)
 
 
-def _run_slice(
-    state, compiled, kernels, sites, u, types, job
-) -> tuple[np.ndarray, float]:
+def _run_slice(visit, counts, sites, u, job) -> tuple[np.ndarray, float]:
     """Execute trials ``a:b`` of the trial stream, ``job = (a, b)``.
 
-    Maps the slice's uniforms to reaction types in the worker's own
-    buffer, then runs the conflict-free batch.  Returns the per-type
-    executed counts plus the slice's wall time — the per-worker timing
-    the master aggregates at the chunk barrier.
+    One bound visit maps the slice's uniforms to reaction types and
+    runs the conflict-free batch.  Returns the per-type executed counts
+    plus the slice's wall time — the per-worker timing the master
+    aggregates at the chunk barrier.
     """
     a, b = job
     w0 = _time.perf_counter()
-    types_from_uniforms(compiled.type_cum, u[a:b], out=types[a:b])
-    counts = np.zeros(compiled.n_types, dtype=np.int64)
-    kernels.run_trials_batch(state, compiled, sites[a:b], types[a:b], counts=counts)
-    return counts, _time.perf_counter() - w0
+    counts[:] = 0
+    visit(sites[a:b], u[a:b])
+    return counts.copy(), _time.perf_counter() - w0
 
 
 class ParallelChunkExecutor:
@@ -215,8 +215,8 @@ class ParallelChunkExecutor:
         self.max_retries = max_retries
         self.chaos = chaos
         self.backend = resolve_backend(backend)
-        self._kernels = self.backend.kernel_set()
-        self._compiled_master = None
+        #: the serial rung's bound visit and counts, bound on first use
+        self._serial: tuple | None = None
         # mark closed until fully constructed so that __del__ after a
         # failed __init__ never touches half-built resources
         self._closed = True
@@ -328,10 +328,14 @@ class ParallelChunkExecutor:
             )
         if n == 0:
             return np.zeros(len(self.model.reaction_types), dtype=np.int64)
-        if self._ladder.degraded:
-            return self._exec_serial(sites, uniforms)
+        if sites.min() < 0 or sites.max() >= self.lattice.n_sites:
+            raise ValueError(
+                f"chunk sites must lie in [0, {self.lattice.n_sites})"
+            )
         self._sites[:n] = sites
         self._uniforms[:n] = uniforms
+        if self._ladder.degraded:
+            return self._exec_serial(n)
         bounds = np.linspace(0, n, self.n_workers + 1).astype(int).tolist()
         jobs = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         m = self.metrics
@@ -370,7 +374,7 @@ class ParallelChunkExecutor:
         m.inc("executor.degraded")
         if tracer.enabled:
             tracer.on_recovery("serial-fallback", {"after_retries": self.max_retries})
-        return self._exec_serial(sites, uniforms)
+        return self._exec_serial(n)
 
     def _dispatch(
         self, jobs: list[tuple]
@@ -413,24 +417,26 @@ class ParallelChunkExecutor:
                 m.observe("executor.slice.wall", slice_wall)
         return np.sum([c for c, _ in results], axis=0).astype(np.int64), None, []
 
-    def _exec_serial(self, sites: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """In-process execution of one chunk batch (the last rung): the
-        master maps the types, then runs the *selected* backend, so a
-        run that degrades mid-way executes the very kernels the workers
-        did."""
-        if self._compiled_master is None:
-            self._compiled_master = self.model.compile(self.lattice)
-        comp = self._compiled_master
+    def _exec_serial(self, n: int) -> np.ndarray:
+        """In-process execution of the stream's first ``n`` trials (the
+        last rung): the master runs the *selected* backend's bound
+        visit, so a run that degrades mid-way executes the very kernels
+        the workers did."""
+        if self._serial is None:
+            comp = self.model.compile(self.lattice)
+            counts = np.zeros(comp.n_types, dtype=np.int64)
+            visit = self.backend.bind_visit(self.state, comp, counts, "run_trials_batch")
+            self._serial = (visit, counts)
+        visit, counts = self._serial
         w0 = _time.perf_counter()
-        types = types_from_uniforms(comp.type_cum, uniforms)
-        counts = np.zeros(comp.n_types, dtype=np.int64)
-        self._kernels.run_trials_batch(self.state, comp, sites, types, counts=counts)
+        counts[:] = 0
+        visit(self._sites[:n], self._uniforms[:n])
         m = self.metrics
         if m.enabled:
             m.observe("executor.chunk.wall", _time.perf_counter() - w0)
             m.inc("executor.chunks")
             m.inc("executor.serial_chunks")
-        return counts
+        return counts.copy()
 
     # ------------------------------------------------------------------
     def _release_shm(self) -> None:

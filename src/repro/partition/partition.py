@@ -109,9 +109,14 @@ class Partition:
             raise ValueError(
                 f"chunks contain {total} sites, lattice has {lattice.n_sites}"
             )
-        seen = np.concatenate(self.chunks) if self.chunks else np.empty(0, np.intp)
-        uniq = np.unique(seen)
-        if uniq.size != lattice.n_sites or (uniq.size and (uniq[0] != 0 or uniq[-1] != lattice.n_sites - 1)):
+        # every site exactly once: in range, then one bincount (the
+        # engines trust chunk sites from here on, see repro.core.contracts);
+        # total == n_sites >= 1, so there is at least one site
+        seen = np.concatenate(self.chunks)
+        n = lattice.n_sites
+        if seen.min() < 0 or seen.max() >= n or not (
+            np.bincount(seen, minlength=n) == 1
+        ).all():
             raise ValueError("chunks are not disjoint or do not cover the lattice")
         if any(c.size == 0 for c in self.chunks):
             raise ValueError("empty chunks are not allowed")

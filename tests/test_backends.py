@@ -15,6 +15,8 @@ Layout
 * kernel-level differential smoke (fast) and the full
   models x shapes x kernels matrix (marked ``slow``; the CI backend
   matrix job runs it explicitly);
+* the bound chunk visit: ``cnative``'s one C call against the
+  default bind, on uniforms that hit every rate-table edge;
 * seeded *mutant* twins the harness must catch — a differential
   harness that cannot fail is not evidence — and seeded mutants of the
   shipped C source, each run against the suite in its own subprocess
@@ -29,6 +31,7 @@ Layout
   256 x 256.
 """
 
+import ctypes
 import os
 import re
 import subprocess
@@ -278,6 +281,95 @@ class TestDifferentialSmoke:
         assert mismatches == []
 
 
+def _many_types_1d(k: int) -> Model:
+    """``k`` single-site adsorptions of distinct species at distinct
+    rates: more than 16 types takes ``types_from_uniforms``'s
+    ``searchsorted`` branch, and the state records which type ran."""
+    species = ["*", *(f"S{i}" for i in range(k))]
+    types = [
+        ReactionType(f"ads{i}", [((0,), "*", f"S{i}")], 1.0 + i)
+        for i in range(k)
+    ]
+    return Model(species, types, name=f"adsorption-{k}")
+
+
+def _edge_uniforms(cum: np.ndarray, rng, n: int) -> np.ndarray:
+    """``n`` fuzzed uniforms holding every exact interior edge of
+    ``cum``, the double just below each, 0.0 and the largest double
+    below 1."""
+    edges = cum[:-1]
+    special = np.concatenate(
+        [edges, np.nextafter(edges, 0.0), [0.0, np.nextafter(1.0, 0.0)]]
+    )
+    u = rng.random(n)
+    u[: special.size] = special
+    rng.shuffle(u)
+    return u
+
+
+@requires_compiled
+class TestBoundVisit:
+    """``cnative``'s bound visit (one C call that maps the uniforms
+    itself) equals the default bind (``types_from_uniforms`` then the
+    reference kernel) on state, counts and return value."""
+
+    MODELS = {
+        "ziff": (lambda: ziff_model(k_co=1.0, k_o2=0.5, k_co2=2.0), (30, 30)),
+        "one-type": (_adsorption_1d, (64,)),
+        "20-types": (lambda: _many_types_1d(20), (1500,)),
+    }
+
+    def _streams(self, comp, kernel, rng):
+        """Sites valid for ``kernel``'s contract, with edge uniforms."""
+        n_sites = comp.n_sites
+        if kernel == "run_trials_sequential":
+            sites = rng.integers(0, n_sites, 2500).astype(np.intp)
+        else:
+            sites = conflict_free_sites(comp, rng)
+            if kernel == "run_trials_batch_with_duplicates":
+                sites = rng.choice(sites, 2500).astype(np.intp)
+        return sites, _edge_uniforms(comp.type_cum, rng, sites.size)
+
+    @pytest.mark.parametrize("kernel", cnative._VISIT_KERNELS)
+    @pytest.mark.parametrize("model_name", list(MODELS))
+    def test_c_visit_equals_the_default_bind(self, model_name, kernel):
+        make, shape = self.MODELS[model_name]
+        comp = make().compile(Lattice(shape))
+        n_species = len(comp.model.species)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            state0 = np.where(
+                rng.random(comp.n_sites) < 0.5, 0,
+                rng.integers(0, n_species, comp.n_sites),
+            ).astype(np.uint8)
+            sites, u = self._streams(comp, kernel, rng)
+            out = {}
+            for name in ("numpy", *COMPILED):
+                state = state0.copy()
+                counts = np.zeros(comp.n_types, dtype=np.int64)
+                visit = get_backend(name).bind_visit(state, comp, counts, kernel)
+                if name == "cnative":
+                    assert "CNativeBackend" in visit.__qualname__  # the C path
+                out[name] = (visit(sites, u), state, counts)
+            ref = out.pop("numpy")
+            for name, got in out.items():
+                assert got[0] == ref[0], (name, seed)
+                assert np.array_equal(got[1], ref[1]), (name, seed)
+                assert np.array_equal(got[2], ref[2]), (name, seed)
+
+    def test_unbindable_counts_get_the_default_bind(self, ziff, small_lattice):
+        comp = ziff.compile(small_lattice)
+        state = np.zeros(comp.n_sites, dtype=np.uint8)
+        counts = np.zeros(comp.n_types, dtype=np.int32)  # not the ABI dtype
+        visit = get_backend("cnative").bind_visit(
+            state, comp, counts, "run_trials_sequential"
+        )
+        assert "CNativeBackend" not in visit.__qualname__
+        rng = np.random.default_rng(2)
+        sites = rng.integers(0, comp.n_sites, 200).astype(np.intp)
+        assert visit(sites, rng.random(200)) == counts.sum() > 0
+
+
 @requires_compiled
 @pytest.mark.slow
 class TestDifferentialMatrix:
@@ -412,17 +504,24 @@ class TestUndeclaredWrites:
 # ----------------------------------------------------------------------
 _PROTOTYPE = re.compile(r"int64_t\s+(repro_\w+)\s*\(([^)]*)\)")
 _INT32_DECL = re.compile(r"\bint32_t\s*\*?\s*(\w+)")
+_DECL = re.compile(r"(?:const\s+)?(\w+)\s*(\*?)\s*\w+")
+_VISIT_STRUCT = re.compile(r"typedef struct \{([^}]*)\} repro_visit_t;")
+
+
+def _decls(text: str, sep: str) -> "list[tuple[str, bool]]":
+    """``[(C type, is_pointer), ...]`` of ``sep``-separated declarations."""
+    out = []
+    for decl in filter(None, (d.strip() for d in text.split(sep))):
+        ctype, star = _DECL.fullmatch(decl).groups()
+        out.append((ctype, star == "*"))
+    return out
 
 
 def c_prototypes(source: str) -> "dict[str, list[tuple[str, bool]]]":
-    """``repro_*`` entry point -> ``[(C scalar type, is_pointer), ...]``."""
-    protos = {}
-    for name, params in _PROTOTYPE.findall(source):
-        protos[name] = [
-            (re.search(r"\w+_t\b", p).group(0), "*" in p)
-            for p in params.split(",")
-        ]
-    return protos
+    """``repro_*`` entry point -> ``[(C type, is_pointer), ...]``."""
+    return {
+        name: _decls(params, ",") for name, params in _PROTOTYPE.findall(source)
+    }
 
 
 class TestCPrototypes:
@@ -442,6 +541,17 @@ class TestCPrototypes:
 
     def test_int32_only_for_the_change_counts(self):
         assert set(_INT32_DECL.findall(cnative._C_SOURCE)) <= {"nch", "nc", "c"}
+
+    def test_visit_handle_mirrors_the_c_struct(self):
+        """``repro_visit_uniforms`` reads its tables through a struct:
+        its ctypes mirror must list the same fields, in order, with the
+        same pointer/int64 kinds."""
+        fields = _decls(_VISIT_STRUCT.search(cnative._C_SOURCE).group(1), ";")
+        mirror = cnative._VisitHandle._fields_
+        assert len(fields) == len(mirror)
+        for (ctype, is_ptr), (name, kind) in zip(fields, mirror):
+            assert is_ptr == (kind is ctypes.c_void_p), name
+            assert is_ptr or (ctype, kind) == ("int64_t", ctypes.c_int64), name
 
 
 #: name -> (target, old, new, count, killer).  The textual mutants of
@@ -484,6 +594,10 @@ C_MUTANTS = {
         1,
         "differential",
     ),
+    "strict-edge-in-visit": (
+        "source", "types[j] += ub[j] >= edge;", "types[j] += ub[j] > edge;", 1,
+        "differential",
+    ),
     "swapped-argtypes": ("ctypes", "repro_run_trials", (0, 5), None, "prototypes"),
     "int32-offset": (
         "source",
@@ -499,6 +613,7 @@ _HERE = Path(__file__).resolve()
 _KILLERS = {
     "differential": [
         f"{_HERE}::TestDifferentialSmoke",
+        f"{_HERE}::TestBoundVisit",
         f"{_HERE}::TestEngineBitIdentity",
     ],
     "prototypes": [f"{_HERE}::TestCPrototypes"],
@@ -667,6 +782,10 @@ def _engine_factories(small_lattice):
         "lpndca": lambda m, metrics: LPNDCA(
             m, small_lattice, seed=9, partition=p5(), L="chunk", metrics=metrics
         ),
+        # L = 1, size-proportional: the RSM-equivalent whole-step visit
+        "lpndca-l1": lambda m, metrics: LPNDCA(
+            m, small_lattice, seed=9, partition=p5(), L=1, metrics=metrics
+        ),
         "typepart": lambda m, metrics: TypePartitionedCA(
             m, small_lattice, seed=9, metrics=metrics
         ),
@@ -684,24 +803,44 @@ class TestEngineBitIdentity:
     ):
         from repro.obs import MetricsCollector
 
-        def run(backend_name):
-            collector = MetricsCollector()
+        collectors = MetricsCollector(), MetricsCollector()
+        self._assert_runs_identical(
+            ziff, small_lattice, engine, backend, collectors
+        )
+        snap_a, snap_b = (c.snapshot() for c in collectors)
+        draws_a = {k: v for k, v in snap_a.counters.items() if k.startswith("rng.")}
+        draws_b = {k: v for k, v in snap_b.counters.items() if k.startswith("rng.")}
+        assert draws_a == draws_b  # draw-for-draw RNG parity
+
+    @pytest.mark.parametrize(
+        "engine", ["rsm", "ndca", "pndca", "lpndca", "lpndca-l1", "typepart"]
+    )
+    @pytest.mark.parametrize("backend", COMPILED or ["numpy"])
+    def test_metrics_off_run_is_bit_identical(
+        self, ziff, small_lattice, engine, backend
+    ):
+        """The path the benchmarks run: no collector, raw generator."""
+        from repro.obs import NULL_METRICS
+
+        self._assert_runs_identical(
+            ziff, small_lattice, engine, backend, (NULL_METRICS, NULL_METRICS)
+        )
+
+    @staticmethod
+    def _assert_runs_identical(ziff, small_lattice, engine, backend, collectors):
+        def run(backend_name, collector):
             # the backend is resolved at construction, so the engine must
             # be built inside the ambient block
             with use_backend(backend_name):
                 sim = _engine_factories(small_lattice)[engine](ziff, collector)
-                res = sim.run(until=3.0)
-            return res, collector.snapshot()
+                return sim.run(until=3.0)
 
-        res_a, snap_a = run("numpy")
-        res_b, snap_b = run(backend)
+        res_a = run("numpy", collectors[0])
+        res_b = run(backend, collectors[1])
         assert np.array_equal(res_a.final_state.array, res_b.final_state.array)
         assert res_a.final_time == res_b.final_time
         assert res_a.n_trials == res_b.n_trials
         assert np.array_equal(res_a.executed_per_type, res_b.executed_per_type)
-        draws_a = {k: v for k, v in snap_a.counters.items() if k.startswith("rng.")}
-        draws_b = {k: v for k, v in snap_b.counters.items() if k.startswith("rng.")}
-        assert draws_a == draws_b  # draw-for-draw RNG parity
 
     @pytest.mark.parametrize("backend", COMPILED or ["numpy"])
     def test_ensembles_bit_identical(self, ziff, small_lattice, backend):

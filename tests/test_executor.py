@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.backends import available_backends
 from repro.ca import PNDCA
 from repro.core import Lattice
 from repro.core.rates import selection_table
@@ -97,7 +98,10 @@ class TestExecutor:
 
     @pytest.mark.parametrize(
         "bad",
-        ["short", "long", "2-d", "0-d", "int-uniforms", "float-sites", "over-n-sites"],
+        [
+            "short", "long", "2-d", "0-d", "int-uniforms", "float-sites",
+            "over-n-sites", "negative-site", "site-past-the-lattice",
+        ],
     )
     def test_bad_chunk_input_fails_closed(self, ziff, setup, bad):
         """Malformed input is a caller error: it raises in the master
@@ -119,6 +123,11 @@ class TestExecutor:
             "over-n-sites": (
                 np.arange(lat.n_sites + 1) % lat.n_sites,
                 np.zeros(lat.n_sites + 1),
+            ),
+            # the workers' bound visits trust every site they are given
+            "negative-site": (np.concatenate([chunk[:-1], [-1]]), u),
+            "site-past-the-lattice": (
+                np.concatenate([chunk[:-1], [lat.n_sites]]), u
             ),
         }[bad]
         m = MetricsCollector()
@@ -281,6 +290,32 @@ class TestParallelPNDCA:
         assert rs.n_executed == rp.n_executed
         assert np.array_equal(rs.executed_per_type, rp.executed_per_type)
         assert rs.final_time == pytest.approx(rp.final_time)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_mid_run_handover_to_shared_memory(self, ziff, setup, backend):
+        """The hazard behind the bound visit's state check: a PNDCA that
+        has already visited gets its state array rebound onto the
+        executor's shared memory, as ``ParallelPNDCA.__init__`` does,
+        and must go on writing the live array, not the one it was bound
+        to first."""
+        lat, p5 = setup
+
+        def mk():
+            return PNDCA(
+                ziff, lat, seed=11, partition=p5, strategy="ordered",
+                backend=backend,
+            )
+
+        rs = mk().run(until=4.0)
+        sim = mk()
+        sim.run(until=2.0)
+        with ParallelChunkExecutor(ziff, lat, n_workers=1) as ex:
+            ex.load_state(sim.state.array)
+            sim.state.array = ex.state
+            sim.run(until=4.0)
+            handed_over = ex.state.copy()
+        assert np.array_equal(rs.final_state.array, handed_over)
+        assert np.array_equal(rs.executed_per_type, sim.executed_per_type)
 
     def test_eight_workers_bit_identical(self, ziff):
         """Stress the shared trial stream with more workers than a CI

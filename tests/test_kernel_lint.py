@@ -171,6 +171,16 @@ MUTANTS = {
         "types_blk[r] = draw_types(self.rngs[0], comp.type_cum, n)",
         [f"{_ENSEMBLE}::test_rsm_bit_identical"],
     ),
+    # a bound chunk visit kept after state.array was rebound
+    "stale-state-handle": (
+        "dmc/base.py",
+        "if self._visit_state is not self.state.array:",
+        "if self._visit is None:",
+        [
+            "tests/test_executor.py::TestParallelPNDCA"
+            "::test_mid_run_handover_to_shared_memory"
+        ],
+    ),
     "extra-replica-draw": (
         "ensemble/ndca.py",
         "            rng = self.rngs[r]\n",

@@ -48,6 +48,17 @@ class TestPartitionConstruction:
         with pytest.raises(ValueError):
             Partition(small_lattice, [np.arange(small_lattice.n_sites - 1)])
 
+    @pytest.mark.parametrize("extra", [0, -1, "n"])
+    def test_duplicate_or_out_of_range_site_is_named(self, small_lattice, extra):
+        """The site count matches, so only the coverage check can tell:
+        a duplicate, a negative and a too-large site all raise the same
+        named error (the engines trust chunk sites from here on)."""
+        n = small_lattice.n_sites
+        extra = n if extra == "n" else extra
+        rest = np.arange(1, n) if extra == -1 else np.arange(n - 1)
+        with pytest.raises(ValueError, match="not disjoint or do not cover"):
+            Partition(small_lattice, [rest, np.array([extra])])
+
     def test_rejects_empty_chunk(self, small_lattice):
         n = small_lattice.n_sites
         with pytest.raises(ValueError):

@@ -118,10 +118,16 @@ MUTANTS = {
         "u[:b - a]",
         [_BIT_IDENTICAL],
     ),
-    "serial-rung-unmapped": (
+    "serial-rung-stale-stream": (
         _EXECUTOR,
-        "self.state, comp, sites, types, counts=counts",
-        "self.state, comp, sites, uniforms, counts=counts",
+        "        self._sites[:n] = sites\n"
+        "        self._uniforms[:n] = uniforms\n"
+        "        if self._ladder.degraded:\n"
+        "            return self._exec_serial(n)\n",
+        "        if self._ladder.degraded:\n"
+        "            return self._exec_serial(n)\n"
+        "        self._sites[:n] = sites\n"
+        "        self._uniforms[:n] = uniforms\n",
         [_DEGRADE],
     ),
     "stale-reply-counted": (
