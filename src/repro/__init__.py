@@ -41,82 +41,38 @@ Quickstart::
     print(result.summary())
 """
 
-from .ca import LPNDCA, NDCA, PNDCA, BlockCA, SynchronousCA, TypePartitionedCA
-from .core import (
-    Change,
-    CompiledModel,
-    Configuration,
-    EventTrace,
-    Lattice,
-    Model,
-    ModelBuilder,
-    ReactionType,
-    SpeciesRegistry,
-    arrhenius,
-    conserved_quantities,
-    oriented,
-)
-from .dmc import (
-    FRM,
-    RSM,
-    VSSM,
-    CoverageObserver,
-    MasterEquation,
-    SimulationResult,
-    SnapshotObserver,
-)
-from .partition import (
-    Partition,
-    checkerboard,
-    five_chunk_family,
-    five_chunk_partition,
-    find_modular_tiling,
-    greedy_partition,
-    split_by_orientation,
-)
-from .taxonomy import list_algorithms, make_simulator
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "Lattice",
-    "SpeciesRegistry",
-    "Change",
-    "ReactionType",
-    "oriented",
-    "Model",
-    "CompiledModel",
-    "Configuration",
-    "EventTrace",
-    "arrhenius",
-    # dmc
-    "RSM",
-    "VSSM",
-    "FRM",
-    "MasterEquation",
-    "CoverageObserver",
-    "SnapshotObserver",
-    "SimulationResult",
-    # ca
-    "NDCA",
-    "SynchronousCA",
-    "BlockCA",
-    "PNDCA",
-    "LPNDCA",
-    "TypePartitionedCA",
-    # partition
-    "Partition",
-    "five_chunk_partition",
-    "five_chunk_family",
-    "checkerboard",
-    "greedy_partition",
-    "find_modular_tiling",
-    "split_by_orientation",
-    # extras
-    "ModelBuilder",
-    "conserved_quantities",
-    "make_simulator",
-    "list_algorithms",
-]
+#: public name -> the subpackage defining it, imported on first access
+#: (PEP 562), so ``import repro`` loads no engine until one is asked for
+_EXPORTS = {
+    "Lattice": "core",
+    "Configuration": "core",
+    "ModelBuilder": "core",
+    "conserved_quantities": "core",
+    "RSM": "dmc",
+    "MasterEquation": "dmc",
+    "CoverageObserver": "dmc",
+    "SnapshotObserver": "dmc",
+    "PNDCA": "ca",
+    "LPNDCA": "ca",
+    "five_chunk_partition": "partition",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    try:
+        package = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{package}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ..core.conservation import stoichiometry_matrix
 from ..core.model import Model
@@ -84,6 +83,8 @@ def integrate_mean_field(
     species get the remaining probability on the first absent one —
     pass a complete dict to be explicit).
     """
+    from scipy.integrate import solve_ivp
+
     n_sp = len(model.species)
     if isinstance(theta0, dict):
         vec = np.zeros(n_sp)

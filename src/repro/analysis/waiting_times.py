@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..core.events import EventTrace
 
@@ -55,6 +54,8 @@ def ks_exponential(samples: np.ndarray, rate: float) -> tuple[float, float]:
         raise ValueError(f"need at least 5 samples, got {samples.size}")
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
+    from scipy import stats
+
     res = stats.kstest(samples, "expon", args=(0.0, 1.0 / rate))
     return float(res.statistic), float(res.pvalue)
 

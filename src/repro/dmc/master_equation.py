@@ -20,15 +20,16 @@ ensemble average.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from ..core.lattice import Lattice
 from ..core.model import Model
 from ..core.state import Configuration
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["MasterEquation"]
 
@@ -78,6 +79,8 @@ class MasterEquation:
 
     # ------------------------------------------------------------------
     def _build_generator(self) -> sp.csc_matrix:
+        import scipy.sparse as sp
+
         comp = self.compiled
         rows: list[int] = []
         cols: list[int] = []
@@ -111,6 +114,8 @@ class MasterEquation:
 
         Times must be non-negative and strictly increasing.
         """
+        from scipy.sparse.linalg import expm_multiply
+
         times = np.asarray(times, dtype=np.float64)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("times must be a non-empty 1-d sequence")

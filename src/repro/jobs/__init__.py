@@ -41,7 +41,18 @@ from .journal import (
     job_key,
     replay_journal,
 )
-from .orchestrator import Job, JobOrchestrator
+
+
+def __getattr__(name: str):
+    # the orchestrator loads the supervisor and multiprocessing: resolve
+    # it on first access (PEP 562), so building the `repro` argument
+    # parser through `repro.jobs.cli` does not pay for them
+    if name in ("Job", "JobOrchestrator"):
+        from . import orchestrator
+
+        return getattr(orchestrator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "JOBS_SCHEMA",

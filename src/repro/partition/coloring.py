@@ -8,7 +8,7 @@ is exactly a proper colouring of this graph, and minimising the number
 of chunks ``|P|`` is graph colouring — NP-hard in general, but the
 translation-invariant structure makes good colourings easy:
 
-* greedy colouring (via ``networkx``) gives an upper bound and a
+* greedy colouring in flat site order gives an upper bound and a
   usable partition for *any* model;
 * the maximum clique through a site gives a lower bound on ``|P|``
   (for the von-Neumann pair neighborhood of the CO-oxidation model the
@@ -18,7 +18,8 @@ translation-invariant structure makes good colourings easy:
 
 from __future__ import annotations
 
-import networkx as nx
+import itertools
+
 import numpy as np
 
 from ..core.lattice import Lattice, Offset
@@ -33,43 +34,43 @@ __all__ = [
 ]
 
 
-def conflict_graph(lattice: Lattice, model: Model) -> nx.Graph:
-    """The conflict graph of a model on a lattice.
+def conflict_graph(lattice: Lattice, model: Model) -> list[np.ndarray]:
+    """The conflict graph of a model on a lattice, as adjacency lists.
 
-    Nodes are flat site indices; edges connect conflicting site pairs.
-    Size is ``O(N * |D|)`` edges — fine for the lattice sizes used to
-    *construct* partitions (a partition found on a small tile is then
-    replicated, see :func:`repro.partition.tilings.tile_partition`).
+    Entry ``s`` holds the sorted flat indices of the sites that conflict
+    with site ``s``: ``s + d`` for every conflict displacement ``d``,
+    without ``s`` itself and without repeats (on tiny lattices offsets
+    wrap onto the site or onto each other).  Size is ``O(N * |D|)`` —
+    fine for the lattice sizes used to *construct* partitions.
     """
-    g = nx.Graph()
-    g.add_nodes_from(range(lattice.n_sites))
-    displacements = conflict_displacements(model.union_neighborhood())
-    base = lattice.all_flat()
-    for d in displacements:
-        targets = lattice.neighbor_map(d)
-        mask = targets != base  # ignore self-wraps on tiny lattices
-        g.add_edges_from(zip(base[mask].tolist(), targets[mask].tolist()))
-    return g
+    n = lattice.n_sites
+    maps = [
+        lattice.neighbor_map(d)
+        for d in conflict_displacements(model.union_neighborhood())
+    ]
+    if not maps:
+        return [np.empty(0, dtype=np.intp) for _ in range(n)]
+    table = np.sort(np.stack(maps, axis=1), axis=1)
+    keep = table != np.arange(n)[:, None]
+    keep[:, 1:] &= table[:, 1:] != table[:, :-1]
+    return [row[k] for row, k in zip(table, keep)]
 
 
-def greedy_partition(
-    lattice: Lattice,
-    model: Model,
-    strategy: str = "largest_first",
-    validate: bool = True,
-) -> Partition:
+def greedy_partition(lattice: Lattice, model: Model, validate: bool = True) -> Partition:
     """Partition from a greedy colouring of the conflict graph.
 
-    ``strategy`` is any ``networkx.greedy_color`` strategy.  The result
-    is validated conflict-free (unless ``validate=False``) and labelled
-    with the strategy used.
+    Sites are coloured in flat index order, each with the smallest
+    colour none of its already coloured neighbours has.  The result is
+    validated conflict-free unless ``validate=False``.
     """
-    g = conflict_graph(lattice, model)
-    colors = nx.greedy_color(g, strategy=strategy)
-    labels = np.empty(lattice.n_sites, dtype=np.intp)
-    for node, c in colors.items():
-        labels[node] = c
-    p = Partition.from_labels(lattice, labels, name=f"greedy-{strategy}")
+    labels = [-1] * lattice.n_sites
+    for s, neighbours in enumerate(conflict_graph(lattice, model)):
+        taken = {labels[t] for t in neighbours.tolist()}
+        colour = 0
+        while colour in taken:
+            colour += 1
+        labels[s] = colour
+    p = Partition.from_labels(lattice, np.array(labels), name="greedy")
     if validate:
         p.validate_conflict_free(model)
     return p
@@ -80,9 +81,9 @@ def clique_lower_bound(model: Model) -> int:
 
     Builds the conflict graph restricted to a neighbourhood ball around
     one site (the graph is vertex-transitive, so any maximum clique
-    appears there) and returns the size of the largest clique found by
-    ``networkx.find_cliques`` on that ball.  Since all sites of a
-    clique must lie in pairwise-different chunks, ``|P| >= clique``.
+    appears there) and returns the size of its largest clique, found by
+    Bron–Kerbosch.  Since all sites of a clique must lie in
+    pairwise-different chunks, ``|P| >= clique``.
     """
     displacements = conflict_displacements(model.union_neighborhood())
     if not displacements:
@@ -90,29 +91,31 @@ def clique_lower_bound(model: Model) -> int:
     ndim = len(displacements[0])
     # radius of the ball: max displacement magnitude per axis
     radius = [max(abs(d[a]) for d in displacements) for a in range(ndim)]
-    # enumerate lattice points in the ball around the origin
-    ranges = [range(-r, r + 1) for r in radius]
-    points: list[Offset] = []
-
-    def _walk(prefix: tuple[int, ...], axis: int) -> None:
-        if axis == ndim:
-            points.append(prefix)
-            return
-        for v in ranges[axis]:
-            _walk(prefix + (v,), axis + 1)
-
-    _walk((), 0)
+    points = list(itertools.product(*(range(-r, r + 1) for r in radius)))
     dset = set(displacements)
-    g = nx.Graph()
-    g.add_nodes_from(points)
-    for i, a in enumerate(points):
-        for b in points[i + 1 :]:
-            if tuple(x - y for x, y in zip(b, a)) in dset:
-                g.add_edge(a, b)
-    best = 1
-    for clique in nx.find_cliques(g):
-        if len(clique) > best:
-            best = len(clique)
+    adjacent = {
+        a: {b for b in points if tuple(x - y for x, y in zip(b, a)) in dset}
+        for a in points
+    }
+    return _largest_clique(0, set(points), set(), adjacent)
+
+
+def _largest_clique(
+    size: int, candidates: set[Offset], excluded: set[Offset],
+    adjacent: dict[Offset, set[Offset]],
+) -> int:
+    """Bron–Kerbosch with pivoting: the largest clique that extends a
+    clique of ``size`` vertices by vertices of ``candidates``."""
+    if not candidates and not excluded:
+        return size
+    pivot = max(candidates | excluded, key=lambda u: len(adjacent[u] & candidates))
+    best = size
+    for v in list(candidates - adjacent[pivot]):
+        best = max(best, _largest_clique(
+            size + 1, candidates & adjacent[v], excluded & adjacent[v], adjacent
+        ))
+        candidates.remove(v)
+        excluded.add(v)
     return best
 
 

@@ -16,17 +16,21 @@ enforce, surfaced at load time instead of mid-run.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from ..core.builder import ModelBuilder
 from ..core.lattice import Lattice
 from ..core.model import Model
+from ..lint.diagnostics import LintReport
 from .spec import (
     PARALLEL_KINDS,
     ModelSpec,
     ScenarioError,
     ScenarioSpec,
 )
+
+if TYPE_CHECKING:
+    from ..partition.partition import Partition
 
 __all__ = [
     "PRESETS",
@@ -208,12 +212,16 @@ def build_engine(
     rates_override: Mapping[str, float] | None = None,
     metrics=None,
     backend: str | None = None,
+    partition=None,
 ):
     """Construct the scenario's engine, ready to ``run(until=...)``.
 
     The engine constructors run their own lint preflights (model sanity
     and, for parallel kinds, the partition race proof) — a scenario that
-    compiles here is exactly one ``repro lint`` accepts.
+    compiles here is exactly one ``repro lint`` accepts.  ``partition``
+    is the scenario's partition when the caller holds it already (the
+    :class:`ScenarioReport` of :func:`lint_scenario`); the parallel kinds
+    build it from the spec otherwise.
     """
     model, _ = build_model(
         spec.model, spec.name,
@@ -230,7 +238,7 @@ def build_engine(
         common["initial"] = initial
     e = spec.engine
     kind = e.kind
-    if kind in PARALLEL_KINDS:
+    if kind in PARALLEL_KINDS and partition is None:
         partition = build_partition(e.partition, lattice, model)
     if kind == "rsm":
         from ..dmc.rsm import RSM
@@ -282,13 +290,20 @@ def build_engine(
     raise ScenarioError(f"engine.kind: unknown engine {kind!r}")  # unreachable
 
 
-def lint_scenario(spec: ScenarioSpec):
+class ScenarioReport(LintReport):
+    """A scenario's preflight report and the partition it proved
+    (``None`` for the sequential kinds), for :func:`build_engine`."""
+
+    partition: Partition | None = None
+
+
+def lint_scenario(spec: ScenarioSpec) -> ScenarioReport:
     """The fail-closed preflight: model sanity + partition race proof.
 
-    Returns the combined :class:`~repro.lint.diagnostics.LintReport`;
-    raises :class:`~repro.lint.engine.LintError` when any
-    error-severity diagnostic fires — a scenario the linter flags never
-    reaches an engine.
+    Returns the combined report; raises
+    :class:`~repro.lint.engine.LintError` when any error-severity
+    diagnostic fires — a scenario the linter flags never reaches an
+    engine.
     """
     from ..lint.engine import preflight_model, preflight_partition
 
@@ -296,13 +311,14 @@ def lint_scenario(spec: ScenarioSpec):
     initial = [spec.run.initial] if spec.run.initial is not None else lint_initial
     # gates.mass_dt pins a CA step for the SR010 probability-mass proof;
     # None -> the canonical dt = 1/K, which passes by construction
-    report = preflight_model(
+    report = ScenarioReport()
+    report.extend(preflight_model(
         model, dt=spec.gates.mass_dt, initial_species=initial
-    )
+    ))
     if spec.engine.kind in PARALLEL_KINDS:
         lattice = Lattice(spec.lattice_shape)
-        partition = build_partition(spec.engine.partition, lattice, model)
-        report.extend(preflight_partition(partition, model))
+        report.partition = build_partition(spec.engine.partition, lattice, model)
+        report.extend(preflight_partition(report.partition, model))
     return report
 
 
@@ -312,5 +328,4 @@ def compile_scenario(spec: ScenarioSpec, **kwargs):
     This is the loader's contract: anything ``repro lint`` flags is
     refused (``LintError``) before a single trial runs.
     """
-    lint_scenario(spec)
-    return build_engine(spec, **kwargs)
+    return build_engine(spec, partition=lint_scenario(spec).partition, **kwargs)

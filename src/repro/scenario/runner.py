@@ -194,7 +194,7 @@ def run_scenario(
     out = out if out is not None else sys.stdout
     # fail closed before any trial: the lint preflight refuses what
     # `repro lint` would flag (LintError propagates to the CLI)
-    lint_scenario(spec)
+    partition = lint_scenario(spec).partition
     horizon = spec.run.until if until is None else until
     print(
         f"scenario {spec.name} ({spec.source}) digest {spec.short_digest()}",
@@ -241,7 +241,7 @@ def run_scenario(
             print(line, file=out, flush=True)
         return 0
 
-    engine = build_engine(spec, seed=seed, backend=backend)
+    engine = build_engine(spec, seed=seed, backend=backend, partition=partition)
     print(
         f"{spec.name}: engine {engine.algorithm}, "
         f"lattice {'x'.join(str(s) for s in spec.lattice_shape)}, "

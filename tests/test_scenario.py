@@ -302,6 +302,19 @@ class TestRunner:
         assert len(lines) == 2
         assert all(self.DIGEST_LINE.search(ln) for ln in lines)
 
+    def test_run_builds_the_partition_once(self, capsys, monkeypatch):
+        import repro.scenario.compile as compile_mod
+
+        built = []
+        build = compile_mod.build_partition
+        monkeypatch.setattr(
+            compile_mod, "build_partition",
+            lambda *args: built.append(args) or build(*args),
+        )
+        # the lint preflight's proven partition is the engine's
+        assert run_scenario(find_scenario("no-co"), until=0.5) == 0
+        assert len(built) == 1
+
     def test_sweep_without_table_is_refused(self):
         with pytest.raises(ScenarioError, match="declares no \\[sweep\\] table"):
             run_scenario(loads_scenario(BASE), sweep=True)
