@@ -9,6 +9,7 @@ vectorised CA at the top).
 import pytest
 
 from repro.core import Lattice
+from repro.lint import preflight_partition
 from repro.models import ziff_model
 from repro.partition import five_chunk_partition
 from repro.taxonomy import REGISTRY, make_simulator
@@ -16,7 +17,7 @@ from repro.taxonomy import REGISTRY, make_simulator
 MODEL = ziff_model()
 LATTICE = Lattice((50, 50))
 P5 = five_chunk_partition(LATTICE)
-P5.validate_conflict_free(MODEL)
+preflight_partition(P5, MODEL)
 
 #: per-algorithm constructor kwargs (event-driven methods get shorter
 #: horizons: their per-event python cost dominates)

@@ -16,6 +16,7 @@ Run:  python examples/custom_model.py
 """
 
 from repro import Lattice, ModelBuilder, conserved_quantities
+from repro.lint import preflight_partition
 from repro.partition import (
     chunk_count_bounds,
     find_modular_tiling,
@@ -55,7 +56,7 @@ def main() -> None:
           f"greedy colouring achieves {hi}")
     print(f"modular-tiling search: m={m}, coefficients={coeffs}")
     partition = modular_tiling(lattice, m, coeffs)
-    partition.validate_conflict_free(model)
+    preflight_partition(partition, model)
     print(f"using {partition.name}: validated conflict-free")
     print()
 

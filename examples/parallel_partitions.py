@@ -20,6 +20,7 @@ import numpy as np
 
 from repro import Lattice, PNDCA, RSM, five_chunk_partition
 from repro.io import format_surface
+from repro.lint import preflight_partition
 from repro.models import empty_surface, ziff_model
 from repro.parallel import (
     DEFAULT_2003,
@@ -36,7 +37,7 @@ def main() -> None:
 
     # --- 1. the partition and its optimality ---------------------------
     partition = five_chunk_partition(lattice)
-    partition.validate_conflict_free(model)
+    preflight_partition(partition, model)
     bound = clique_lower_bound(model)
     m_found, coeffs = find_modular_tiling(model)
     print(f"five-chunk partition validated; clique lower bound = {bound}; ")
@@ -68,7 +69,6 @@ def main() -> None:
     # --- 3. real processes, bit-identical result -----------------------
     small = Lattice((20, 20))
     p_small = five_chunk_partition(small)
-    p_small.validate_conflict_free(model)
     serial = PNDCA(model, small, seed=7, partition=p_small, strategy="ordered")
     rs = serial.run(until=5.0)
     with ParallelChunkExecutor(model, small, n_workers=2) as ex:

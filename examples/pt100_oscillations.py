@@ -15,6 +15,7 @@ import numpy as np
 
 from repro import CoverageObserver, Lattice, LPNDCA, RSM, five_chunk_partition
 from repro.analysis import analyze_oscillations, curve_rmse
+from repro.lint import preflight_partition
 from repro.models import hex_surface, pt100_model
 
 
@@ -32,7 +33,7 @@ def main() -> None:
     model = pt100_model()
     lattice = Lattice((40, 40))
     partition = five_chunk_partition(lattice)
-    partition.validate_conflict_free(model)
+    preflight_partition(partition, model)
     horizon = 80.0
 
     def observer():

@@ -71,8 +71,9 @@ class LPNDCA(SimulatorBase):
         ``"uniform"``, ``"random-order"`` (each chunk exactly once per
         step, shuffled; Fig. 10) or ``"ordered"``.
     require_conflict_free:
-        When True (default), validate the partition for the model and
-        refuse otherwise; set False to allow the RSM-limit partitions.
+        When True (default), gate the partition with
+        :func:`repro.lint.preflight_partition` (a conflict raises
+        ``LintError``); set False to allow the RSM-limit partitions.
     """
 
     algorithm = "L-PNDCA"
@@ -99,8 +100,10 @@ class LPNDCA(SimulatorBase):
                 raise ValueError(f"L must be a positive int or 'chunk', got {L!r}")
         elif L < 1:
             raise ValueError(f"L must be >= 1, got {L}")
-        if require_conflict_free and not partition.is_conflict_free(self.model):
-            partition.validate_conflict_free(self.model)
+        if require_conflict_free:
+            from ..lint.engine import preflight_partition
+
+            preflight_partition(partition, self.model)
         self.partition = partition
         self.L = L
         self.chunk_selection = chunk_selection

@@ -61,17 +61,18 @@ class PNDCA(SimulatorBase):
     Parameters (beyond :class:`~repro.dmc.base.SimulatorBase`)
     ----------
     partition:
-        A :class:`Partition` of the lattice.  If it has been validated
-        conflict-free for the model, chunk updates run through the
-        simultaneous vectorised kernel; otherwise they fall back to the
-        sequential kernel (with a warning attribute, see
-        ``uses_sequential_fallback``) — the semantics of the algorithm
-        are identical either way.
+        A :class:`Partition` of the lattice.  If it is conflict-free for
+        the model (:meth:`Partition.is_conflict_free`), chunk updates
+        run through the simultaneous vectorised kernel; otherwise they
+        fall back to the sequential kernel (with a warning attribute,
+        see ``uses_sequential_fallback``) — the semantics of the
+        algorithm are identical either way.
     strategy:
         Chunk-selection strategy, one of :data:`STRATEGIES`.
     validate:
-        When True (default), validate the partition against the model
-        at construction instead of silently falling back.
+        When True (default), gate the partition with
+        :func:`repro.lint.preflight_partition` at construction instead
+        of silently falling back.
     """
 
     algorithm = "PNDCA"
@@ -93,17 +94,13 @@ class PNDCA(SimulatorBase):
             raise ValueError("need at least one partition")
         if partition_schedule not in ("cycle", "random"):
             raise ValueError(f"unknown partition schedule {partition_schedule!r}")
+        if any(p.lattice != self.lattice for p in partitions):
+            raise ValueError("partition belongs to a different lattice")
         if validate:
             from ..lint.engine import preflight_partition
 
             for p in partitions:
-                if p.lattice != self.lattice:
-                    raise ValueError("partition belongs to a different lattice")
                 preflight_partition(p, self.model)
-        else:
-            for p in partitions:
-                if p.lattice != self.lattice:
-                    raise ValueError("partition belongs to a different lattice")
         self.partitions = partitions
         self.partition_schedule = partition_schedule
         self._step_no = 0

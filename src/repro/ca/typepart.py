@@ -33,39 +33,33 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.model import Model
 from ..dmc.base import SimulatorBase
-from ..partition.partition import Partition, conflict_displacements
+from ..partition.partition import Partition
 from ..partition.tilings import checkerboard
 from ..partition.typesplit import TypeSplit, split_by_orientation
 
 __all__ = ["TypePartitionedCA", "validate_partition_for_single_types"]
 
 
-def validate_partition_for_single_types(partition: Partition, model) -> None:
+def validate_partition_for_single_types(partition: Partition, model: Model) -> None:
     """Check the non-overlap rule *per individual reaction type*.
 
     The type-partitioned algorithm executes one reaction type at a
     time, so the partition only needs to separate sites conflicting
     under a *single* type's neighborhood (a much weaker condition than
     the all-types rule — the checkerboard passes it for every
-    nearest-neighbour pair pattern).  Raises ``ValueError`` with the
-    offending type on failure.
+    nearest-neighbour pair pattern).  Raises ``ValueError`` (``SR005``)
+    naming the offending type and a counterexample on failure.
     """
-    lat = partition.lattice
-    labels = partition.chunk_of()
     for rt in model.reaction_types:
-        for d in conflict_displacements(rt.neighborhood):
-            nbr = lat.neighbor_map(d)
-            clash = (labels == labels[nbr]) & (nbr != np.arange(lat.n_sites))
-            if clash.any():
-                s = int(np.flatnonzero(clash)[0])
-                t = int(nbr[s])
-                raise ValueError(
-                    f"[SR005] partition {partition.name!r} is not conflict-free "
-                    f"for single type {rt.name!r}: sites "
-                    f"{lat.coords(s)} and {lat.coords(t)} both lie in chunk "
-                    f"{int(labels[s])} (displacement {d})"
-                )
+        single = Model(model.species, [rt], name=rt.name)
+        if not partition.is_conflict_free(single):
+            c = partition.find_conflicts(single, limit=1)[0]
+            raise ValueError(
+                f"[SR005] partition {partition.name!r} is not conflict-free "
+                f"for single type {rt.name!r}: {c.describe()}"
+            )
 
 
 class TypePartitionedCA(SimulatorBase):

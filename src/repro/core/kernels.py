@@ -193,8 +193,9 @@ def run_trials_batch(
     """Execute a conflict-free trial batch simultaneously (vectorised).
 
     ``sites`` must be pairwise conflict-free for the model (distinct
-    sites of a single chunk of a partition validated with
-    :meth:`repro.partition.Partition.validate_conflict_free`).  The
+    sites of a single chunk of a partition for which
+    :meth:`repro.partition.Partition.is_conflict_free` holds, the
+    condition :func:`repro.lint.preflight_partition` gates).  The
     result is then identical to executing the trials sequentially in
     any order.  Returns the number executed.
     """
@@ -364,12 +365,11 @@ def conflict_lut(compiled: CompiledModel) -> np.ndarray:
     cached = getattr(compiled, "_conflict_lut", None)
     if cached is not None and cached[0] == key:
         return cached[1]
-    from ..partition.partition import conflict_displacements
+    from ..partition.conflicts import model_witnesses
 
     n = compiled.n_sites
     shape = compiled.lattice.shape
-    displacements = list(conflict_displacements(compiled.model.union_neighborhood()))
-    displacements.append((0,) * compiled.lattice.ndim)
+    displacements = [*model_witnesses(compiled.model), (0,) * compiled.lattice.ndim]
     lut = np.zeros(2 * n - 1, dtype=bool)
     for d in displacements:
         if compiled.lattice.ndim == 1:

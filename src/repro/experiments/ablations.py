@@ -55,11 +55,10 @@ def _pndca_factory(seed: int, strategy: str):
     from ..dmc.base import SimulatorBase
 
     def build(model, lattice) -> SimulatorBase:
-        p5 = five_chunk_partition(lattice)
-        preflight_partition(p5, model)
         return PNDCA(
             model, lattice, seed=seed, initial=hex_surface(lattice, model),
-            partition=p5, strategy=strategy, observers=[make_observer()],
+            partition=five_chunk_partition(lattice), strategy=strategy,
+            observers=[make_observer()],
         )
 
     return build

@@ -41,7 +41,6 @@ from ..core.model import Model
 from ..core.reaction import ORIENTATIONS_2, ORIENTATIONS_4, ReactionType, oriented
 from ..dmc.rsm import RSM
 from ..io.report import format_table
-from ..lint import preflight_partition
 from ..partition.tilings import five_chunk_partition
 
 __all__ = [
@@ -100,7 +99,6 @@ def _steady_g(
 ) -> tuple[float, float]:
     """Time-averaged steady-state g_OO(1), mean and spread over seeds."""
     p5 = five_chunk_partition(lattice)
-    preflight_partition(p5, model)
     means = []
     for seed in seeds:
         obs = PairCorrelationObserver(until / 60.0, "O", "O", (1, 0))

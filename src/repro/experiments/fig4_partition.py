@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.lattice import Lattice
-from ..lint import prove_tiling
 from ..models.zgb import ziff_model
 from ..partition.coloring import clique_lower_bound, greedy_partition
+from ..partition.conflicts import prove_tiling
 from ..partition.tilings import find_modular_tiling, five_chunk_partition
 
 __all__ = ["Fig4Result", "run_fig4", "fig4_report"]
@@ -60,11 +60,11 @@ def run_fig4(side: int = 5) -> Fig4Result:
     model = ziff_model()
     lattice = Lattice((side, side))
     p = five_chunk_partition(lattice)
-    ok, _ = p.check_conflict_free(model)
+    ok = p.is_conflict_free(model)
     proof, _counterexamples = prove_tiling(model, 5, (1, 2))
     tile = p.grid_labels()[:5, :5]
     m_found, _coeffs = find_modular_tiling(model)
-    greedy = greedy_partition(Lattice((10, 10)), model, validate=True)
+    greedy = greedy_partition(Lattice((10, 10)), model)
     return Fig4Result(
         tile=tile,
         matches_paper=_same_up_to_relabel(tile, PAPER_FIG4_TILE),

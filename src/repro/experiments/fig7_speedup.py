@@ -24,7 +24,7 @@ import numpy as np
 
 from ..core.lattice import Lattice
 from ..io.report import format_surface
-from ..lint import preflight_model, preflight_partition
+from ..lint import preflight_model
 from ..models.pt100 import pt100_model
 from ..parallel.machine import DEFAULT_2003, MachineSpec
 from ..parallel.speedup import calibrated_spec, fig7_surface
@@ -64,7 +64,6 @@ def _verify_executor(seed: int = 3) -> bool:
     lattice = Lattice((20, 20))
     preflight_model(model)
     p5 = five_chunk_partition(lattice)
-    preflight_partition(p5, model)
     serial = PNDCA(model, lattice, seed=seed, partition=p5, strategy="ordered")
     rs = serial.run(until=5.0)
     with ParallelChunkExecutor(model, lattice, n_workers=2) as ex:

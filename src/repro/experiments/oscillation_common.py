@@ -24,7 +24,6 @@ from ..analysis.oscillations import OscillationSummary, analyze_oscillations
 from ..core.lattice import Lattice
 from ..core.model import Model
 from ..dmc.base import CoverageObserver, SimulatorBase
-from ..lint import preflight_partition
 from ..models.pt100 import hex_surface, pt100_model
 
 __all__ = ["Curve", "run_curve", "make_pt100", "DEFAULT_SIDE", "DEFAULT_UNTIL"]
@@ -133,18 +132,16 @@ def lpndca_factory(
     def build(model: Model, lattice: Lattice) -> SimulatorBase:
         if partition == "five":
             p = five_chunk_partition(lattice)
-            preflight_partition(p, model)
         elif partition == "single":
             p = Partition.single_chunk(lattice)
         elif partition == "singletons":
             p = Partition.singletons(lattice)
-            preflight_partition(p, model)
         else:
             raise ValueError(f"unknown partition kind {partition!r}")
         return LPNDCA(
             model, lattice, seed=seed, initial=hex_surface(lattice, model),
             partition=p, L=L, chunk_selection=chunk_selection,
-            require_conflict_free=False,
+            require_conflict_free=partition != "single",
             observers=[make_observer(sample_dt)],
         )
 

@@ -27,7 +27,7 @@ from ..core.lattice import Lattice
 from ..dmc.rsm import RSM
 from ..ensemble import EnsemblePNDCA, EnsembleRSM
 from ..io.report import format_table
-from ..lint import preflight_model, preflight_partition
+from ..lint import preflight_model
 from ..models.zgb import empty_surface, zgb_model
 from ..partition.tilings import five_chunk_partition
 
@@ -106,7 +106,6 @@ def _steady_point(
         )
     if algorithm == "PNDCA":
         p5 = five_chunk_partition(lattice)
-        preflight_partition(p5, model)
         sim = PNDCA(model, lattice, seed=seed, initial=initial, partition=p5)
     else:
         sim = RSM(model, lattice, seed=seed, initial=initial)
@@ -127,7 +126,6 @@ def _steady_point_ensemble(
     """One y point as the mean over a stacked replica ensemble."""
     if algorithm == "PNDCA":
         p5 = five_chunk_partition(lattice)
-        preflight_partition(p5, model)
         ens = EnsemblePNDCA(
             model, lattice, n_replicas=n_replicas, seed=seed,
             initial=initial, partition=p5,

@@ -11,13 +11,10 @@ Analysis passes, each emitting :class:`Diagnostic` records with stable
 :data:`repro.lint.diagnostics.CODES`; ``python -m repro lint
 --list-codes`` prints it):
 
-* :mod:`repro.lint.partition_lint` — the **symbolic partition race
-  detector**.  Reaction patterns are lifted to offset algebra (pattern
-  footprints as lattice-offset sets, chunk membership as residue
-  classes of a modular tiling), so chunk conflict-freedom becomes a
-  residue-arithmetic statement that is proven for *all* periodic
-  lattice sizes at once; failures come with a minimal counterexample
-  (site pair + reaction pair + overlapping cell).
+* :mod:`repro.lint.engine` — the **partition race report** and the
+  gates: each counterexample :mod:`repro.partition.conflicts` finds
+  (site pair + reaction pair + overlapping cell) becomes an ``SR00x``
+  diagnostic; tilings are proven for *all* periodic lattice sizes.
 * :mod:`repro.lint.model_lint` — the **model sanity pass**: per-site
   NDCA probability mass at the chosen time step, dead/unreachable
   reactions and species, stoichiometry against declared conservation
@@ -45,16 +42,15 @@ into the experiment drivers and the PNDCA construction paths.
 from __future__ import annotations
 
 from .diagnostics import CODES, Diagnostic, LintReport, code_table
-from .engine import LintError, preflight_model, preflight_partition, run_lint
-from .model_lint import lint_model
-from .offsets import Conflict, conflict_witnesses
-from .partition_lint import (
-    TilingProof,
+from .engine import (
+    LintError,
     check_tiling_on_shape,
     lint_partition,
-    prove_tiling,
-    tiling_conflicts_on_shape,
+    preflight_model,
+    preflight_partition,
+    run_lint,
 )
+from .model_lint import lint_model
 
 
 def _render_code_table() -> str:
@@ -80,16 +76,11 @@ __all__ = [
     "Diagnostic",
     "LintReport",
     "LintError",
-    "Conflict",
-    "TilingProof",
     "check_tiling_on_shape",
     "code_table",
-    "conflict_witnesses",
     "lint_model",
     "lint_partition",
     "preflight_model",
     "preflight_partition",
-    "prove_tiling",
     "run_lint",
-    "tiling_conflicts_on_shape",
 ]

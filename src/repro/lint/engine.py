@@ -1,24 +1,42 @@
-"""Lint orchestration and the pre-flight gates.
+"""Lint orchestration, the partition report and the pre-flight gates.
+
+:mod:`repro.partition` decides the non-overlap rule; this module only
+reports its counterexamples, and :func:`conflict_report` is the one
+place that picks their code: ``SR001`` (a tiling's residue collision,
+fatal on every lattice size), ``SR002`` (a collision made by the wrap of
+one misaligned shape) or ``SR003`` (an explicit partition).
 
 :func:`run_lint` assembles the full static report for a model (and
-optionally a partition/tiling): model sanity and the partition race
-proof.  :func:`preflight_model` / :func:`preflight_partition`
-are the thin gates wired into simulator constructors and experiment
-drivers: they raise :class:`LintError` — a ``ValueError`` subclass, so
-existing callers that catch ``ValueError`` keep working — when any
-error-severity diagnostic fires, and are silent otherwise.
+optionally a partition/tiling).  :func:`preflight_model` /
+:func:`preflight_partition` are the gates wired into simulator
+constructors and experiment drivers: they raise :class:`LintError`, a
+``ValueError`` subclass, when any error-severity diagnostic fires.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..core.model import Model
-from .diagnostics import LintReport
+from .diagnostics import Diagnostic, LintReport
 from .model_lint import lint_model
-from .partition_lint import lint_partition, prove_tiling
 
-__all__ = ["LintError", "preflight_model", "preflight_partition", "run_lint"]
+if TYPE_CHECKING:  # pragma: no cover
+    from ..partition.conflicts import Conflict
+    from ..partition.partition import TilingSpec
+
+# repro.partition is imported where used: `repro run` builds its parser
+# from repro.lint, and a sequential scenario never loads the partitions
+
+__all__ = [
+    "LintError",
+    "check_tiling_on_shape",
+    "conflict_report",
+    "lint_partition",
+    "preflight_model",
+    "preflight_partition",
+    "run_lint",
+]
 
 
 class LintError(ValueError):
@@ -57,22 +75,121 @@ def preflight_model(
     return report
 
 
-def preflight_partition(partition, model: Model, limit: int = 8) -> LintReport:
-    """Gate a partition against a model; raises :class:`LintError` on conflicts.
+def conflict_report(
+    conflicts: Sequence[Conflict],
+    subject: str,
+    tiling: TilingSpec | None,
+    clean: str,
+) -> LintReport:
+    """One diagnostic per counterexample, or the note ``clean`` if none.
 
-    On success the partition is marked conflict-free for the model
-    (same cache the legacy ``validate_conflict_free`` fills), so
-    repeated gating is O(1).
+    ``tiling`` is the modular tiling the conflicts were found in
+    (``SR001``/``SR002``), ``None`` for an explicit partition
+    (``SR003``).
     """
-    if model.name in getattr(partition, "conflict_free_for", ()):
-        return LintReport()
+    from ..partition.conflicts import residue_collides
+
+    report = LintReport()
+    for c in conflicts:
+        if tiling is None:
+            code = "SR003"
+        elif residue_collides(tiling.coeffs, tiling.m, c.displacement):
+            code = "SR001"
+        else:
+            code = "SR002"
+        report.add(
+            Diagnostic(code=code, subject=subject, message=c.describe(), data=c.to_dict())
+        )
+    if not conflicts:
+        report.note(clean)
+    return report
+
+
+def check_tiling_on_shape(
+    model: Model,
+    m: int,
+    coeffs: Sequence[int],
+    shape: Sequence[int],
+    limit: int = 8,
+) -> LintReport:
+    """Lint a modular tiling against a model on one lattice shape.
+
+    Residue-class collisions are reported as ``SR001`` (they fail on
+    every aligned size too); collisions introduced only by the wrap of
+    this particular shape as ``SR002``.
+    """
+    from ..partition.conflicts import tiling_conflicts_on_shape
+    from ..partition.partition import TilingSpec
+
+    conflicts = tiling_conflicts_on_shape(model, m, coeffs, shape, limit=limit)
+    spec = TilingSpec(m, tuple(int(c) for c in coeffs))
+    subject = f"tiling((x . {spec.coeffs}) mod {m}) on {tuple(shape)}"
+    return conflict_report(
+        conflicts, subject, spec,
+        clean=f"{subject}: conflict-free for model {model.name!r} "
+        f"(borrow analysis over all conflict displacements)",
+    )
+
+
+def lint_partition(
+    partition,
+    model: Model,
+    limit: int = 8,
+    bounds: bool = False,
+) -> LintReport:
+    """Lint any :class:`~repro.partition.partition.Partition` instance.
+
+    Reports the counterexamples of
+    :meth:`~repro.partition.partition.Partition.find_conflicts`:
+    ``SR001``/``SR002`` for tiling partitions, ``SR003`` for explicit
+    ones.  A partition already known conflict-free for the model's
+    conflict set is not searched again.  With ``bounds=True`` the chunk
+    count is additionally compared against the clique lower bound
+    (``SR004``, informational).
+    """
+    conflicts = (
+        [] if partition.is_conflict_free(model)
+        else partition.find_conflicts(model, limit=limit)
+    )
+    report = conflict_report(
+        conflicts, partition.name, partition.tiling,
+        clean=f"partition {partition.name!r}: conflict-free for model {model.name!r}",
+    )
+    if bounds:
+        from ..partition.coloring import clique_lower_bound
+
+        lower = clique_lower_bound(model)
+        if partition.m > lower:
+            report.add(
+                Diagnostic(
+                    code="SR004",
+                    subject=partition.name,
+                    message=(
+                        f"{partition.m} chunks where the clique lower bound "
+                        f"is {lower} (fewer chunks => more parallelism)"
+                    ),
+                    data={"m": partition.m, "clique_lower_bound": lower},
+                )
+            )
+    return report
+
+
+def preflight_partition(partition, model: Model, limit: int = 8) -> LintReport:
+    """The non-overlap gate: raises :class:`LintError` on conflicts.
+
+    The one raising gate for the rule; its message says the partition
+    "violates the non-overlap rule" and lists up to ``limit``
+    counterexamples.  The verdict is cached on the partition under the
+    model's conflict difference set (see
+    :meth:`~repro.partition.partition.Partition.is_conflict_free`), so
+    gating the same partition again is O(1).
+    """
     report = lint_partition(partition, model, limit=limit)
     if not report.ok():
         raise LintError(
             report,
             context=f"partition {partition.name!r} violates the non-overlap rule",
         )
-    partition.conflict_free_for.add(model.name)
     return report
 
 
@@ -93,8 +210,6 @@ def run_lint(
     specialised to a ``shape``) and the partition lint.  Never raises
     on findings; inspect ``report.ok()``.
     """
-    from .partition_lint import check_tiling_on_shape
-
     report = lint_model(
         model, dt=dt, initial_species=initial_species, conserved=conserved
     )
@@ -105,21 +220,16 @@ def run_lint(
                 check_tiling_on_shape(model, m, coeffs, shape, limit=limit)
             )
         else:
-            proof, conflicts = prove_tiling(model, m, coeffs)
-            if proof is not None:
-                report.note(proof.statement())
-            else:
-                from .diagnostics import Diagnostic
+            from ..partition.conflicts import prove_tiling
+            from ..partition.partition import TilingSpec
 
-                for c in conflicts[:limit]:
-                    report.add(
-                        Diagnostic(
-                            code="SR001",
-                            subject=f"tiling((x . {tuple(coeffs)}) mod {m})",
-                            message=c.describe(),
-                            data=c.to_dict(),
-                        )
-                    )
+            proof, conflicts = prove_tiling(model, m, coeffs)
+            report.extend(conflict_report(
+                conflicts[:limit],
+                f"tiling((x . {tuple(coeffs)}) mod {m})",
+                TilingSpec(m, tuple(coeffs)),
+                clean=proof.statement() if proof is not None else "",
+            ))
     if partition is not None:
         report.extend(lint_partition(partition, model, limit=limit, bounds=True))
     return report

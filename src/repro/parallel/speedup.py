@@ -39,7 +39,6 @@ def _warmed_state(model: Model, lattice: Lattice, seed: int, warm_steps: int = 2
     from ..ca.pndca import PNDCA
 
     p = five_chunk_partition(lattice)
-    p.validate_conflict_free(model)
     sim = PNDCA(model, lattice, seed=seed, partition=p, strategy="ordered")
     sim.run(until=np.inf, max_steps=warm_steps)
     return sim.state, p
@@ -84,7 +83,6 @@ def measure_acceptance(
     from ..ca.pndca import PNDCA
 
     p = five_chunk_partition(lattice)
-    p.validate_conflict_free(model)
     sim = PNDCA(model, lattice, seed=seed, partition=p, strategy="ordered")
     sim.run(until=np.inf, max_steps=steps)
     return sim.n_executed / sim.n_trials if sim.n_trials else 0.0

@@ -6,7 +6,7 @@ from .coloring import (
     conflict_graph,
     greedy_partition,
 )
-from .partition import Partition, conflict_displacements
+from .partition import Partition
 from .tilings import (
     block_partition,
     checkerboard,
@@ -20,7 +20,6 @@ from .typesplit import TypeSplit, TypeSubset, split_by_orientation
 
 __all__ = [
     "Partition",
-    "conflict_displacements",
     "conflict_graph",
     "greedy_partition",
     "clique_lower_bound",

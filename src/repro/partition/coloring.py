@@ -24,7 +24,8 @@ import numpy as np
 
 from ..core.lattice import Lattice, Offset
 from ..core.model import Model
-from .partition import Partition, conflict_displacements
+from .conflicts import model_witnesses
+from .partition import Partition
 
 __all__ = [
     "conflict_graph",
@@ -44,10 +45,7 @@ def conflict_graph(lattice: Lattice, model: Model) -> list[np.ndarray]:
     fine for the lattice sizes used to *construct* partitions.
     """
     n = lattice.n_sites
-    maps = [
-        lattice.neighbor_map(d)
-        for d in conflict_displacements(model.union_neighborhood())
-    ]
+    maps = [lattice.neighbor_map(d) for d in model_witnesses(model)]
     if not maps:
         return [np.empty(0, dtype=np.intp) for _ in range(n)]
     table = np.sort(np.stack(maps, axis=1), axis=1)
@@ -56,12 +54,12 @@ def conflict_graph(lattice: Lattice, model: Model) -> list[np.ndarray]:
     return [row[k] for row, k in zip(table, keep)]
 
 
-def greedy_partition(lattice: Lattice, model: Model, validate: bool = True) -> Partition:
+def greedy_partition(lattice: Lattice, model: Model) -> Partition:
     """Partition from a greedy colouring of the conflict graph.
 
     Sites are coloured in flat index order, each with the smallest
-    colour none of its already coloured neighbours has.  The result is
-    validated conflict-free unless ``validate=False``.
+    colour none of its already coloured neighbours has — a proper
+    colouring, hence conflict-free by construction.
     """
     labels = [-1] * lattice.n_sites
     for s, neighbours in enumerate(conflict_graph(lattice, model)):
@@ -70,10 +68,7 @@ def greedy_partition(lattice: Lattice, model: Model, validate: bool = True) -> P
         while colour in taken:
             colour += 1
         labels[s] = colour
-    p = Partition.from_labels(lattice, np.array(labels), name="greedy")
-    if validate:
-        p.validate_conflict_free(model)
-    return p
+    return Partition.from_labels(lattice, np.array(labels), name="greedy")
 
 
 def clique_lower_bound(model: Model) -> int:
@@ -85,7 +80,7 @@ def clique_lower_bound(model: Model) -> int:
     Bron–Kerbosch.  Since all sites of a clique must lie in
     pairwise-different chunks, ``|P| >= clique``.
     """
-    displacements = conflict_displacements(model.union_neighborhood())
+    displacements = list(model_witnesses(model))
     if not displacements:
         return 1
     ndim = len(displacements[0])
@@ -126,5 +121,5 @@ def chunk_count_bounds(lattice: Lattice, model: Model) -> tuple[int, int]:
     greedy colouring on the given lattice.
     """
     lower = clique_lower_bound(model)
-    upper = greedy_partition(lattice, model, validate=False).m
+    upper = greedy_partition(lattice, model).m
     return lower, max(lower, upper)

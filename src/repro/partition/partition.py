@@ -19,18 +19,22 @@ paper's figures).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from ..core.lattice import Lattice, Offset
 from ..core.model import Model
+from .conflicts import (
+    Conflict,
+    conflict_at,
+    conflict_key,
+    model_witnesses,
+    tiling_conflicts_on_shape,
+)
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..lint.offsets import Conflict
-
-__all__ = ["Partition", "TilingSpec", "conflict_displacements"]
+__all__ = ["Partition", "TilingSpec"]
 
 
 @dataclass(frozen=True)
@@ -39,36 +43,13 @@ class TilingSpec:
 
     Chunk membership is the residue class ``(coeffs . x) mod m`` of the
     site coordinates.  Partitions carrying this metadata (attached by
-    :func:`repro.partition.tilings.modular_tiling`) are eligible for
-    the *symbolic* race detector of :mod:`repro.lint.partition_lint`,
-    which decides conflict-freedom by residue arithmetic instead of
-    enumerating lattice sites.
+    :func:`repro.partition.tilings.modular_tiling`) are decided by the
+    *symbolic* borrow analysis of :mod:`repro.partition.conflicts`
+    instead of a scan over the lattice sites.
     """
 
     m: int
     coeffs: tuple[int, ...]
-
-
-def conflict_displacements(
-    neighborhood: Iterable[Offset],
-) -> list[Offset]:
-    """Displacements ``d != 0`` such that sites ``s`` and ``s + d`` conflict.
-
-    Two sites conflict precisely when their (union) neighborhoods
-    intersect: ``(s + a) == (t + b)`` for offsets ``a, b`` in the
-    neighborhood, i.e. ``t - s  in  { a - b }``.  The returned list is
-    the difference set of the neighborhood, without the zero vector.
-    """
-    offs = [tuple(o) for o in neighborhood]
-    if not offs:
-        raise ValueError("empty neighborhood")
-    out: set[Offset] = set()
-    for a in offs:
-        for b in offs:
-            d = tuple(x - y for x, y in zip(a, b))
-            if any(d):
-                out.add(d)
-    return sorted(out)
 
 
 class Partition:
@@ -88,11 +69,8 @@ class Partition:
     ----------
     m:
         Number of chunks, the paper's ``|P|``.
-    conflict_free_for:
-        Set of model names this partition has been *validated*
-        conflict-free for (see :meth:`validate_conflict_free`).
-        Simulators use :meth:`is_conflict_free` to decide between the
-        simultaneous (vectorised / parallel) and the sequential kernel.
+    tiling:
+        :class:`TilingSpec` of a modular tiling, else ``None``.
     """
 
     def __init__(self, lattice: Lattice, chunks: Sequence[np.ndarray], name: str = ""):
@@ -121,10 +99,9 @@ class Partition:
         if any(c.size == 0 for c in self.chunks):
             raise ValueError("empty chunks are not allowed")
         self.name = name or f"partition(m={len(self.chunks)})"
-        self.conflict_free_for: set[str] = set()
-        #: modular-tiling construction metadata, when known (enables the
-        #: symbolic race detector of repro.lint)
         self.tiling: TilingSpec | None = None
+        #: is_conflict_free verdicts, keyed by the conflict difference set
+        self._verdicts: dict[frozenset[Offset], bool] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -160,56 +137,37 @@ class Partition:
     # ------------------------------------------------------------------
     # the non-overlap rule
     # ------------------------------------------------------------------
-    def find_conflicts(self, model: Model, limit: int = 16) -> "list[Conflict]":
+    def find_conflicts(self, model: Model, limit: int = 16) -> list[Conflict]:
         """All non-overlap-rule violations, as attributed counterexamples.
 
-        Returns at most ``limit`` :class:`~repro.lint.offsets.Conflict`
+        Returns at most ``limit`` :class:`~repro.partition.conflicts.Conflict`
         records, each naming the site pair, the chunk, the reaction pair
         anchored there and the overlapping lattice cell; an empty list
         means the partition is conflict-free for the model.
 
-        Partitions carrying :class:`TilingSpec` metadata delegate to the
-        *symbolic* detector (residue + borrow analysis, ``O(|D|)``
-        arithmetic); explicit partitions fall back to the vectorised
-        per-site scan (``O(N * |D|)``).  Either way each unordered site
-        pair is reported once.
-
-        A violation found here surfaces through the lint layer as
-        ``SR003`` (or ``SR001``/``SR002`` for tiling-level conflicts);
-        the full registry lives in
-        :data:`repro.lint.diagnostics.CODES` and is printed by
-        ``python -m repro lint --list-codes``.
+        Partitions carrying :class:`TilingSpec` metadata are decided
+        *symbolically* (residue + borrow analysis, ``O(|D|)``
+        arithmetic); explicit partitions by the vectorised per-site scan
+        (``O(N * |D|)``).  Either way each unordered site pair is
+        reported once.  :mod:`repro.lint` reports the findings as
+        ``SR001``/``SR002`` (tilings) or ``SR003`` (explicit partitions).
         """
-        from ..lint.offsets import Conflict, conflict_witnesses
-
         lat = self.lattice
         if self.tiling is not None:
-            from ..lint.partition_lint import tiling_conflicts_on_shape
-
-            labels = self.chunk_of()
-            out = []
-            for c in tiling_conflicts_on_shape(
+            found = tiling_conflicts_on_shape(
                 model, self.tiling.m, self.tiling.coeffs, lat.shape, limit=limit
-            ):
-                # the symbolic detector reports the residue class; remap
-                # to this partition's actual chunk index
-                chunk = int(labels[lat.flat_index(c.site_s)])
-                out.append(
-                    Conflict(
-                        site_s=c.site_s,
-                        site_t=c.site_t,
-                        chunk=chunk,
-                        displacement=c.displacement,
-                        reaction_a=c.reaction_a,
-                        offset_a=c.offset_a,
-                        reaction_b=c.reaction_b,
-                        offset_b=c.offset_b,
-                        cell=c.cell,
-                    )
-                )
-            return out
+            )
+            if not found:
+                return []
+            # the borrow analysis names the residue class; remap to this
+            # partition's chunk index
+            labels = self.chunk_of()
+            return [
+                replace(c, chunk=int(labels[lat.flat_index(c.site_s)]))
+                for c in found
+            ]
 
-        witnesses = conflict_witnesses(model)
+        witnesses = model_witnesses(model)
         labels = self.chunk_of()
         out = []
         seen_pairs: set[frozenset[int]] = set()
@@ -228,62 +186,28 @@ class Partition:
                 if pair in seen_pairs:
                     continue
                 seen_pairs.add(pair)
-                w = witnesses[d]
-                site_s = lat.coords(s)
-                cell = lat.wrap(tuple(x + a for x, a in zip(site_s, w.offset_a)))
-                out.append(
-                    Conflict(
-                        site_s=site_s,
-                        site_t=lat.coords(t),
-                        chunk=int(labels[s]),
-                        displacement=d,
-                        reaction_a=w.reaction_a,
-                        offset_a=w.offset_a,
-                        reaction_b=w.reaction_b,
-                        offset_b=w.offset_b,
-                        cell=cell,
-                    )
-                )
+                out.append(conflict_at(
+                    lat.coords(s), d, witnesses[d], int(labels[s]), lat.shape
+                ))
                 if len(out) >= limit:
                     return out
         return out
 
-    def check_conflict_free(self, model: Model) -> tuple[bool, str]:
-        """Check the non-overlap rule for a model; returns (ok, reason).
-
-        On failure the reason lists *all* conflicts found up to a
-        bounded report (16 counterexamples), each naming the site pair,
-        the reaction pair and the overlapping cell — not just the first
-        offending displacement.  Tiling-backed partitions are decided
-        symbolically (no site enumeration); explicit partitions cost
-        ``O(N * |D|)`` where ``|D|`` is the displacement difference set.
-
-        The lint-layer equivalent is diagnostic code ``SR003`` (see
-        :data:`repro.lint.diagnostics.CODES` for the complete registry
-        and ``python -m repro lint --list-codes`` to print it).
-        """
-        conflicts = self.find_conflicts(model, limit=16)
-        if not conflicts:
-            return True, "ok"
-        lines = [c.describe() for c in conflicts]
-        suffix = "" if len(conflicts) < 16 else " (report truncated at 16)"
-        return False, f"{len(conflicts)} conflict(s){suffix}: " + "; ".join(lines)
-
-    def validate_conflict_free(self, model: Model) -> "Partition":
-        """Assert the non-overlap rule holds; marks the partition validated.
-
-        Raises ``ValueError`` with the first offending site pair
-        otherwise.  Returns self for chaining.
-        """
-        ok, reason = self.check_conflict_free(model)
-        if not ok:
-            raise ValueError(f"{self!r} violates the non-overlap rule: {reason}")
-        self.conflict_free_for.add(model.name)
-        return self
-
     def is_conflict_free(self, model: Model) -> bool:
-        """Has this partition been validated conflict-free for the model?"""
-        return model.name in self.conflict_free_for
+        """Does the non-overlap rule hold for the model?
+
+        Decided by :meth:`find_conflicts` on the first call and cached
+        under the model's conflict difference set
+        (:func:`~repro.partition.conflicts.conflict_key`), the one thing
+        the answer depends on.  Simulators use it to choose between the
+        simultaneous (vectorised / parallel) and the sequential kernel;
+        the raising gate is :func:`repro.lint.preflight_partition`.
+        """
+        key = conflict_key(model)
+        ok = self._verdicts.get(key)
+        if ok is None:
+            ok = self._verdicts[key] = not self.find_conflicts(model, limit=1)
+        return ok
 
     # ------------------------------------------------------------------
     # constructors

@@ -22,9 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.lattice import Lattice, Offset
+from ..core.lattice import Lattice
 from ..core.model import Model
-from .partition import Partition, TilingSpec, conflict_displacements
+from .conflicts import model_witnesses, residue_collides
+from .partition import Partition, TilingSpec
 
 __all__ = [
     "modular_tiling",
@@ -63,27 +64,10 @@ def modular_tiling(
     p = Partition.from_labels(
         lattice, lab, name=name or f"modular(m={m}, coeffs={tuple(coeffs)})"
     )
-    # construction metadata: makes the partition eligible for the
-    # symbolic race detector (repro.lint), which proves/refutes the
-    # non-overlap rule by residue arithmetic instead of a site scan
+    # construction metadata: find_conflicts decides the non-overlap rule
+    # by residue arithmetic instead of a site scan
     p.tiling = TilingSpec(m, tuple(int(c) for c in coeffs))
     return p
-
-
-def _tiling_is_conflict_free(
-    displacements: list[Offset], m: int, coeffs: Sequence[int]
-) -> bool:
-    """Does the modular labelling separate all conflicting displacements?
-
-    Sites ``s`` and ``s + d`` get different labels iff
-    ``(coeffs . d) mod m != 0`` — an infinite-lattice criterion,
-    independent of lattice size (finite lattices additionally need
-    sides compatible with the tiling; validated separately).
-    """
-    for d in displacements:
-        if sum(c * x for c, x in zip(coeffs, d)) % m == 0:
-            return False
-    return True
 
 
 def find_modular_tiling(
@@ -96,7 +80,7 @@ def find_modular_tiling(
     ``m = 5`` (the paper's Fig. 4 optimum).  Raises ``ValueError`` if
     nothing is found up to ``max_m``.
     """
-    displacements = conflict_displacements(model.union_neighborhood())
+    displacements = model_witnesses(model)
     ndim = model.ndim
     for m in range(2, max_m + 1):
         coeffs_list: list[tuple[int, ...]]
@@ -105,7 +89,7 @@ def find_modular_tiling(
         else:
             coeffs_list = [(a, b) for a in range(m) for b in range(m) if a or b]
         for coeffs in coeffs_list:
-            if _tiling_is_conflict_free(displacements, m, coeffs):
+            if not any(residue_collides(coeffs, m, d) for d in displacements):
                 return m, coeffs
     raise ValueError(f"no conflict-free modular tiling with m <= {max_m}")
 

@@ -17,6 +17,7 @@ import pytest
 
 from repro.ca import PNDCA
 from repro.core import Lattice
+from repro.lint import preflight_partition
 from repro.obs.metrics import MetricsCollector
 from repro.obs.trace import Tracer
 from repro.parallel.executor import ParallelChunkExecutor, ParallelPNDCA
@@ -40,7 +41,7 @@ UNTIL = 1.0
 def setup(ziff):
     lat = Lattice((10, 10))
     p5 = five_chunk_partition(lat)
-    p5.validate_conflict_free(ziff)
+    preflight_partition(p5, ziff)
     return lat, p5
 
 

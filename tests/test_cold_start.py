@@ -77,3 +77,18 @@ def test_unknown_attribute_raises():
 
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         jobs.no_such_name
+
+
+def test_partition_decides_without_lint():
+    """The non-overlap rule lives in repro.partition: both finder
+    branches and the cached verdict run without loading repro.lint."""
+    modules = fresh(
+        "from repro.core import Lattice\n"
+        "from repro.models import zgb_model\n"
+        "from repro.partition import five_chunk_partition, greedy_partition\n"
+        "model = zgb_model(0.5)\n"
+        "assert five_chunk_partition(Lattice((10, 10))).find_conflicts(model) == []\n"
+        "assert greedy_partition(Lattice((10, 10)), model).is_conflict_free(model)\n"
+        f"{PRINT_MODULES}"
+    )
+    assert [m for m in modules if m == "repro.lint" or m.startswith("repro.lint.")] == []

@@ -110,7 +110,6 @@ class TestMCStepAccounting:
 
         lat = Lattice((10, 10))
         p5 = five_chunk_partition(lat)
-        p5.validate_conflict_free(ziff)
         for sim in (
             NDCA(ziff, lat, seed=0),
             PNDCA(ziff, lat, seed=0, partition=p5),

@@ -59,7 +59,6 @@ class TestAbsorbingStates:
         # enabled anywhere (fully CO-poisoned lattice: no *, no O)
         lat = Lattice((10, 10))
         p = five_chunk_partition(lat)
-        p.validate_conflict_free(ziff)
         poisoned = Configuration.filled(lat, ziff.species, "CO")
         sim = PNDCA(
             ziff, lat, seed=0, initial=poisoned, partition=p, strategy="weighted"
@@ -74,7 +73,6 @@ class TestLPNDCAEdges:
         # replacement); budget capping still holds
         lat = Lattice((10, 10))
         p = five_chunk_partition(lat)
-        p.validate_conflict_free(ziff)
         sim = LPNDCA(ziff, lat, seed=0, partition=p, L=75)
         sim._step_block(until=np.inf)
         assert sim.n_trials == lat.n_sites
@@ -82,7 +80,6 @@ class TestLPNDCAEdges:
     def test_ordered_schedule_with_tiny_L(self, ziff):
         lat = Lattice((10, 10))
         p = five_chunk_partition(lat)
-        p.validate_conflict_free(ziff)
         sim = LPNDCA(
             ziff, lat, seed=0, partition=p, L=3, chunk_selection="ordered"
         )
@@ -92,7 +89,6 @@ class TestLPNDCAEdges:
     def test_single_site_chunks_with_replacement(self, ziff):
         lat = Lattice((6, 6))
         p = Partition.singletons(lat)
-        p.validate_conflict_free(ziff)
         sim = LPNDCA(
             ziff, lat, seed=0, partition=p, L=4, chunk_selection="uniform"
         )
@@ -117,8 +113,7 @@ class TestLatticeEdges:
     def test_non_square_five_chunk_partition(self, ziff):
         lat = Lattice((10, 15))
         p = five_chunk_partition(lat)
-        ok, reason = p.check_conflict_free(ziff)
-        assert ok, reason
+        assert p.find_conflicts(ziff) == []
 
 
 class TestPaperScalePresets:

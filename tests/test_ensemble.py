@@ -36,7 +36,6 @@ INTERVAL = 0.5
 MODEL = zgb_model(0.5)
 LATTICE = Lattice((SIDE, SIDE))
 P5 = five_chunk_partition(LATTICE)
-P5.validate_conflict_free(MODEL)
 
 
 def assert_replicas_match(ens_result, seq_results):
@@ -168,8 +167,6 @@ def test_pndca_ordered_bit_identical():
 def test_pndca_partition_cycle_bit_identical():
     """Several partitions on a cycle schedule: deterministic, comparable."""
     family = five_chunk_family(LATTICE)
-    for p in family:
-        p.validate_conflict_free(MODEL)
 
     def factory(seed):
         return PNDCA(
@@ -298,7 +295,6 @@ def test_ensemble_statistics_match_sequential_reference(y):
     model = zgb_model(y)
     lattice = Lattice((side, side))
     p5 = five_chunk_partition(lattice)
-    p5.validate_conflict_free(model)
     ens = EnsemblePNDCA(
         model, lattice, n_replicas=r, seed=77,
         initial=empty_surface(lattice, model), partition=p5,

@@ -9,6 +9,7 @@ from repro.backends import available_backends
 from repro.ca import PNDCA
 from repro.core import Lattice
 from repro.core.rates import selection_table
+from repro.lint import preflight_partition
 from repro.models import ziff_model
 from repro.parallel.executor import ParallelChunkExecutor, ParallelPNDCA
 from repro.partition import five_chunk_partition
@@ -18,7 +19,7 @@ from repro.partition import five_chunk_partition
 def setup(ziff):
     lat = Lattice((10, 10))
     p5 = five_chunk_partition(lat)
-    p5.validate_conflict_free(ziff)
+    preflight_partition(p5, ziff)
     return lat, p5
 
 

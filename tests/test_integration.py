@@ -21,7 +21,6 @@ class TestAllAlgorithmsOnZiff:
 
     def _simulators(self, model, lat):
         p5 = five_chunk_partition(lat)
-        p5.validate_conflict_free(model)
         return [
             RSM(model, lat, seed=1),
             VSSM(model, lat, seed=2),
@@ -91,7 +90,6 @@ class TestExactGroundTruth:
             if algorithm == "FRM":
                 return FRM(model, lat, seed=seed)
             p = Partition.singletons(lat)
-            p.validate_conflict_free(model)
             return LPNDCA(model, lat, seed=seed, partition=p, L=1)
 
         cov_co = np.empty(n_runs)
@@ -110,7 +108,6 @@ class TestPt100EndToEnd:
         model = pt100_model()
         lat = Lattice((20, 20))
         p5 = five_chunk_partition(lat)
-        p5.validate_conflict_free(model)
         obs = lambda: CoverageObserver(0.5, species=("hC", "sC", "sO"))
         r1 = RSM(
             model, lat, seed=0, initial=hex_surface(lat, model), observers=[obs()]
@@ -129,7 +126,6 @@ class TestPt100EndToEnd:
         model = pt100_model()
         lat = Lattice((10, 10))
         p5 = five_chunk_partition(lat)
-        p5.validate_conflict_free(model)
         obs = lambda: CoverageObserver(1.0, species=("sO",))
         r1 = RSM(model, lat, seed=0, initial=hex_surface(lat, model),
                  observers=[obs()]).run(until=5.0)

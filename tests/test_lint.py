@@ -10,17 +10,19 @@ from repro.lint import (
     LintError,
     LintReport,
     check_tiling_on_shape,
-    conflict_witnesses,
     lint_model,
     lint_partition,
     preflight_model,
     preflight_partition,
-    prove_tiling,
     run_lint,
-    tiling_conflicts_on_shape,
 )
 from repro.partition import Partition, five_chunk_partition
-from repro.partition.partition import conflict_displacements
+from repro.partition.conflicts import (
+    conflict_key,
+    conflict_witnesses,
+    prove_tiling,
+    tiling_conflicts_on_shape,
+)
 from repro.partition.tilings import modular_tiling
 
 
@@ -67,16 +69,21 @@ class TestDiagnostics:
 # ----------------------------------------------------------------------
 class TestOffsets:
     def test_witness_set_matches_difference_set(self, ziff):
-        ws = conflict_witnesses(ziff)
-        expected = set(conflict_displacements(ziff.union_neighborhood()))
+        ws = conflict_witnesses(ziff.reaction_types)
+        nb = ziff.union_neighborhood()
+        expected = {
+            tuple(x - y for x, y in zip(a, b)) for a in nb for b in nb if a != b
+        }
         assert set(ws) == expected
 
     def test_witnesses_realise_their_displacement(self, ziff):
-        for d, w in conflict_witnesses(ziff).items():
+        for d, w in conflict_witnesses(ziff.reaction_types).items():
             assert tuple(a - b for a, b in zip(w.offset_a, w.offset_b)) == d
 
     def test_witnesses_deterministic(self, ziff):
-        assert conflict_witnesses(ziff) == conflict_witnesses(ziff)
+        assert conflict_witnesses(ziff.reaction_types) == conflict_witnesses(
+            ziff.reaction_types
+        )
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +141,7 @@ class TestSymbolicProof:
             [(coeffs[0] * i + coeffs[1] * j) % m for i, j in lat.sites()]
         )
         brute = False
-        for d in conflict_displacements(ziff.union_neighborhood()):
+        for d in conflict_witnesses(ziff.reaction_types):
             nbr = lat.neighbor_map(d)
             if (
                 (labels == labels[nbr]) & (nbr != np.arange(lat.n_sites))
@@ -169,7 +176,7 @@ class TestSymbolicProof:
 
 
 # ----------------------------------------------------------------------
-# Partition.find_conflicts / check_conflict_free
+# Partition.find_conflicts / is_conflict_free
 # ----------------------------------------------------------------------
 class TestFindConflicts:
     def test_symbolic_delegation_on_tiling_partitions(self, ziff):
@@ -194,10 +201,11 @@ class TestFindConflicts:
         p = Partition.single_chunk(Lattice((10, 10)))
         conflicts = p.find_conflicts(ziff, limit=5)
         assert len(conflicts) == 5
-        ok, reason = p.check_conflict_free(ziff)
-        assert not ok
+        with pytest.raises(LintError) as exc:
+            preflight_partition(p, ziff, limit=16)
         # bounded multi-conflict report, not just the first pair
-        assert "16 conflict(s)" in reason and "truncated" in reason
+        assert len(exc.value.report.errors) == 16
+        assert "16 lint error(s)" in str(exc.value)
 
     def test_conflict_attribution(self, ziff):
         p = Partition.single_chunk(Lattice((10, 10)))
@@ -209,8 +217,7 @@ class TestFindConflicts:
 
     def test_clean_partition_reports_ok(self, ziff):
         p = five_chunk_partition(Lattice((10, 10)))
-        ok, reason = p.check_conflict_free(ziff)
-        assert ok and reason == "ok"
+        assert p.find_conflicts(ziff) == [] and p.is_conflict_free(ziff)
 
 
 # ----------------------------------------------------------------------
@@ -296,6 +303,39 @@ class TestPreflight:
         assert p.is_conflict_free(ziff)
         # second call short-circuits on the cache
         assert len(preflight_partition(p, ziff)) == 0
+
+    def test_verdict_keyed_by_conflict_set_not_name(self):
+        """Two models named alike share no verdict unless their
+        conflict difference sets agree."""
+        from repro.ca import LPNDCA, PNDCA
+        from repro.models import zgb_model
+
+        lat = Lattice((10, 10))
+        ads = ReactionType("ads", [((0, 0), "*", "A")], 1.0)
+        hop = ReactionType("hop", [((0, 0), "A", "*"), ((1, 0), "*", "A")], 1.0)
+        onsite = Model(["*", "A"], [ads], name="surf")
+        hopping = Model(["*", "A"], [ads, hop], name="surf")
+        p = Partition.single_chunk(lat)
+        PNDCA(onsite, lat, partition=p)  # one chunk suits on-site patterns
+        with pytest.raises(LintError, match="violates the non-overlap rule"):
+            PNDCA(hopping, lat, partition=p)
+        assert PNDCA(hopping, lat, partition=p, validate=False).uses_sequential_fallback
+
+        def run(partition):
+            sim = LPNDCA(
+                hopping, lat, seed=1, partition=partition, L=lat.n_sites,
+                require_conflict_free=False,
+            )
+            return sim, sim.run(until=5.0)
+
+        sim, res = run(p)
+        assert sim.uses_sequential_fallback
+        assert sim._visit_kernel == "run_trials_sequential"
+        _, fresh = run(Partition.single_chunk(lat))
+        assert res.n_trials == fresh.n_trials
+        assert np.array_equal(res.final_state.array, fresh.final_state.array)
+        # rates do not enter the key: a y sweep shares one verdict
+        assert conflict_key(zgb_model(0.5)) == conflict_key(zgb_model(0.51))
 
     def test_model_gate_passes_warnings(self):
         m = Model(

@@ -12,7 +12,6 @@ from repro.partition import Partition, five_chunk_partition
 @pytest.fixture
 def p5(ziff, small_lattice):
     p = five_chunk_partition(small_lattice)
-    p.validate_conflict_free(ziff)
     return p
 
 
@@ -117,7 +116,6 @@ class TestRSMLimits:
     def test_singleton_limit_exact(self, ziff, small_lattice):
         # m=N, L=1 hits the same fast path (uniform chunk = uniform site)
         p = Partition.singletons(small_lattice)
-        p.validate_conflict_free(ziff)
         manual = self._manual_rsm_trials(ziff, small_lattice, 13, 12)
         sim = LPNDCA(
             ziff, small_lattice, seed=13, partition=p, L=1,
@@ -137,7 +135,6 @@ class TestRSMLimits:
             ]
         )
         p = five_chunk_partition(lat)
-        p.validate_conflict_free(ziff)
         lim = np.mean(
             [
                 LPNDCA(ziff, lat, seed=s + 10, partition=p, L=1)

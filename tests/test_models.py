@@ -73,8 +73,7 @@ class TestPt100:
 
         m = pt100_model()
         p = five_chunk_partition(Lattice((10, 10)))
-        ok, reason = p.check_conflict_free(m)
-        assert ok, reason
+        assert p.find_conflicts(m) == []
 
     def test_rate_override(self):
         m = pt100_model({"k_diff": 2.5})

@@ -3,13 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.partition.partition import Partition, conflict_displacements
+from repro.core import ReactionType
+from repro.lint import LintError, preflight_partition
+from repro.partition.conflicts import conflict_witnesses
+from repro.partition.partition import Partition
+
+
+def footprint(offsets):
+    """A reaction type touching exactly ``offsets``."""
+    return ReactionType("r", [(o, "*", "A") for o in offsets], 1.0)
 
 
 class TestConflictDisplacements:
     def test_von_neumann(self):
         nb = [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)]
-        d = conflict_displacements(nb)
+        d = conflict_witnesses([footprint(nb)])
         assert (0, 0) not in d
         assert (1, 0) in d and (-1, 1) in d and (2, 0) in d
         # difference set of the cross: all |di|+|dj| <= 2 except 0
@@ -22,11 +30,7 @@ class TestConflictDisplacements:
         assert set(d) == expected
 
     def test_single_site(self):
-        assert conflict_displacements([(0, 0)]) == []
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            conflict_displacements([])
+        assert conflict_witnesses([footprint([(0, 0)])]) == {}
 
 
 class TestPartitionConstruction:
@@ -95,38 +99,39 @@ class TestNonOverlapRule:
         from repro.partition import five_chunk_partition
 
         p = five_chunk_partition(small_lattice)
-        ok, reason = p.check_conflict_free(ziff)
-        assert ok, reason
+        assert p.find_conflicts(ziff) == []
 
     def test_single_chunk_invalid(self, ziff, small_lattice):
         p = Partition.single_chunk(small_lattice)
-        ok, reason = p.check_conflict_free(ziff)
-        assert not ok
-        assert "conflict" in reason
+        conflicts = p.find_conflicts(ziff)
+        assert conflicts
+        assert "share chunk 0" in conflicts[0].describe()
 
     def test_singletons_valid(self, ziff, small_lattice):
         p = Partition.singletons(small_lattice)
-        ok, _ = p.check_conflict_free(ziff)
-        assert ok
+        assert p.is_conflict_free(ziff)
 
     def test_validate_marks_model(self, ziff, small_lattice):
         from repro.partition import five_chunk_partition
 
         p = five_chunk_partition(small_lattice)
-        assert not p.is_conflict_free(ziff)
-        p.validate_conflict_free(ziff)
+        # computed on the first call, no earlier gate needed
         assert p.is_conflict_free(ziff)
+        preflight_partition(p, ziff)
+        assert p.is_conflict_free(ziff)
+        assert not Partition.single_chunk(small_lattice).is_conflict_free(ziff)
 
     def test_validate_raises_with_sites(self, ziff, small_lattice):
         p = Partition.single_chunk(small_lattice)
-        with pytest.raises(ValueError, match="non-overlap"):
-            p.validate_conflict_free(ziff)
+        with pytest.raises(LintError, match="violates the non-overlap rule") as exc:
+            preflight_partition(p, ziff)
+        assert "share chunk 0" in str(exc.value)
 
     def test_checkerboard_invalid_for_full_model(self, ziff, small_lattice):
         from repro.partition import checkerboard
 
-        ok, _ = checkerboard(small_lattice).check_conflict_free(ziff)
-        assert not ok  # pairs (1,0) conflict across checkerboard colours
+        # pairs (1,0) conflict across checkerboard colours
+        assert not checkerboard(small_lattice).is_conflict_free(ziff)
 
     def test_onsite_only_model_any_partition(self, small_lattice):
         from repro.core import Model, ReactionType
@@ -134,5 +139,5 @@ class TestNonOverlapRule:
         m = Model(
             ["*", "A"], [ReactionType("ads", [((0, 0), "*", "A")], 1.0)]
         )
-        ok, _ = Partition.single_chunk(small_lattice).check_conflict_free(m)
-        assert ok  # single-site patterns never conflict
+        # single-site patterns never conflict
+        assert Partition.single_chunk(small_lattice).is_conflict_free(m)

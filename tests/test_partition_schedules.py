@@ -9,11 +9,8 @@ from repro.partition import five_chunk_family, five_chunk_partition
 
 
 @pytest.fixture
-def family(ziff, small_lattice):
-    parts = five_chunk_family(small_lattice)
-    for p in parts:
-        p.validate_conflict_free(ziff)
-    return parts
+def family(small_lattice):
+    return five_chunk_family(small_lattice)
 
 
 class TestFamily:
@@ -32,8 +29,7 @@ class TestFamily:
 
     def test_all_conflict_free(self, ziff, family):
         for p in family:
-            ok, reason = p.check_conflict_free(ziff)
-            assert ok, (p.name, reason)
+            assert p.find_conflicts(ziff) == [], p.name
 
     def test_all_five_chunks(self, family):
         assert all(p.m == 5 for p in family)
@@ -66,7 +62,6 @@ class TestSchedules:
 
     def test_single_partition_unchanged_behaviour(self, ziff, small_lattice):
         p = five_chunk_partition(small_lattice)
-        p.validate_conflict_free(ziff)
         a = PNDCA(ziff, small_lattice, seed=5, partition=p).run(until=3.0)
         b = PNDCA(ziff, small_lattice, seed=5, partition=[p]).run(until=3.0)
         assert np.array_equal(a.final_state.array, b.final_state.array)
@@ -84,8 +79,6 @@ class TestSchedules:
         # rotating partitions must not change the coverage kinetics
         lat = Lattice((10, 10))
         fam = five_chunk_family(lat)
-        for p in fam:
-            p.validate_conflict_free(ziff)
         single = np.mean(
             [
                 PNDCA(ziff, lat, seed=s, partition=fam[0])

@@ -12,7 +12,6 @@ from repro.partition import Partition, five_chunk_partition
 @pytest.fixture
 def p5(ziff, small_lattice):
     p = five_chunk_partition(small_lattice)
-    p.validate_conflict_free(ziff)
     return p
 
 
@@ -86,7 +85,6 @@ class TestKinetics:
     def test_tracks_rsm_coverage(self, ziff):
         lat = Lattice((20, 20))
         p = five_chunk_partition(lat)
-        p.validate_conflict_free(ziff)
         obs = lambda: CoverageObserver(1.0, species=("O", "CO"))
         r_rsm = RSM(ziff, lat, seed=0, observers=[obs()]).run(until=6.0)
         r_ca = PNDCA(ziff, lat, seed=1, partition=p, observers=[obs()]).run(until=6.0)

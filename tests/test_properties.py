@@ -21,7 +21,7 @@ from repro.core.kernels import (
 from repro.core.rng import draw_types
 from repro.models import ziff_model
 from repro.partition import Partition, five_chunk_partition, modular_tiling
-from repro.partition.partition import conflict_displacements
+from repro.partition.conflicts import conflict_witnesses, residue_collides
 
 MODEL = ziff_model()
 
@@ -80,24 +80,37 @@ class TestPartitionProperties:
         assert np.array_equal(np.sort(total), np.arange(lat.n_sites))
         assert all(c.size > 0 for c in p.chunks)
 
-    @given(mult=st.integers(1, 4), coeff_a=st.integers(0, 4), coeff_b=st.integers(0, 4), m=st.integers(2, 5))
-    @settings(max_examples=40, deadline=None)
-    def test_modular_tiling_agrees_with_checker(self, mult, coeff_a, coeff_b, m):
-        """The infinite-lattice criterion matches actual validation when
-        lattice sides are multiples of m."""
-        if coeff_a == 0 and coeff_b == 0:
-            return
-        lat = Lattice((m * mult * 2, m * mult * 2))
-        from repro.partition.tilings import _tiling_is_conflict_free
+    @given(
+        side0=st.integers(1, 12), side1=st.integers(1, 12),
+        coeff_a=st.integers(0, 4), coeff_b=st.integers(0, 4), m=st.integers(2, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_modular_tiling_agrees_with_checker(self, side0, side1, coeff_a, coeff_b, m):
+        """Both finder branches agree on any shape, aligned or not.
 
-        displacements = conflict_displacements(MODEL.union_neighborhood())
-        predicted = _tiling_is_conflict_free(displacements, m, (coeff_a, coeff_b))
-        try:
-            p = modular_tiling(lat, m, (coeff_a, coeff_b))
-        except ValueError:
-            return  # degenerate labelling with empty chunks
-        actual, _ = p.check_conflict_free(MODEL)
-        assert actual == predicted
+        The symbolic borrow analysis of a tiling partition finds a
+        conflict exactly when the site scan over the same labels does;
+        each conflict is classified SR001 exactly when the residue
+        predicate says the displacement collides on the infinite
+        lattice; and on aligned shapes (sides multiples of m, wider than
+        the conflict set) the residue predicate alone decides."""
+        from repro.lint import lint_partition
+
+        coeffs = (coeff_a, coeff_b)
+        lat = Lattice((side0, side1))
+        p = modular_tiling(lat, m, coeffs)
+        scan = Partition.from_labels(lat, p.chunk_of())
+        assert scan.tiling is None
+        symbolic = p.find_conflicts(MODEL)
+        assert (symbolic == []) == (scan.find_conflicts(MODEL) == [])
+        for d in lint_partition(p, MODEL, limit=64):
+            collides = residue_collides(coeffs, m, d.data["displacement"])
+            assert (d.code == "SR001") == collides
+        if side0 % m == side1 % m == 0 and min(side0, side1) > 4:
+            proven = not any(
+                residue_collides(coeffs, m, d) for d in conflict_witnesses(MODEL.reaction_types)
+            )
+            assert (symbolic == []) == proven
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=20, deadline=None)
@@ -196,7 +209,6 @@ class TestConservationProperties:
         initial = random_gas(lat, model, density, rng)
         n0 = int(initial.counts()[1])
         p = five_chunk_partition(lat)
-        p.validate_conflict_free(model)
         sim = PNDCA(model, lat, seed=seed, partition=p, initial=initial)
         res = sim.run(until=2.0)
         assert int(res.final_state.counts()[1]) == n0

@@ -41,7 +41,6 @@ def _make_ensemble(cls_key, model, lattice, seeds, initial=None):
             model, lattice, seeds=seeds, initial=initial, order="random"
         )
     p5 = five_chunk_partition(lattice)
-    p5.validate_conflict_free(model)
     return EnsemblePNDCA(
         model, lattice, seeds=seeds, initial=initial, partition=p5
     )

@@ -34,7 +34,6 @@ class TestFactory:
 
     def test_make_with_kwargs(self, ziff, small_lattice):
         p = five_chunk_partition(small_lattice)
-        p.validate_conflict_free(ziff)
         sim = make_simulator(
             "pndca", ziff, small_lattice, seed=0, partition=p, strategy="ordered"
         )
@@ -46,7 +45,6 @@ class TestFactory:
 
     def test_every_entry_constructible(self, ziff, small_lattice):
         p = five_chunk_partition(small_lattice)
-        p.validate_conflict_free(ziff)
         for key in REGISTRY:
             kwargs: dict = {"seed": 1}
             if key in ("pndca", "lpndca"):

@@ -43,14 +43,12 @@ class TestFiveChunk:
         lat = Lattice((10, 10))
         p = five_chunk_partition(lat)
         assert p.m == 5
-        ok, reason = p.check_conflict_free(ziff)
-        assert ok, reason
+        assert p.find_conflicts(ziff) == []
 
     def test_wrap_failure_on_bad_side(self, ziff):
         # 12 is not a multiple of 5: the tiling wraps inconsistently
         p = five_chunk_partition(Lattice((12, 12)))
-        ok, _ = p.check_conflict_free(ziff)
-        assert not ok
+        assert p.find_conflicts(ziff)
 
     def test_requires_2d(self):
         with pytest.raises(ValueError):
@@ -63,8 +61,7 @@ class TestSearch:
         assert m == 5
         # the found tiling must actually be conflict-free on a lattice
         p = modular_tiling(Lattice((2 * m * 5, 2 * m * 5)), m, coeffs)
-        ok, reason = p.check_conflict_free(ziff)
-        assert ok, reason
+        assert p.find_conflicts(ziff) == []
 
     def test_finds_two_for_1d_pairs(self, adsorption_1d):
         from repro.core import Model, ReactionType
@@ -134,8 +131,7 @@ class TestBlocks:
 
     def test_not_conflict_free_for_pairs(self, ziff):
         p = block_partition(Lattice((10, 10)), (5, 5))
-        ok, _ = p.check_conflict_free(ziff)
-        assert not ok
+        assert p.find_conflicts(ziff)
 
 
 class TestDegenerateLattices:
@@ -173,9 +169,10 @@ class TestDegenerateLattices:
 
     def test_side_not_divisible_by_five(self, ziff):
         p = five_chunk_partition(Lattice((10, 7)))
-        ok, reason = p.check_conflict_free(ziff)
-        assert not ok
-        # the multi-conflict report names reactions and the shared cell
+        conflicts = p.find_conflicts(ziff)
+        assert conflicts
+        # each counterexample names reactions and the shared cell
+        reason = conflicts[0].describe()
         assert "share chunk" in reason and "touch cell" in reason
 
     def test_tiny_strip_degenerates_to_singletons(self, ziff):
