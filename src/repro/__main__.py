@@ -340,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument(
         "--backend", default=None, metavar="NAME",
         help="kernel backend for the run (numpy, cnative, auto); "
-        "default: the ambient selection.  Backends are an execution "
+        "default: the best available, like auto.  Backends are an execution "
         "detail — trajectories and checkpoints are bit-identical across "
         "them, so a run checkpointed under one backend resumes under "
         "another",

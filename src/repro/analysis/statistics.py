@@ -46,11 +46,8 @@ def stack_statistics(
 ) -> EnsembleResult:
     """Reduce stacked ``(R, G)`` coverage series to mean/std bands.
 
-    This is the reduction used both by :func:`run_ensemble` (which
-    stacks the series itself from R sequential runs) and by the
-    vectorised ensemble engine
-    (:meth:`repro.ensemble.EnsembleRunResult.statistics`), so the two
-    execution paths report through the identical statistics code.
+    :func:`run_ensemble` stacks the series from R sequential runs and
+    reduces them here.
     """
     if not stacks:
         raise ValueError("no coverage series to reduce; sample with an interval")
@@ -73,12 +70,18 @@ def stack_statistics(
 
 
 def run_ensemble(
-    factory: Callable[[int], SimulatorBase],
-    seeds: Sequence[int],
+    factory: Callable[[int | np.random.Generator], SimulatorBase],
+    seeds: Sequence[int | np.random.Generator],
     until: float,
     keep_results: bool = False,
 ) -> EnsembleResult:
     """Run ``factory(seed)`` for every seed and average the coverages.
+
+    This is the in-process replica loop; ``repro sweep`` over a
+    scenario's ``[sweep] seed`` grid is the journaled one.  A seed may
+    be an int or a ``Generator`` (e.g. from
+    :func:`repro.core.rng.spawn_rngs`) and is passed to ``factory`` as
+    given, so replica ``r`` equals a solo run with ``seeds[r]``.
 
     Every simulator must carry at least one coverage observer sampling
     the *same* time grid (same interval and origin); runs are truncated
@@ -88,7 +91,7 @@ def run_ensemble(
         raise ValueError("need at least one seed")
     results: list[SimulationResult] = []
     for seed in seeds:
-        sim = factory(int(seed))
+        sim = factory(seed)
         results.append(sim.run(until=until))
     n_keep = min(len(r.times) for r in results)
     if n_keep == 0:

@@ -26,12 +26,6 @@ one at a time, which reproduces every reference kernel exactly:
 * ``run_trials_batch_with_duplicates`` — documented to equal
   sequential execution on its valid inputs (occurrence rounds preserve
   per-site order; distinct sites commute).
-* ``run_trials_stacked`` — per-replica conflict-free batches on
-  disjoint replica rows; sequential execution with a per-trial row
-  offset is an admissible ordering.
-* ``run_trials_interleaved`` — documented bit-identical to running
-  each replica through ``run_trials_sequential``; the C twin does
-  exactly that (``window`` is a performance knob only and is ignored).
 
 All randomness is drawn by the engines *before* these kernels run, so
 the backend cannot perturb RNG streams (draw-parity is asserted
@@ -70,9 +64,7 @@ __all__ = [
     "c_execute_type_everywhere",
     "c_run_trials_batch",
     "c_run_trials_batch_with_duplicates",
-    "c_run_trials_interleaved",
     "c_run_trials_sequential",
-    "c_run_trials_stacked",
     "cnative_available",
     "cnative_tables",
     "library_path",
@@ -128,96 +120,6 @@ int64_t repro_run_trials(
             r[2] = s;
         }
         ++n_exec;
-    }
-    return n_exec;
-}
-
-/* Stacked variant: states is (R, N) flattened; each trial carries a
- * replica row, counts is (R, T) int64 or NULL. */
-int64_t repro_run_trials_stacked(
-    uint8_t *states,
-    const int64_t *maps,
-    const uint8_t *srcs,
-    const uint8_t *tgts,
-    const int32_t *nch,
-    int64_t c_max,
-    int64_t n_sites,
-    const int64_t *reps,
-    const int64_t *sites,
-    const int64_t *types,
-    int64_t n_trials,
-    int64_t *counts,
-    int64_t n_types)
-{
-    int64_t n_exec = 0;
-    for (int64_t i = 0; i < n_trials; ++i) {
-        uint8_t *state = states + reps[i] * n_sites;
-        const int64_t s = sites[i];
-        const int64_t t = types[i];
-        const int64_t *tm = maps + t * c_max * n_sites;
-        const uint8_t *ts = srcs + t * c_max;
-        const int32_t nc = nch[t];
-        int32_t c = 0;
-        for (; c < nc; ++c)
-            if (state[tm[c * n_sites + s]] != ts[c])
-                break;
-        if (c != nc)
-            continue;
-        const uint8_t *tt = tgts + t * c_max;
-        for (c = 0; c < nc; ++c)
-            state[tm[c * n_sites + s]] = tt[c];
-        if (counts)
-            counts[reps[i] * n_types + t] += 1;
-        ++n_exec;
-    }
-    return n_exec;
-}
-
-/* Interleaved variant: per-replica streams sites/types (R, n_blk),
- * half-open ranges [starts[r], stops[r]).  Exact sequential semantics
- * per replica (replica rows are disjoint, so replica order is free). */
-int64_t repro_run_interleaved(
-    uint8_t *states,
-    const int64_t *maps,
-    const uint8_t *srcs,
-    const uint8_t *tgts,
-    const int32_t *nch,
-    int64_t c_max,
-    int64_t n_sites,
-    const int64_t *sites,
-    const int64_t *types,
-    const int64_t *starts,
-    const int64_t *stops,
-    int64_t n_reps,
-    int64_t n_blk,
-    int64_t *counts,
-    int64_t n_types)
-{
-    int64_t n_exec = 0;
-    for (int64_t r = 0; r < n_reps; ++r) {
-        uint8_t *state = states + r * n_sites;
-        const int64_t *rsites = sites + r * n_blk;
-        const int64_t *rtypes = types + r * n_blk;
-        int64_t *rcounts = counts ? counts + r * n_types : (int64_t *)0;
-        for (int64_t i = starts[r]; i < stops[r]; ++i) {
-            const int64_t s = rsites[i];
-            const int64_t t = rtypes[i];
-            const int64_t *tm = maps + t * c_max * n_sites;
-            const uint8_t *ts = srcs + t * c_max;
-            const int32_t nc = nch[t];
-            int32_t c = 0;
-            for (; c < nc; ++c)
-                if (state[tm[c * n_sites + s]] != ts[c])
-                    break;
-            if (c != nc)
-                continue;
-            const uint8_t *tt = tgts + t * c_max;
-            for (c = 0; c < nc; ++c)
-                state[tm[c * n_sites + s]] = tt[c];
-            if (rcounts)
-                rcounts[t] += 1;
-            ++n_exec;
-        }
     }
     return n_exec;
 }
@@ -339,16 +241,6 @@ CTYPES_SIGNATURES: "dict[str, tuple[tuple[str, ...], str]]" = {
     "repro_run_trials": (
         ("ptr", "ptr", "ptr", "ptr", "ptr", "i64", "i64", "ptr", "ptr",
          "i64", "ptr", "ptr"),
-        "i64",
-    ),
-    "repro_run_trials_stacked": (
-        ("ptr", "ptr", "ptr", "ptr", "ptr", "i64", "i64", "ptr", "ptr",
-         "ptr", "i64", "ptr", "i64"),
-        "i64",
-    ),
-    "repro_run_interleaved": (
-        ("ptr", "ptr", "ptr", "ptr", "ptr", "i64", "i64", "ptr", "ptr",
-         "ptr", "ptr", "i64", "i64", "ptr", "i64"),
         "i64",
     ),
     "repro_visit_uniforms": (("ptr", "ptr", "ptr", "i64"), "i64"),
@@ -640,132 +532,6 @@ def c_run_trials_batch_with_duplicates(
     return _run_stream(state, compiled, s_arr, t_arr, counts, None)
 
 
-@kernel(writes=("states", "counts"), twin="run_trials_stacked")
-def c_run_trials_stacked(
-    states: np.ndarray,
-    compiled: CompiledModel,
-    reps: np.ndarray,
-    sites: np.ndarray,
-    types: np.ndarray,
-    counts: "np.ndarray | None" = None,
-) -> int:
-    """C twin of :func:`repro.core.kernels.run_trials_stacked`.
-
-    Replica rows are disjoint and within-replica sites conflict-free,
-    so strict trial order (with a per-trial row offset) is one of the
-    equivalent orderings the batch contract admits.
-    """
-    r_arr = _as_stream(reps)
-    s_arr = _as_stream(sites)
-    t_arr = _as_stream(types)
-    if s_arr.size == 0:
-        return 0
-    n_reps = states.shape[0] if states.ndim == 2 else 0
-    ok = (
-        r_arr.size == s_arr.size == t_arr.size
-        and states.ndim == 2
-        and _c_usable(states, r_arr, s_arr, t_arr)
-        and _stream_valid(compiled, s_arr, t_arr)
-        and bool((r_arr >= 0).all() and (r_arr < n_reps).all())
-    )
-    if not ok:
-        return _ref.run_trials_stacked(
-            states, compiled, reps, sites, types, counts
-        )
-    lib = _lib()
-    assert lib is not None
-    maps, srcs, tgts, nch = cnative_tables(compiled)
-    cbuf, direct = _counts_buffer(counts)
-    n_exec = int(
-        lib.repro_run_trials_stacked(
-            states.ctypes.data,
-            maps.ctypes.data,
-            srcs.ctypes.data,
-            tgts.ctypes.data,
-            nch.ctypes.data,
-            maps.shape[1],
-            compiled.n_sites,
-            r_arr.ctypes.data,
-            s_arr.ctypes.data,
-            t_arr.ctypes.data,
-            s_arr.size,
-            _ptr(cbuf),
-            len(compiled.types),
-        )
-    )
-    if not direct and counts is not None and cbuf is not None:
-        counts += cbuf
-    return n_exec
-
-
-@kernel(writes=("states", "counts"), twin="run_trials_interleaved")
-def c_run_trials_interleaved(
-    states: np.ndarray,
-    compiled: CompiledModel,
-    sites: np.ndarray,
-    types: np.ndarray,
-    starts: np.ndarray,
-    stops: np.ndarray,
-    counts: "np.ndarray | None" = None,
-    window: int = 16,
-) -> int:
-    """C twin of :func:`repro.core.kernels.run_trials_interleaved`.
-
-    The reference is bit-identical to per-replica sequential execution
-    (its windowing only controls concurrency); the C twin runs each
-    replica's ``[starts[r], stops[r])`` range sequentially.  ``window``
-    is accepted for signature parity and ignored.
-    """
-    del window  # concurrency knob of the vectorised reference only
-    s_arr = _as_stream(sites)
-    t_arr = _as_stream(types)
-    start_arr = _as_stream(starts)
-    stop_arr = _as_stream(stops)
-    ok = (
-        states.ndim == 2
-        and s_arr.ndim == 2
-        and s_arr.shape == t_arr.shape
-        and s_arr.shape[0] == states.shape[0]
-        and start_arr.size == stop_arr.size == states.shape[0]
-        and _c_usable(states, s_arr, t_arr, start_arr, stop_arr)
-        and _stream_valid(compiled, s_arr.ravel(), t_arr.ravel())
-        and bool(
-            (start_arr >= 0).all()
-            and (stop_arr <= s_arr.shape[1]).all()
-        )
-    )
-    if not ok:
-        return _ref.run_trials_interleaved(
-            states, compiled, sites, types, starts, stops, counts=counts
-        )
-    lib = _lib()
-    assert lib is not None
-    maps, srcs, tgts, nch = cnative_tables(compiled)
-    cbuf, direct = _counts_buffer(counts)
-    n_exec = int(
-        lib.repro_run_interleaved(
-            states.ctypes.data,
-            maps.ctypes.data,
-            srcs.ctypes.data,
-            tgts.ctypes.data,
-            nch.ctypes.data,
-            maps.shape[1],
-            compiled.n_sites,
-            s_arr.ctypes.data,
-            t_arr.ctypes.data,
-            start_arr.ctypes.data,
-            stop_arr.ctypes.data,
-            states.shape[0],
-            s_arr.shape[1],
-            _ptr(cbuf),
-            len(compiled.types),
-        )
-    )
-    if not direct and counts is not None and cbuf is not None:
-        counts += cbuf
-    return n_exec
-
-
 @kernel(writes=("state",), twin="execute_type_everywhere")
 def c_execute_type_everywhere(
     state: np.ndarray,
@@ -878,8 +644,6 @@ class CNativeBackend(Backend):
             "run_trials_batch_with_duplicates": (
                 c_run_trials_batch_with_duplicates
             ),
-            "run_trials_stacked": c_run_trials_stacked,
-            "run_trials_interleaved": c_run_trials_interleaved,
             "execute_type_everywhere": c_execute_type_everywhere,
         }
 

@@ -1,12 +1,12 @@
 """Contract-driven property fuzzing for the dispatchable kernels.
 
 The ``@kernel`` contracts (:mod:`repro.core.contracts`) describe every
-dispatch kernel's argument space — symbolic shapes (``("R", "N")``)
-and dtypes — and its write set; the kernel docstrings state the index
-preconditions (conflict-free sites, per-replica streams).  This module
-turns those into *generators of random valid inputs* and a
-differential checker, so backend bit-identity is established
-property-style over seeded random cases instead of hand-picked ones:
+dispatch kernel's argument space — symbolic shapes and dtypes — and
+its write set; the kernel docstrings state the index preconditions
+(conflict-free sites).  This module turns those into *generators of
+random valid inputs* and a differential checker, so backend
+bit-identity is established property-style over seeded random cases
+instead of hand-picked ones:
 
 * :func:`argument_grid` resolves a kernel's declared symbolic
   shapes/dtypes against concrete dimension bindings.
@@ -67,8 +67,8 @@ def argument_grid(
 ) -> dict[str, ArgSpec]:
     """Concrete per-parameter shapes/dtypes from the kernel's contract.
 
-    ``bindings`` maps the contract's symbolic dimension names (``"R"``,
-    ``"N"``, ``"B"``, ``"T"``) to concrete sizes; parameters without a
+    ``bindings`` maps the contract's symbolic dimension names (``"N"``,
+    ``"B"``, ``"T"``) to concrete sizes; parameters without a
     declared shape/dtype resolve to ``None`` entries.
     """
     contract = contract_of(fn)
@@ -126,8 +126,8 @@ def conflict_free_sites(
     whose union reaction footprint does not intersect the footprints
     of the sites already kept.  Works on any lattice the model
     compiles against, degenerate shapes included; the result is valid
-    for the ``disjoint`` precondition of ``run_trials_batch`` /
-    ``run_trials_stacked`` under arbitrary type assignments.
+    for the ``disjoint`` precondition of ``run_trials_batch`` under
+    arbitrary type assignments.
     """
     fp = _footprints(compiled)
     n = compiled.n_sites
@@ -192,15 +192,14 @@ def fuzz_case(
     kernel_name: str,
     rng: np.random.Generator,
     *,
-    n_replicas: int = 3,
     with_counts: bool = True,
     with_record: bool = False,
 ) -> dict[str, Any]:
     """One random *contract-valid* argument dict for a dispatch kernel.
 
     The allocation shapes/dtypes come from :func:`argument_grid`; the
-    index preconditions (conflict-free anchors, per-replica streams,
-    in-range half-open windows) come from the generators above.
+    index preconditions (conflict-free anchors, repeated sites over a
+    conflict-free pool) come from the generators above.
     Returned arrays are fresh — callers may mutate them freely.
     """
     if kernel_name not in DISPATCH_KERNELS:
@@ -211,7 +210,7 @@ def fuzz_case(
     n = compiled.n_sites
     n_types = len(compiled.types)
     grid = argument_grid(
-        fn, {"R": n_replicas, "N": n, "T": n_types, "B": max(2 * n, 8)}
+        fn, {"N": n, "T": n_types, "B": max(2 * n, 8)}
     )
 
     def counts_for(param: str, default_shape: tuple[int, ...]) -> np.ndarray:
@@ -220,7 +219,7 @@ def fuzz_case(
         dtype = spec.dtype if spec and spec.dtype else np.dtype(np.int64)
         return np.zeros(shape, dtype=dtype)
 
-    state_spec = grid.get("state") or grid.get("states")
+    state_spec = grid.get("state")
     state_dtype = (
         state_spec.dtype if state_spec and state_spec.dtype else np.uint8
     )
@@ -257,44 +256,6 @@ def fuzz_case(
         kwargs["state"] = _random_state(compiled, rng).astype(state_dtype)
         kwargs["type_index"] = int(rng.integers(0, n_types))
         kwargs["sites"] = conflict_free_sites(compiled, rng)
-    elif kernel_name == "run_trials_stacked":
-        reps, sites = [], []
-        for r in range(n_replicas):
-            chunk = conflict_free_sites(compiled, rng)
-            reps.append(np.full(chunk.size, r, dtype=np.intp))
-            sites.append(chunk)
-        reps_arr = np.concatenate(reps)
-        sites_arr = np.concatenate(sites)
-        states = np.ascontiguousarray(
-            np.stack(
-                [_random_state(compiled, rng) for _ in range(n_replicas)]
-            ).astype(state_dtype)
-        )
-        kwargs["states"] = states
-        kwargs["reps"] = reps_arr
-        kwargs["sites"] = sites_arr
-        kwargs["types"] = _draw_types(compiled, rng, sites_arr.size)
-        if with_counts:
-            kwargs["counts"] = counts_for("counts", (n_replicas, n_types))
-    elif kernel_name == "run_trials_interleaved":
-        spec = grid["sites"]
-        n_blk = spec.shape[1] if spec.shape else max(2 * n, 8)
-        states = np.ascontiguousarray(
-            np.stack(
-                [_random_state(compiled, rng) for _ in range(n_replicas)]
-            ).astype(state_dtype)
-        )
-        starts = rng.integers(0, n_blk // 2, n_replicas).astype(np.intp)
-        stops = starts + rng.integers(
-            0, n_blk - n_blk // 2 + 1, n_replicas
-        ).astype(np.intp)
-        kwargs["states"] = states
-        kwargs["sites"] = rng.integers(0, n, (n_replicas, n_blk), dtype=np.intp)
-        kwargs["types"] = _draw_types(compiled, rng, (n_replicas, n_blk))
-        kwargs["starts"] = starts
-        kwargs["stops"] = stops
-        if with_counts:
-            kwargs["counts"] = counts_for("counts", (n_replicas, n_types))
     return kwargs
 
 

@@ -27,14 +27,20 @@ Selection order
 :func:`resolve_backend` accepts a backend name, a :class:`Backend`
 instance, or ``None``:
 
-* ``None`` — the ambient backend installed by :func:`use_backend`
-  (default ``numpy``);
+* ``None`` — the ambient backend installed by :func:`use_backend`;
+  outside any such block, the default, which resolves like ``"auto"``;
 * ``"auto"`` — the highest-tier available backend
   (``cnative`` > ``numpy``);
 * a name — that backend if available, else ``numpy`` with a
   ``BackendFallbackWarning``.  A name that is neither registered nor
   ``"auto"`` is a ``ValueError`` (:func:`check_backend_name`), which
   the CLI commands turn into exit status 2 before doing any work.
+
+Because the tiers are bit-identical, the default can be the fastest
+one without moving a digest.  A host where ``cnative`` cannot build
+(no C compiler, no cached library) runs ``numpy`` and prints one
+``repro: backend notice`` line on stderr per process; an explicit
+``cnative`` request there keeps the ``BackendFallbackWarning``.
 
 The backend is an *execution detail*: it never enters the engine
 fingerprint, so checkpoints written under one backend restore into any
@@ -43,6 +49,7 @@ other (asserted in the differential suite).
 
 from __future__ import annotations
 
+import sys
 import warnings
 from contextlib import contextmanager
 from typing import Callable, Iterator, Mapping
@@ -68,8 +75,6 @@ DISPATCH_KERNELS: tuple[str, ...] = (
     "run_trials_sequential",
     "run_trials_batch",
     "run_trials_batch_with_duplicates",
-    "run_trials_stacked",
-    "run_trials_interleaved",
     "execute_type_everywhere",
 )
 
@@ -247,11 +252,35 @@ def resolve_backend(
 # ambient backend (mirrors repro.obs.metrics.use_metrics)
 # ----------------------------------------------------------------------
 _AMBIENT: list[Backend] = []
+_DEFAULT: list[Backend] = []
+
+
+def _default_backend() -> Backend:
+    """The best available backend, resolved once per process.
+
+    Resolves like ``"auto"``.  When a higher tier is registered but
+    cannot run here, it says so once on stderr and returns ``numpy``.
+    """
+    if not _DEFAULT:
+        best = resolve_backend("auto")
+        missing = [
+            b.name for b in _REGISTRY.values() if b.tier > best.tier
+        ]
+        if missing:
+            print(
+                f"repro: backend notice: {', '.join(sorted(missing))} "
+                f"unavailable on this host (no C compiler and no cached "
+                f"build); running on {best.name!r}",
+                file=sys.stderr,
+            )
+        _DEFAULT.append(best)
+    return _DEFAULT[0]
 
 
 def current_backend() -> Backend:
-    """The innermost :func:`use_backend` backend, or ``numpy``."""
-    return _AMBIENT[-1] if _AMBIENT else _REGISTRY["numpy"]
+    """The innermost :func:`use_backend` backend, else the best available
+    one (resolved like ``"auto"``, once per process)."""
+    return _AMBIENT[-1] if _AMBIENT else _default_backend()
 
 
 @contextmanager

@@ -13,8 +13,7 @@ section 4) makes the per-site decision probabilistic::
 
 Every site is visited *exactly once* per step — the crucial difference
 from RSM, where a site can be chosen twice (or not at all) within one
-MC step.  (:class:`repro.ensemble.EnsembleNDCA` is the stacked
-multi-replica variant, bit-identical per replica.)  This difference biases reaction rates and makes NDCA
+MC step.  This difference biases reaction rates and makes NDCA
 degenerate for some systems (Ising, single-file; Vichniac 1984), which
 the bias benchmarks demonstrate.
 

@@ -18,9 +18,9 @@ backend's bound visit (:meth:`repro.backends.Backend.bind_visit`): the
 vectorised batch (:func:`repro.core.kernels.run_trials_batch`) under
 ``numpy``, one C call under ``cnative``; the
 multiprocessing executor (:mod:`repro.parallel.executor`) distributes
-the same batches over worker processes, and the stacked ensemble
-(:class:`repro.ensemble.EnsemblePNDCA`) extends them across R
-independent replicas at once.
+the same batches over worker processes.  Independent replicas are
+separate runs: a ``[sweep] seed`` grid, or
+:func:`repro.analysis.statistics.run_ensemble` in-process.
 
 The order in which chunks are visited matters for accuracy (it
 introduces correlations in site occupancy); the paper lists four

@@ -28,25 +28,6 @@ Every algorithm in the paper reduces to a stream of *trials*
   that each round touches each site at most once; per-site order is
   preserved, which (by commutation across distinct sites) reproduces
   the sequential result exactly.
-
-Two further kernels lift the batch idea one axis higher, onto stacked
-``(R, N)`` ensembles of R independent replicas (:mod:`repro.ensemble`):
-
-* :func:`run_trials_stacked` — one conflict-free batch spanning many
-  replicas at once (replica rows are disjoint, so cross-replica trials
-  can never conflict).  Mixed reaction types are handled in a single
-  gather/scatter through padded per-type tables
-  (:func:`ensemble_tables`) instead of a per-type loop.
-
-* :func:`run_trials_interleaved` — *exact* sequential semantics for R
-  per-replica trial streams, executed concurrently: each replica's
-  stream is cut greedily into conflict-free prefixes (a conservative
-  site-difference LUT, :func:`conflict_lut`, detects potential
-  footprint overlaps), and the union of the current prefixes across
-  replicas runs as one simultaneous batch.  Because every batch is
-  pairwise footprint-disjoint, the reactions commute and the result is
-  bit-identical to running each replica through
-  :func:`run_trials_sequential`.
 """
 
 from __future__ import annotations
@@ -62,12 +43,8 @@ __all__ = [
     "run_trials_sequential",
     "run_trials_batch",
     "run_trials_batch_with_duplicates",
-    "run_trials_stacked",
-    "run_trials_interleaved",
     "execute_type_everywhere",
     "seq_tables",
-    "ensemble_tables",
-    "conflict_lut",
 ]
 
 
@@ -78,8 +55,8 @@ __all__ = [
 def _table_key(compiled: CompiledModel) -> tuple:
     """Cache key tying derived tables to the exact model/lattice binding.
 
-    Derived tables (:func:`seq_tables`, :func:`ensemble_tables`,
-    :func:`conflict_lut`) are memoised on the compiled-model instance.
+    Derived tables (:func:`seq_tables` and the ``cnative`` tables) are
+    memoised on the compiled-model instance.
     A ``CompiledModel`` is constructed for one lattice, but nothing
     stops a caller from mutating the binding or reusing an instance
     across lattices of different shapes — the key makes a stale cache
@@ -286,317 +263,6 @@ def _occurrence_index(sites: np.ndarray) -> np.ndarray:
     occ = np.empty(sites.size, dtype=np.intp)
     occ[order] = occ_sorted
     return occ
-
-
-# ----------------------------------------------------------------------
-# stacked-ensemble kernels: R independent replicas on an (R, N) state
-# ----------------------------------------------------------------------
-
-def ensemble_tables(
-    compiled: CompiledModel,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Padded per-type tables for mixed-type simultaneous execution.
-
-    Returns ``(tmap, csrc, ctgt)`` with shapes ``(C, T * N)`` /
-    ``(C, T)`` / ``(C, T)`` where ``C`` is the maximum number of
-    changes over all reaction types.  Types with fewer changes repeat
-    their first change: matching the same site twice against the same
-    source and writing the same target twice is idempotent, so padding
-    never alters semantics.
-
-    The layout is chosen for gather speed: with the combined key
-    ``base = type * N + site`` every per-change lookup is a *1-d* fancy
-    gather ``tmap[c][base]`` / ``csrc[c][types]``.  The equivalent
-    ``(T, C, N)`` layout needs two advanced indices per gather
-    (``pmap[types, :, sites]``), which numpy serves through a ~10x
-    slower generic take path.  With these tables a whole mixed-type
-    trial batch matches and executes in ``O(C)`` cheap gathers instead
-    of a python loop over the distinct types.
-
-    Cached on the compiled model, keyed like :func:`seq_tables`.
-    """
-    key = _table_key(compiled)
-    cached = getattr(compiled, "_ensemble_tables", None)
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    n_types = len(compiled.types)
-    c_max = max(len(ct.maps) for ct in compiled.types)
-    n = compiled.n_sites
-    # int32 indices halve the memory traffic of the dominant gathers;
-    # they address the flat (R*N,) state, so this caps R * N at 2**31
-    # (far beyond any ensemble that fits in memory for such an N)
-    idx_dtype = np.int32 if n < 2**31 else np.intp
-    tmap = np.empty((c_max, n_types * n), dtype=idx_dtype)
-    csrc = np.empty((c_max, n_types), dtype=np.uint8)
-    ctgt = np.empty((c_max, n_types), dtype=np.uint8)
-    for t, ct in enumerate(compiled.types):
-        for c in range(c_max):
-            cc = c if c < len(ct.maps) else 0
-            tmap[c, t * n : (t + 1) * n] = ct.maps[cc]
-            csrc[c, t] = ct.srcs[cc]
-            ctgt[c, t] = ct.tgts[cc]
-    tables = (tmap, csrc, ctgt)
-    compiled._ensemble_tables = (key, tables)  # type: ignore[attr-defined]
-    return tables
-
-
-def conflict_lut(compiled: CompiledModel) -> np.ndarray:
-    """Conservative site-pair conflict table on flat-index differences.
-
-    Boolean array of length ``2N - 1`` indexed by
-    ``(s_i - s_j) + (N - 1)``: True whenever trials anchored at flat
-    sites ``s_i`` and ``s_j`` *may* have overlapping footprints.  Built
-    from the model's conflict-displacement difference set plus the zero
-    displacement (a repeated anchor always conflicts with itself).
-
-    Flat differences mix the row and column terms: for a displacement
-    ``(dr, dc)`` on an ``(L0, L1)`` lattice the column term is either
-    ``dc % L1`` or ``dc % L1 - L1`` (periodic borrow) and the row term
-    contributes modulo ``N``, so each displacement registers several
-    entries.  Some of them are unreachable — the table is a *superset*
-    of the true conflict relation, which is exactly what the windowed
-    executor needs: a false positive only cuts a prefix early (extra
-    sequentialisation, same result); a false negative would break
-    exactness.
-
-    Cached on the compiled model, keyed like :func:`seq_tables`.
-    """
-    key = _table_key(compiled)
-    cached = getattr(compiled, "_conflict_lut", None)
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    from ..partition.conflicts import model_witnesses
-
-    n = compiled.n_sites
-    shape = compiled.lattice.shape
-    displacements = [*model_witnesses(compiled.model), (0,) * compiled.lattice.ndim]
-    lut = np.zeros(2 * n - 1, dtype=bool)
-    for d in displacements:
-        if compiled.lattice.ndim == 1:
-            bases = [d[0] % shape[0]]
-        else:
-            dr, dc = d
-            l0, l1 = shape
-            bases = [(dr % l0) * l1 + dcc for dcc in (dc % l1, dc % l1 - l1)]
-        for base in bases:
-            for diff in (base % n, base % n - n):
-                if -(n - 1) <= diff <= n - 1:
-                    lut[diff + n - 1] = True
-    compiled._conflict_lut = (key, lut)  # type: ignore[attr-defined]
-    return lut
-
-
-@kernel(writes=("counts",))
-def _stacked_counts(
-    counts: np.ndarray, reps: np.ndarray, types: np.ndarray, mask: np.ndarray
-) -> None:
-    """Accumulate executed trials into a per-replica ``(R, T)`` table.
-
-    The scatter-free formulation: duplicates in ``(rep, type)`` pairs
-    are *expected* here, so the accumulation runs through
-    ``np.bincount`` on the combined key followed by one whole-array
-    ``+=`` — a reduce, not a fancy-index scatter, hence immune to the
-    lost update a repeated index causes in ``counts[idx] += 1``.
-    """
-    n_types = counts.shape[1]
-    hits = np.bincount(
-        reps[mask] * n_types + types[mask], minlength=counts.size
-    )
-    counts += hits.reshape(counts.shape)
-
-
-@kernel(
-    writes=("states", "counts"),
-    shapes={"states": ("R", "N"), "counts": ("R", "T")},
-    dtypes={"states": "uint8", "counts": "int64"},
-)
-def run_trials_stacked(
-    states: np.ndarray,
-    compiled: CompiledModel,
-    reps: np.ndarray,
-    sites: np.ndarray,
-    types: np.ndarray,
-    counts: np.ndarray | None = None,
-) -> int:
-    """Execute one conflict-free trial batch spanning many replicas.
-
-    Parameters
-    ----------
-    states:
-        Stacked ``(R, N)`` ``uint8`` configuration array (C-contiguous),
-        mutated in place.
-    reps, sites, types:
-        Equal-length trial streams: replica row, anchor site (flat index
-        within the replica), reaction type.  Within each replica the
-        sites must be pairwise conflict-free (e.g. distinct sites of one
-        validated partition chunk); trials of different replicas can
-        never conflict because their rows are disjoint.
-    counts:
-        Optional ``(R, T)`` ``int64`` array; executed trials are
-        accumulated per replica and type.
-
-    Returns the number executed.  Equivalent to running each replica's
-    trials through :func:`run_trials_batch` on its own row, but in one
-    simultaneous gather/scatter for all replicas and types.
-    """
-    if sites.size == 0:
-        return 0
-    tmap, csrc, ctgt = ensemble_tables(compiled)
-    n = compiled.n_sites
-    flat = states.reshape(-1)
-    reps = np.asarray(reps, dtype=np.intp)
-    sites = np.asarray(sites, dtype=np.intp)
-    types = np.asarray(types, dtype=np.intp)
-    base = types * n
-    base += sites
-    roff = (reps * n).astype(tmap.dtype, copy=False)
-    mask, idx_cols = _match_flat(flat, tmap, csrc, base, types, roff)
-    n_hit = int(np.count_nonzero(mask))
-    if n_hit:
-        _write_flat(flat, ctgt, idx_cols, types, mask)
-    if counts is not None:
-        _stacked_counts(counts, reps, types, mask)
-    return n_hit
-
-
-def _match_flat(
-    flat: np.ndarray,
-    tmap: np.ndarray,
-    csrc: np.ndarray,
-    base: np.ndarray,
-    types: np.ndarray,
-    roff: np.ndarray,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Match all changes of a trial batch via per-change 1-d gathers.
-
-    Returns the hit mask and the per-change footprint indices (into the
-    flat cross-replica state) for reuse by the write phase.  All matching
-    completes before any write, so the caller's per-change scatters see a
-    consistent pre-batch state.
-    """
-    mask: np.ndarray | None = None
-    idx_cols: list[np.ndarray] = []
-    for c in range(tmap.shape[0]):
-        ic = tmap[c][base]
-        ic += roff
-        eq = flat[ic] == csrc[c][types]
-        mask = eq if mask is None else mask & eq
-        idx_cols.append(ic)
-    assert mask is not None  # every reaction type has >= 1 change
-    return mask, idx_cols
-
-
-@kernel(writes=("flat",))
-def _write_flat(
-    flat: np.ndarray,
-    ctgt: np.ndarray,
-    idx_cols: list[np.ndarray],
-    types: np.ndarray,
-    mask: np.ndarray,
-) -> None:
-    """Scatter targets of the hit trials, one change column at a time.
-
-    Footprints of distinct trials in a conflict-free batch are disjoint,
-    so per-column scatters cannot interfere across trials; within one
-    trial later columns win on a repeated site, matching the in-memory
-    order of the previous single fancy-scatter formulation (and padded
-    columns rewrite change 0's value — idempotent).
-    """
-    h_types = types[mask]
-    for c in range(len(idx_cols)):
-        flat[idx_cols[c][mask]] = ctgt[c][h_types]
-
-
-@kernel(
-    writes=("states", "counts"),
-    shapes={
-        "states": ("R", "N"),
-        "sites": ("R", "B"),
-        "types": ("R", "B"),
-        "counts": ("R", "T"),
-    },
-    dtypes={"states": "uint8", "counts": "int64"},
-)
-def run_trials_interleaved(
-    states: np.ndarray,
-    compiled: CompiledModel,
-    sites: np.ndarray,
-    types: np.ndarray,
-    starts: np.ndarray,
-    stops: np.ndarray,
-    counts: np.ndarray | None = None,
-    window: int = 16,
-) -> int:
-    """Exact sequential semantics for R trial streams, run concurrently.
-
-    Parameters
-    ----------
-    states:
-        Stacked ``(R, N)`` ``uint8`` configuration array, mutated in
-        place.
-    sites, types:
-        ``(R, B)`` per-replica trial streams with strict sequential
-        semantics — within a replica, each trial must see the writes of
-        all its predecessors.
-    starts, stops:
-        Per-replica half-open ranges ``[starts[r], stops[r])`` of the
-        stream to execute (a replica with ``starts[r] == stops[r]``
-        is skipped).
-    counts:
-        Optional ``(R, T)`` ``int64`` per-replica/type executed counts.
-    window:
-        Lookahead per replica per round (performance knob only).
-
-    The kernel advances all replicas in rounds.  Each round inspects the
-    next ``window`` trials of every replica, cuts the stream at the
-    first pair of trials whose anchors *may* conflict (conservative
-    check via :func:`conflict_lut` on flat site differences), and
-    executes the union of the conflict-free prefixes of all replicas as
-    one simultaneous cross-replica batch.  Within a prefix the trials
-    are pairwise footprint-disjoint, so they commute: the outcome is
-    bit-identical to :func:`run_trials_sequential` applied per replica.
-
-    Returns the number executed.
-    """
-    n = compiled.n_sites
-    tmap, csrc, ctgt = ensemble_tables(compiled)
-    lut = conflict_lut(compiled)
-    flat = states.reshape(-1)
-    n_reps, n_blk = sites.shape
-    w = max(2, int(window))
-    ii, jj = np.tril_indices(w, -1)
-    ptr = np.asarray(starts, dtype=np.intp).copy()
-    stops = np.asarray(stops, dtype=np.intp)
-    col = np.arange(w, dtype=np.intp)
-    rows = np.arange(n_reps, dtype=np.intp)[:, None]
-    offsets = (np.arange(n_reps, dtype=np.intp) * n).astype(tmap.dtype, copy=False)
-    n_exec = 0
-    while True:
-        remaining = np.maximum(stops - ptr, 0)
-        if not remaining.any():
-            break
-        # window of upcoming sites; exhausted replicas read clipped
-        # (ignored) positions — clipping can only *add* conflicts at
-        # indices >= remaining, which the `remaining` clamp discards
-        take = np.minimum(ptr[:, None] + col, n_blk - 1)
-        s_win = sites[rows, take]
-        conf = lut[(s_win[:, ii] - s_win[:, jj]) + (n - 1)]
-        firstbad = np.where(conf, ii, w).min(axis=1)
-        length = np.minimum(firstbad, remaining)
-        sel = col < length[:, None]
-        rr, cc = np.nonzero(sel)
-        b_types = types[rr, ptr[rr] + cc]
-        base = b_types * n
-        base += s_win[rr, cc]
-        mask, idx_cols = _match_flat(flat, tmap, csrc, base, b_types, offsets[rr])
-        n_hit = int(np.count_nonzero(mask))
-        if n_hit:
-            _write_flat(flat, ctgt, idx_cols, b_types, mask)
-        if counts is not None:
-            _stacked_counts(counts, rr, b_types, mask)
-        n_exec += n_hit
-        ptr += length
-    return n_exec
 
 
 @kernel(writes=("state",), dtypes={"state": "uint8"})

@@ -16,10 +16,9 @@ purely sequential — each trial sees the state left by the previous one
 — which is exactly why the paper develops the partitioned CA
 alternatives.
 
-For statistics over many independent runs, the stacked
-:class:`repro.ensemble.EnsembleRSM` executes R replicas of this exact
-algorithm concurrently, bit-identical per replica to this class under
-matched seeds.
+For statistics over many independent runs, loop over seeds with
+:func:`repro.analysis.statistics.run_ensemble`, or journal the runs as
+a ``[sweep] seed`` grid with ``repro sweep``.
 
 Implementation notes.  The random site/type/waiting-time draws are
 vectorised in blocks (semantically identical, an order of magnitude

@@ -21,6 +21,7 @@ module              reproduces
 ``ndca_bias``       section 4 (NDCA degeneracy: Ising / single-file)
 ``fast_diffusion``  section 6 closing claim (fast diffusion -> accurate CA)
 ``ablations``       design-choice ablations (strategies, kernels)
+``paper_scale``     Figs. 8-10 at the paper's 100x100 scale (long runs)
 ==================  ====================================================
 """
 

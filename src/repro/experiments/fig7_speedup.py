@@ -40,12 +40,6 @@ class Fig7Result:
     surface: np.ndarray
     spec: MachineSpec
     executor_verified: bool  # parallel == serial state on the real executor
-    # measured single-process replication speedup (paper's third route):
-    # EnsemblePNDCA wall time vs looping sequential PNDCA over the same
-    # seeds; 0.0 / False when not measured
-    ensemble_replicas: int = 0
-    ensemble_speedup: float = 0.0
-    ensemble_identical: bool = False
 
     @property
     def max_speedup(self) -> float:
@@ -74,63 +68,14 @@ def _verify_executor(seed: int = 3) -> bool:
     return bool(np.array_equal(rs.final_state.array, rp.final_state.array))
 
 
-def _measure_ensemble_speedup(
-    n_replicas: int = 16, side: int = 40, until: float = 2.0, seed: int = 7
-) -> tuple[float, bool]:
-    """Measured wall speedup of the stacked ensemble over a replica loop.
-
-    The paper's third parallelisation route ("averaging of a large
-    number of small, independent simulations") needs no machine model
-    at all — replication is embarrassingly parallel, and the package
-    realises it as SIMD (:class:`repro.ensemble.EnsemblePNDCA`).
-    Returns ``(wall_loop / wall_ensemble, bit_identical)`` for ZGB on a
-    ``side x side`` lattice.
-    """
-    import time
-
-    from ..ca.pndca import PNDCA
-    from ..ensemble import EnsemblePNDCA, run_replicated
-    from ..models.zgb import ziff_model
-    from ..partition.coloring import greedy_partition
-
-    model = ziff_model()
-    lattice = Lattice((side, side))
-    part = greedy_partition(lattice, model)
-    seeds = [seed + i for i in range(n_replicas)]
-
-    def factory(s):
-        return PNDCA(model, lattice, seed=s, partition=part, strategy="ordered")
-
-    t0 = time.perf_counter()
-    loop_results = run_replicated(factory, seeds, until)
-    t_loop = time.perf_counter() - t0
-
-    ens = EnsemblePNDCA(model, lattice, seeds=seeds, partition=part)
-    t0 = time.perf_counter()
-    eres = ens.run(until=until)
-    t_ens = time.perf_counter() - t0
-    identical = all(
-        np.array_equal(eres.states[i], r.final_state.array.reshape(-1))
-        for i, r in enumerate(loop_results)
-    )
-    return t_loop / t_ens, identical
-
-
 def run_fig7(
     calibrate: bool = True,
     calibration_side: int = 60,
     sides: list[int] | None = None,
     ps: list[int] | None = None,
     verify_executor: bool = True,
-    measure_ensemble: bool = False,
-    ensemble_replicas: int = 16,
 ) -> Fig7Result:
-    """Generate the Fig. 7 surface (optionally with measured calibration).
-
-    ``measure_ensemble=True`` additionally *measures* the replication
-    route: wall-clock speedup of the stacked ensemble engine over a
-    loop of sequential runs (and verifies bit-identity of the two).
-    """
+    """Generate the Fig. 7 surface (optionally with measured calibration)."""
     if calibrate:
         spec = calibrated_spec(pt100_model(), Lattice((calibration_side, calibration_side)))
         # the python-vectorised kernel is faster per trial than a 2003
@@ -147,20 +92,12 @@ def run_fig7(
     else:
         spec = DEFAULT_2003
     s, p, surf = fig7_surface(spec, sides, ps)
-    ens_speedup, ens_ident = (
-        _measure_ensemble_speedup(ensemble_replicas)
-        if measure_ensemble
-        else (0.0, False)
-    )
     return Fig7Result(
         sides=s,
         ps=p,
         surface=surf,
         spec=spec,
         executor_verified=_verify_executor() if verify_executor else False,
-        ensemble_replicas=ensemble_replicas if measure_ensemble else 0,
-        ensemble_speedup=ens_speedup,
-        ensemble_identical=ens_ident,
     )
 
 
@@ -179,12 +116,6 @@ def fig7_report(result: Fig7Result | None = None) -> str:
         f"real multiprocessing executor bit-identical to serial PNDCA: "
         f"{r.executor_verified}",
     ]
-    if r.ensemble_replicas:
-        lines.append(
-            f"measured replication route (stacked ensemble, "
-            f"R={r.ensemble_replicas}): {r.ensemble_speedup:.2f}x over a "
-            f"loop of sequential runs, bit-identical: {r.ensemble_identical}"
-        )
     return "\n".join(lines)
 
 

@@ -22,10 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..analysis.statistics import run_ensemble
 from ..ca.pndca import PNDCA
 from ..core.lattice import Lattice
+from ..core.rng import spawn_rngs
+from ..dmc.base import CoverageObserver
 from ..dmc.rsm import RSM
-from ..ensemble import EnsemblePNDCA, EnsembleRSM
 from ..io.report import format_table
 from ..lint import preflight_model
 from ..models.zgb import empty_surface, zgb_model
@@ -38,8 +40,8 @@ __all__ = ["PhasePoint", "PhaseDiagram", "run_phase_diagram", "phase_diagram_rep
 class PhasePoint:
     """Steady-state coverages of one y point of the sweep.
 
-    With ``n_replicas > 1`` the coverages are ensemble means over
-    independent replicas (vectorised via :mod:`repro.ensemble`) and the
+    With ``n_replicas > 1`` the coverages are means over independent
+    replicas (:func:`repro.analysis.statistics.run_ensemble`) and the
     ``stderr_*`` fields carry the standard errors of those means;
     single-run points keep the default zero stderr.
     """
@@ -101,7 +103,7 @@ def _steady_point(
     if algorithm not in ("PNDCA", "RSM"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if n_replicas > 1:
-        return _steady_point_ensemble(
+        return _steady_point_replicas(
             model, lattice, initial, until, seed, algorithm, n_replicas, y
         )
     if algorithm == "PNDCA":
@@ -120,33 +122,43 @@ def _steady_point(
     )
 
 
-def _steady_point_ensemble(
+def _steady_point_replicas(
     model, lattice, initial, until, seed, algorithm, n_replicas, y
 ) -> PhasePoint:
-    """One y point as the mean over a stacked replica ensemble."""
-    if algorithm == "PNDCA":
-        p5 = five_chunk_partition(lattice)
-        ens = EnsemblePNDCA(
-            model, lattice, n_replicas=n_replicas, seed=seed,
-            initial=initial, partition=p5,
-        )
-    else:
-        ens = EnsembleRSM(
-            model, lattice, n_replicas=n_replicas, seed=seed, initial=initial
-        )
-    res = ens.run(until=until)
-    cov = res.mean_final_coverages()
-    sem = res.stderr_final_coverages()
+    """One y point as the mean over replicas on ``spawn_rngs(seed, R)``."""
+    p5 = five_chunk_partition(lattice) if algorithm == "PNDCA" else None
+
+    def factory(rng):
+        obs = [CoverageObserver(until)]
+        if p5 is not None:
+            return PNDCA(
+                model, lattice, seed=rng, initial=initial, partition=p5,
+                strategy="ordered", observers=obs,
+            )
+        return RSM(model, lattice, seed=rng, initial=initial, observers=obs)
+
+    res = run_ensemble(
+        factory, spawn_rngs(seed, n_replicas), until, keep_results=True
+    )
+    names = model.species.names
+    hist = np.stack([
+        np.bincount(r.final_state.array.ravel(), minlength=len(names))
+        for r in res.results
+    ])
+    n = lattice.n_sites
+    mean = hist.mean(axis=0) / n
+    sem = (hist / n).std(axis=0, ddof=1) / np.sqrt(n_replicas)
+    code = model.species.code
     return PhasePoint(
         y=y,
-        theta_co=cov["CO"],
-        theta_o=cov["O"],
-        theta_empty=cov["*"],
+        theta_co=float(mean[code("CO")]),
+        theta_o=float(mean[code("O")]),
+        theta_empty=float(mean[code("*")]),
         algorithm=algorithm,
         n_replicas=n_replicas,
-        stderr_co=sem["CO"],
-        stderr_o=sem["O"],
-        stderr_empty=sem["*"],
+        stderr_co=float(sem[code("CO")]),
+        stderr_o=float(sem[code("O")]),
+        stderr_empty=float(sem[code("*")]),
     )
 
 
@@ -161,10 +173,8 @@ def run_phase_diagram(
 ) -> PhaseDiagram:
     """Sweep y with PNDCA; verify selected points with RSM.
 
-    ``n_replicas > 1`` switches every point to the stacked ensemble
-    engine: each coverage becomes a mean over that many independent
-    replicas (with stderr on the :class:`PhasePoint`), at far less than
-    ``n_replicas`` times the single-run cost.
+    ``n_replicas > 1`` makes every coverage a mean over that many
+    independent replicas (with stderr on the :class:`PhasePoint`).
 
     ``checkpoint_dir`` makes the sweep interruptible: each y point's
     engine run checkpoints there periodically, and SIGINT/SIGTERM flush

@@ -23,7 +23,7 @@ Analysis passes, each emitting :class:`Diagnostic` records with stable
 The kernels, their RNG draws, the C tier and the process-level
 protocol are checked dynamically instead.  The differential suite in
 ``tests/test_backends.py`` demands bit-identity of every backend with
-the NumPy reference, and the kernel, ensemble and protocol tests kill
+the NumPy reference, and the kernel and protocol tests kill
 the seeded mutants of DESIGN.md §8, §12 and §13 (the slow
 ``Test*MutantsAreKilled`` classes).
 

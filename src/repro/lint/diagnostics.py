@@ -13,7 +13,7 @@ Code ranges
     model sanity (probability mass, reachability, conservation),
 ``SR03x``, ``SR04x``, ``SR05x``
     retired: the RNG draw audit's and the kernel aliasing prover's
-    codes.  The differential backend suite and the kernel and ensemble
+    codes.  The differential backend suite and the kernel
     tests kill the kernel and draw mutants they were written against,
     so the ranges stay empty and their numbers are never reused,
 ``SR06x``

@@ -14,7 +14,7 @@ Hook points (wired by the engines):
     after every algorithm step block (:meth:`SimulatorBase.run` loop);
 ``on_chunk(chunk_index, size, sim_time)``
     after every chunk visit (PNDCA / L-PNDCA / type-partitioned CA /
-    ensemble PNDCA / parallel executor);
+    parallel executor);
 ``on_snapshot(sim_time)``
     whenever at least one observer sampled a grid point;
 ``on_recovery(kind, detail)``

@@ -11,8 +11,7 @@ restartable and every recovery path testable:
   bit-generator state, simulation time, trial counts and an
   engine/model fingerprint.  :class:`CheckpointPolicy` (every-N-steps /
   every-T-seconds) and :class:`Checkpointer` hook into the ``run()``
-  loops of :class:`repro.dmc.base.SimulatorBase` and
-  :class:`repro.ensemble.base.EnsembleBase`; ``Engine.resume(path)``
+  loop of :class:`repro.dmc.base.SimulatorBase`; ``Engine.resume(path)``
   restores with a hard guarantee that a resumed run is bit-identical
   to an uninterrupted one at the same seed.  :func:`use_checkpoints`
   installs an ambient checkpointer (cf.
@@ -35,7 +34,6 @@ See DESIGN.md §10 for the checkpoint schema, the supervisor and the
 recovery ladder.
 """
 
-from .chaos import CHAOS_KINDS, ChaosMonkey, FaultSpec
 from .checkpoint import (
     CKPT_SCHEMA,
     CheckpointCorruptError,
@@ -53,6 +51,16 @@ from .checkpoint import (
     use_checkpoints,
     write_checkpoint,
 )
+
+
+def __getattr__(name: str):
+    # the fault injector serves the chaos tests only: resolve it on
+    # first access (PEP 562), so a checkpointed run does not load it
+    if name in ("CHAOS_KINDS", "ChaosMonkey", "FaultSpec"):
+        from . import chaos
+
+        return getattr(chaos, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     # checkpoint

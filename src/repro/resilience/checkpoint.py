@@ -18,20 +18,20 @@ Schema ``repro.ckpt/1``::
       "schema":  "repro.ckpt/1",
       "crc32":   int,       # CRC-32 of the canonical payload JSON
       "payload": {
-        "kind":              "simulator" | "ensemble",
+        "kind":              "simulator",
         "algorithm":         str,
         "model":             str,
         "lattice":           [int, ...],
         "time_mode":         str,
         "fingerprint":       str,     # sha-256/16 of the engine binding
         "seed":              int | null,
-        "time" / "times":    float / [float, ...],
-        "n_trials":          int / [int, ...],
-        "executed_per_type": nested ints,
-        "state" / "states":  {"dtype", "shape", "data"}  (base64),
-        "rng" / "rngs":      bit-generator state dict(s),
+        "time":              float,
+        "n_trials":          int,
+        "executed_per_type": [int, ...],
+        "state":             {"dtype", "shape", "data"}  (base64),
+        "rng":               bit-generator state dict,
         "extra":             engine-specific dict,
-        "observers" / "samples": observer / sampling state
+        "observers":         observer state
       }
     }
 
@@ -189,7 +189,7 @@ def engine_fingerprint(engine: Any) -> str:
         ],
         "lattice": list(engine.lattice.shape),
         "time_mode": engine.time_mode,
-        "replicas": int(getattr(engine, "n_replicas", 1)),
+        "replicas": 1,  # kept so existing checkpoints still match
     }
     blob = json.dumps(spec, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -288,7 +288,7 @@ def load_checkpoint(path: str | Path) -> dict:
     """
     path = Path(path)
     try:
-        return _load_raw(path)
+        payload = _load_raw(path)
     except CheckpointCorruptError as exc:
         good = last_good_checkpoint(path.parent, exclude=path)
         if good is not None:
@@ -296,6 +296,12 @@ def load_checkpoint(path: str | Path) -> dict:
         else:
             hint = f"; no good checkpoint found in {path.parent}"
         raise CheckpointCorruptError(str(exc) + hint) from exc
+    if payload.get("kind") == "ensemble":
+        raise CheckpointMismatchError(
+            f"{path}: checkpoint kind 'ensemble' is retired and cannot be "
+            f"restored; rerun the replicas as a [sweep] seed campaign"
+        )
+    return payload
 
 
 # ----------------------------------------------------------------------

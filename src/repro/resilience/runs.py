@@ -25,28 +25,16 @@ __all__ = ["run_digest"]
 def run_digest(engine: Any) -> str:
     """Deterministic digest of an engine's current state.
 
-    Covers the lattice state(s), the simulation clock(s) and the trial
+    Covers the lattice state, the simulation clock and the trial
     counters — two runs print the same digest exactly when they reached
     a bit-identical point, which is what the CI round-trip gate diffs.
     """
     h = hashlib.sha256()
-    if hasattr(engine, "states"):  # ensemble
-        h.update(np.ascontiguousarray(engine.states).tobytes())
-        h.update(np.asarray(engine.times, dtype=np.float64).tobytes())
-        h.update(np.asarray(engine.n_trials, dtype=np.int64).tobytes())
-    else:
-        h.update(np.ascontiguousarray(engine.state.array).tobytes())
-        h.update(np.float64(engine.time).tobytes())
-        h.update(np.int64(engine.n_trials).tobytes())
+    h.update(np.ascontiguousarray(engine.state.array).tobytes())
+    h.update(np.float64(engine.time).tobytes())
+    h.update(np.int64(engine.n_trials).tobytes())
     h.update(np.asarray(engine.executed_per_type, dtype=np.int64).tobytes())
     return h.hexdigest()[:16]
-
-
-def _engine_time(engine: Any) -> float:
-    """Current simulation time (min over replicas for ensembles)."""
-    if hasattr(engine, "times"):
-        return float(np.min(engine.times))
-    return float(engine.time)
 
 
 def _resolve_resume(resume: str | Path, checkpoint_dir: str | Path | None) -> Path:

@@ -37,7 +37,6 @@ from .compile import (
     compile_scenario,
     lint_scenario,
 )
-from .gates import GateResult, coverages_after, run_gates
 from .registry import (
     find_scenario,
     get_scenario,
@@ -54,6 +53,17 @@ from .spec import (
     load_scenario,
     loads_scenario,
 )
+
+
+def __getattr__(name: str):
+    # the gates run for `repro scenarios --gates` and the tests only:
+    # resolve them on first access (PEP 562), so `repro run` skips them
+    if name in ("GateResult", "coverages_after", "run_gates"):
+        from . import gates
+
+        return getattr(gates, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ScenarioError",

@@ -268,25 +268,6 @@ def build_engine(
             chunk_selection=e.chunk_selection or "size-proportional",
             **common,
         )
-    # ensembles: replicas + optional sampling grid
-    common["n_replicas"] = e.n_replicas
-    if e.sample_interval is not None:
-        common["sample_interval"] = e.sample_interval
-    if kind == "ensemble-rsm":
-        from ..ensemble.rsm import EnsembleRSM
-
-        return EnsembleRSM(model, lattice, **common)
-    if kind == "ensemble-ndca":
-        from ..ensemble.ndca import EnsembleNDCA
-
-        return EnsembleNDCA(model, lattice, **common)
-    if kind == "ensemble-pndca":
-        from ..ensemble.pndca import EnsemblePNDCA
-
-        return EnsemblePNDCA(
-            model, lattice, partition=partition,
-            strategy=e.strategy or "random-order", schedule_seed=0, **common,
-        )
     raise ScenarioError(f"engine.kind: unknown engine {kind!r}")  # unreachable
 
 

@@ -49,27 +49,13 @@ class GateResult:
 def coverages_after(
     spec: ScenarioSpec, *, seed: int, until: float
 ) -> dict[str, float]:
-    """Run the scenario engine and return final per-species coverages.
-
-    Ensemble engines average over replicas; sequential engines read the
-    single final configuration.
-    """
+    """Run the scenario engine and return final per-species coverages."""
     engine = build_engine(spec, seed=seed)
     engine.run(until=until)
     model, _ = build_model(spec.model, spec.name)
     n_species = len(model.species)
-    if hasattr(engine, "states"):  # ensemble: (R, ...) stacked states
-        states = np.asarray(engine.states)
-        counts = np.zeros(n_species, dtype=np.float64)
-        for r in range(states.shape[0]):
-            counts += np.bincount(states[r].ravel(), minlength=n_species)
-        counts /= states.shape[0]
-        n_sites = states[0].size
-    else:
-        counts = np.bincount(
-            engine.state.array.ravel(), minlength=n_species
-        ).astype(np.float64)
-        n_sites = engine.state.array.size
+    counts = np.bincount(engine.state.array.ravel(), minlength=n_species)
+    n_sites = engine.state.array.size
     return {
         name: float(counts[i] / n_sites)
         for i, name in enumerate(model.species.names)

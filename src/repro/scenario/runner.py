@@ -29,7 +29,6 @@ import sys
 from pathlib import Path
 from typing import Any, Mapping
 
-import numpy as np
 
 from .compile import build_engine, lint_scenario
 from .spec import ScenarioError, ScenarioSpec
@@ -90,11 +89,11 @@ def format_overrides(overrides: Mapping[str, Any]) -> str:
 
 
 def _digest_line(engine) -> str:
-    from ..resilience.runs import run_digest, _engine_time
+    from ..resilience.runs import run_digest
 
     return (
-        f"digest {run_digest(engine)} t={_engine_time(engine):.17g} "
-        f"trials={int(np.sum(engine.n_trials))}"
+        f"digest {run_digest(engine)} t={engine.time:.17g} "
+        f"trials={engine.n_trials}"
     )
 
 
@@ -255,11 +254,9 @@ def run_scenario(
         path = _resolve_resume(resume, checkpoint_dir)
         engine.resume(path)
         print(f"resumed from {path}", file=out)
-    from ..resilience.runs import _engine_time
-
-    if _engine_time(engine) >= horizon:
+    if engine.time >= horizon:
         print(
-            f"nothing to do: t={_engine_time(engine):g} >= until={horizon:g}",
+            f"nothing to do: t={engine.time:g} >= until={horizon:g}",
             file=out,
         )
         print(_digest_line(engine), file=out)
@@ -277,10 +274,6 @@ def run_scenario(
     if last is not None:
         print(f"last checkpoint: {last}", file=out)
 
-    print(
-        f"{spec.name}: t={_engine_time(engine):g}, "
-        f"trials={int(np.sum(engine.n_trials))}",
-        file=out,
-    )
+    print(f"{spec.name}: t={engine.time:g}, trials={engine.n_trials}", file=out)
     print(_digest_line(engine), file=out)
     return 0

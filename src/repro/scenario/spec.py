@@ -79,16 +79,18 @@ ENGINE_KINDS = (
     "pndca",
     "lpndca",
     "typepart",
-    "ensemble-rsm",
-    "ensemble-ndca",
-    "ensemble-pndca",
 )
 
 #: engine kinds that execute chunks in parallel and therefore need a
 #: conflict-free partition (proved by the lint preflight before any run)
-PARALLEL_KINDS = ("pndca", "lpndca", "ensemble-pndca")
+PARALLEL_KINDS = ("pndca", "lpndca")
 
-ENSEMBLE_KINDS = ("ensemble-rsm", "ensemble-ndca", "ensemble-pndca")
+#: why ``ensemble-*`` kinds and ``engine.n_replicas``/``sample_interval``
+#: are refused: replicas are a ``[sweep] seed`` grid run by ``repro sweep``
+_RETIRED = (
+    "the stacked replica ensemble is retired; "
+    "list replica seeds in [sweep] seed instead"
+)
 
 #: reaction vocabulary -> required keys (beyond name/type/rate)
 REACTION_TYPES: dict[str, tuple[str, ...]] = {
@@ -136,15 +138,13 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """``[engine]``: kind plus its chunking/replica options."""
+    """``[engine]``: kind plus its chunking options."""
 
     kind: str
     partition: str | None
     strategy: str | None
     L: int | str | None
     chunk_selection: str | None
-    n_replicas: int | None
-    sample_interval: float | None
     backend: str | None
 
 
@@ -438,18 +438,21 @@ _ENGINE_KEYS = (
     "strategy",
     "L",
     "chunk_selection",
-    "n_replicas",
-    "sample_interval",
     "backend",
 )
 
 
 def _parse_engine(doc: Mapping) -> EngineSpec:
     table = _require_table(doc, "engine", "scenario")
+    for key in ("n_replicas", "sample_interval"):
+        if key in table:
+            raise _err(f"engine.{key}: {_RETIRED}")
     _reject_unknown(table, _ENGINE_KEYS, "engine")
     kind = _get_str(table, "kind", "engine")
     if kind is None:
         raise _err("engine.kind: missing required key")
+    if kind.startswith("ensemble-"):
+        raise _err(f"engine.kind: {kind!r}: {_RETIRED}")
     if kind not in ENGINE_KINDS:
         raise _err(
             f"engine.kind: unknown engine {kind!r}; known: {sorted(ENGINE_KINDS)}"
@@ -476,12 +479,6 @@ def _parse_engine(doc: Mapping) -> EngineSpec:
             L = v
         else:
             raise _err(f"engine.L: must be a positive integer or 'chunk', got {v!r}")
-    n_replicas = _get_int(table, "n_replicas", "engine")
-    if n_replicas is not None and n_replicas < 1:
-        raise _err(f"engine.n_replicas: must be >= 1, got {n_replicas}")
-    sample_interval = _get_number(table, "sample_interval", "engine")
-    if sample_interval is not None and not sample_interval > 0:
-        raise _err(f"engine.sample_interval: must be positive, got {sample_interval}")
 
     # option/kind consistency — refusing silently-ignored options keeps
     # scenario files honest about what actually ran
@@ -492,24 +489,16 @@ def _parse_engine(doc: Mapping) -> EngineSpec:
             f"engine.partition: engine kind {kind!r} needs a partition "
             f"('five-chunk', 'checkerboard', 'auto' or 'M:C0,C1')"
         )
-    if strategy is not None and kind not in ("pndca", "ensemble-pndca"):
+    if strategy is not None and kind != "pndca":
         raise _err(f"engine.strategy: engine kind {kind!r} takes no chunk strategy")
     if (L is not None or chunk_selection is not None) and kind != "lpndca":
         raise _err(f"engine.L/chunk_selection: only the 'lpndca' engine takes them")
-    if n_replicas is not None and kind not in ENSEMBLE_KINDS:
-        raise _err(f"engine.n_replicas: engine kind {kind!r} is not an ensemble")
-    if n_replicas is None and kind in ENSEMBLE_KINDS:
-        raise _err(f"engine.n_replicas: required for ensemble kind {kind!r}")
-    if sample_interval is not None and kind not in ENSEMBLE_KINDS:
-        raise _err(f"engine.sample_interval: only ensemble engines take it")
     return EngineSpec(
         kind=kind,
         partition=partition,
         strategy=strategy,
         L=L,
         chunk_selection=chunk_selection,
-        n_replicas=n_replicas,
-        sample_interval=sample_interval,
         backend=backend,
     )
 

@@ -18,9 +18,20 @@ _SRC = str(Path(repro.__file__).resolve().parents[1])
 
 #: what a scenario run never executes: scipy serves the exact master
 #: equation and the analysis helpers, multiprocessing and the
-#: orchestrator the executor and ``repro sweep``; networkx is no
-#: dependency at all
-UNUSED = ("scipy", "networkx", "multiprocessing", "repro.jobs.orchestrator")
+#: orchestrator the executor and ``repro sweep``; the other DMC engines,
+#: the fault injector and the acceptance gates serve other commands;
+#: networkx is no dependency at all
+UNUSED = (
+    "scipy",
+    "networkx",
+    "multiprocessing",
+    "repro.jobs.orchestrator",
+    "repro.dmc.frm",
+    "repro.dmc.vssm",
+    "repro.dmc.master_equation",
+    "repro.resilience.chaos",
+    "repro.scenario.gates",
+)
 
 
 def fresh(code: str) -> list[str]:

@@ -7,8 +7,8 @@ an argument outside its ``@kernel(writes=...)`` contract.
 ``TestKernelMutantsAreKilled`` (marked ``slow``; CI's backend-matrix
 job runs it) breaks each of those promises in a copy of ``src/repro``
 and runs the tests named as its killers against the copy
-(``tests/mutants.py``).  DESIGN.md §8 lists the mutants, their killers
-and the one mutant no run can tell apart from the shipped code.
+(``tests/mutants.py``).  DESIGN.md §8 lists the mutants and their
+killers.
 
 The fast classes check the ``@kernel`` registry and pit
 :func:`repro.backends.fuzz.runtime_write_collisions` — a brute-force
@@ -43,9 +43,6 @@ from .mutants import assert_control_passes, assert_mutant_killed
 KERNEL_MODULES = (
     "repro.core.kernels",
     "repro.core.compiled",
-    "repro.ensemble.rsm",
-    "repro.ensemble.ndca",
-    "repro.ensemble.pndca",
     "repro.backends.cnative",
 )
 
@@ -74,14 +71,11 @@ class TestContracts:
         assert {
             "run_trials_sequential",
             "run_trials_batch",
-            "run_trials_stacked",
-            "run_trials_interleaved",
+            "run_trials_batch_with_duplicates",
+            "execute_type_everywhere",
             "_execute_masked",
-            "_stacked_counts",
-            "_write_flat",
             "execute",
-            "_step_block",
-            "_visit_chunk",
+            "c_run_trials_sequential",
         } <= names
         # every module contributes at least one kernel
         mods = {f.__module__ for f in kernels}
@@ -92,28 +86,11 @@ class TestContracts:
 # seeded kernel and draw mutants
 # ----------------------------------------------------------------------
 _KERNELS = "core/kernels.py"
-_ENSEMBLE = "tests/test_ensemble.py"
+_REPLICAS = "tests/test_ensemble.py"
 _KERNEL_TESTS = "tests/test_kernels.py"
-_PNDCA_BIT_IDENTICAL = f"{_ENSEMBLE}::test_pndca_ordered_bit_identical"
 
 #: name -> (file under src/repro, old text, new text, killer node ids)
 MUTANTS = {
-    # a repeated index in an augmented fancy scatter loses updates
-    "write-flat-augmented": (
-        _KERNELS,
-        "        flat[idx_cols[c][mask]] = ctgt[c][h_types]",
-        "        flat[idx_cols[c][mask]] += ctgt[c][h_types]",
-        [_PNDCA_BIT_IDENTICAL, f"{_ENSEMBLE}::test_rsm_multi_block_bit_identical"],
-    ),
-    "stacked-counts-lost-update": (
-        _KERNELS,
-        "    hits = np.bincount(\n"
-        "        reps[mask] * n_types + types[mask], minlength=counts.size\n"
-        "    )\n"
-        "    counts += hits.reshape(counts.shape)",
-        "    counts[reps[mask], types[mask]] += 1",
-        [_PNDCA_BIT_IDENTICAL, f"{_ENSEMBLE}::test_ndca_deterministic_time_bit_identical"],
-    ),
     # the duplicate-free chains behind the plain scatters
     "execute-masked-dedup-lost": (
         _KERNELS,
@@ -133,43 +110,33 @@ MUTANTS = {
             "::test_matches_sequential_on_fuzzed_repeat_streams"
         ],
     ),
-    # operand shapes that do not broadcast
-    "stacked-counts-flat-reshape": (
+    # a kernel writing arguments outside its contract's writes: a
+    # conflict-free batch is order-free, so only the inputs change
+    "batch-reverses-its-inputs": (
         _KERNELS,
-        "    counts += hits.reshape(counts.shape)",
-        "    counts += hits.reshape(-1)",
-        [_PNDCA_BIT_IDENTICAL],
-    ),
-    # an implicit float64 -> float32 store
-    "replica-times-float32": (
-        "ensemble/base.py",
-        "self.times = np.zeros(r, dtype=np.float64)",
-        "self.times = np.zeros(r, dtype=np.float32)",
-        [_PNDCA_BIT_IDENTICAL, f"{_ENSEMBLE}::test_ndca_bit_identical"],
-    ),
-    # a kernel writing an argument outside its contract's writes
-    "interleaved-clobbers-starts": (
-        _KERNELS,
-        "ptr = np.asarray(starts, dtype=np.intp).copy()",
-        "ptr = np.asarray(starts, dtype=np.intp)",
+        '        raise ValueError("sites and types must have equal length")\n',
+        '        raise ValueError("sites and types must have equal length")\n'
+        "    sites[:] = sites[::-1].copy()\n"
+        "    types[:] = types[::-1].copy()\n",
         [
             "tests/test_backends.py::TestUndeclaredWrites"
             "::test_reference_kernels_keep_undeclared_inputs"
         ],
     ),
-    # draws: the shared schedule on a replica stream, a replica's draws
-    # on another replica's stream, one extra replica draw
-    "schedule-on-replica-stream": (
-        "ensemble/pndca.py",
-        "schedule = self.schedule_rng.permutation(m)",
-        "schedule = self.rngs[0].permutation(m)",
-        [f"{_ENSEMBLE}::test_pndca_strategies_replica_isolated"],
+    # draws: one extra draw on an engine's stream shifts every later one
+    "rsm-extra-draw": (
+        "dmc/rsm.py",
+        "        types = draw_types(self.rng, comp.type_cum, n)\n",
+        "        types = draw_types(self.rng, comp.type_cum, n)\n"
+        "        self.rng.random()\n",
+        [f"{_REPLICAS}::test_rsm_bit_identical"],
     ),
-    "replica-types-on-stream-0": (
-        "ensemble/rsm.py",
-        "types_blk[r] = draw_types(rng, comp.type_cum, n)",
-        "types_blk[r] = draw_types(self.rngs[0], comp.type_cum, n)",
-        [f"{_ENSEMBLE}::test_rsm_bit_identical"],
+    "ndca-extra-draw": (
+        "ca/ndca.py",
+        "            sites = self.rng.permutation(n).astype(np.intp)\n",
+        "            self.rng.random()\n"
+        "            sites = self.rng.permutation(n).astype(np.intp)\n",
+        [f"{_REPLICAS}::test_ndca_bit_identical"],
     ),
     # a bound chunk visit kept after state.array was rebound
     "stale-state-handle": (
@@ -180,12 +147,6 @@ MUTANTS = {
             "tests/test_executor.py::TestParallelPNDCA"
             "::test_mid_run_handover_to_shared_memory"
         ],
-    ),
-    "extra-replica-draw": (
-        "ensemble/ndca.py",
-        "            rng = self.rngs[r]\n",
-        "            rng = self.rngs[r]\n            rng.random()\n",
-        [f"{_ENSEMBLE}::test_ndca_bit_identical"],
     ),
 }
 

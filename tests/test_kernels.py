@@ -209,64 +209,20 @@ class TestDerivedTableCaches:
         assert len(tables_b[0][0][0]) == 100
         assert len(tables_a[0][0][0]) == 36
 
-    def test_ensemble_tables_rebuilt_on_stale_cache(self, ziff):
-        from repro.core.kernels import ensemble_tables
-
-        comp_a = ziff.compile(Lattice((6, 6)))
-        comp_b = ziff.compile(Lattice((10, 10)))
-        tmap_a, _, _ = ensemble_tables(comp_a)
-        comp_b._ensemble_tables = comp_a._ensemble_tables
-        tmap_b, csrc_b, ctgt_b = ensemble_tables(comp_b)
-        n_types = len(comp_b.types)
-        assert tmap_b.shape[1] == n_types * 100
-        assert tmap_a.shape[1] == n_types * 36
-        # flat layout: entry (c, t*n + s) equals the per-type map value
-        for t, ct in enumerate(comp_b.types):
-            for c in range(tmap_b.shape[0]):
-                cc = c if c < len(ct.maps) else 0
-                assert np.array_equal(
-                    tmap_b[c, t * 100 : (t + 1) * 100], ct.maps[cc]
-                )
-                assert csrc_b[c, t] == ct.srcs[cc]
-                assert ctgt_b[c, t] == ct.tgts[cc]
-
-    def test_conflict_lut_rebuilt_on_stale_cache(self, ziff):
-        from repro.core.kernels import conflict_lut
-
-        comp_a = ziff.compile(Lattice((6, 6)))
-        comp_b = ziff.compile(Lattice((10, 10)))
-        lut_a = conflict_lut(comp_a)
-        comp_b._conflict_lut = comp_a._conflict_lut
-        lut_b = conflict_lut(comp_b)
-        assert lut_b.shape == (2 * 100 - 1,)
-        assert lut_a.shape == (2 * 36 - 1,)
-        # a site always conflicts with itself (zero difference)
-        assert lut_b[100 - 1]
-
     def test_caches_hit_when_key_matches(self, ziff):
-        from repro.core.kernels import conflict_lut, ensemble_tables
-
         comp = ziff.compile(Lattice((6, 6)))
         assert seq_tables(comp) is seq_tables(comp)
-        assert ensemble_tables(comp)[0] is ensemble_tables(comp)[0]
-        assert conflict_lut(comp) is conflict_lut(comp)
 
     def test_same_model_two_lattices_interleaved_use(self, ziff, rng):
         """Alternating kernel calls across two lattice sizes stay correct."""
-        from repro.core.kernels import run_trials_stacked
-
         for side in (6, 10, 6, 10):
             lat = Lattice((side, side))
             comp = ziff.compile(lat)
             state = Configuration.empty(lat, ziff.species).array
-            stacked = np.ascontiguousarray(state[None, :].copy())
             ref = state.copy()
             p5 = five_chunk_partition(lat)
             chunk = p5.chunks[0]
             types = draw_types(rng, comp.type_cum, chunk.size)
-            run_trials_stacked(
-                stacked, comp, np.zeros(chunk.size, dtype=np.intp),
-                chunk, types,
-            )
+            run_trials_batch(state, comp, chunk, types)
             run_trials_sequential(ref, comp, chunk, types)
-            assert np.array_equal(stacked[0], ref)
+            assert np.array_equal(state, ref)

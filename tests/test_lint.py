@@ -359,13 +359,6 @@ class TestPreflight:
         with pytest.raises(LintError):
             PNDCA(ziff, small_lattice, partition=bad)
 
-    def test_ensemble_constructor_uses_gate(self, ziff, small_lattice):
-        from repro.ensemble import EnsemblePNDCA
-
-        bad = Partition.single_chunk(small_lattice)
-        with pytest.raises(LintError):
-            EnsemblePNDCA(ziff, small_lattice, n_replicas=2, partition=bad)
-
 
 # ----------------------------------------------------------------------
 # orchestration + CLI

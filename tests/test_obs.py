@@ -11,11 +11,12 @@ import time
 import numpy as np
 import pytest
 
+from repro.analysis.statistics import run_ensemble
 from repro.ca import NDCA, PNDCA
 from repro.core import Lattice
+from repro.core.rng import spawn_rngs
 from repro.dmc import RSM
 from repro.dmc.base import CoverageObserver
-from repro.ensemble import EnsemblePNDCA, EnsembleRSM
 from repro.models import ziff_model
 from repro.obs import (
     NULL_METRICS,
@@ -208,19 +209,25 @@ class TestEngineCounters:
         assert attempted == res.n_trials
 
     def test_ensemble_counters_match_result(self, ziff, ten):
+        """One collector over a replica loop counts every replica."""
         lat, p5 = ten
         m = MetricsCollector()
-        sim = EnsemblePNDCA(
-            ziff, lat, n_replicas=3, seed=9, partition=p5, metrics=m
-        )
-        res = sim.run(until=4.0)
+
+        def factory(seed):
+            return PNDCA(
+                ziff, lat, seed=seed, partition=p5, metrics=m,
+                observers=[CoverageObserver(1.0)],
+            )
+
+        ens = run_ensemble(factory, spawn_rngs(9, 3), 4.0, keep_results=True)
         snap = m.snapshot()
-        assert snap.counter("trials.attempted") == res.total_trials
-        assert snap.counter("trials.executed") == int(
-            res.executed_per_type.sum()
+        assert snap.counter("trials.attempted") == sum(
+            r.n_trials for r in ens.results
         )
-        assert snap.gauge("ensemble.n_replicas") == 3
-        assert res.metrics is not None
+        assert snap.counter("trials.executed") == sum(
+            r.n_executed for r in ens.results
+        )
+        assert all(r.metrics is not None for r in ens.results)
 
     def test_ambient_collector_captures_simulator(self, ziff, ten):
         """`repro run --metrics` path: collector installed around construction."""
@@ -258,20 +265,6 @@ class TestBitIdentity:
         assert np.array_equal(
             bare.executed_per_type, instrumented.executed_per_type
         )
-
-    @pytest.mark.parametrize("cls", [EnsembleRSM, EnsemblePNDCA])
-    def test_ensemble_engines(self, ziff, ten, cls):
-        lat, p5 = ten
-        kw = {"n_replicas": 3, "seed": 8}
-        if cls is EnsemblePNDCA:
-            kw["partition"] = p5
-        bare = cls(ziff, lat, **kw).run(until=3.0)
-        inst = cls(
-            ziff, lat, metrics=MetricsCollector(), tracer=Tracer(), **kw
-        ).run(until=3.0)
-        assert np.array_equal(bare.states, inst.states)
-        assert np.array_equal(bare.final_times, inst.final_times)
-        assert np.array_equal(bare.n_trials, inst.n_trials)
 
 
 # ----------------------------------------------------------------------

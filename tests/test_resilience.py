@@ -4,8 +4,7 @@ The hard guarantee under test: a run checkpointed at step ``k`` and
 resumed into a freshly constructed engine is **bit-identical** to the
 same run uninterrupted — state, clock, trial counters, RNG stream and
 the observers' sampled series all match exactly.  Asserted for every
-engine with a resume path (RSM, NDCA, PNDCA, L-PNDCA and the stacked
-ensembles).
+engine with a resume path (RSM, NDCA, PNDCA and L-PNDCA).
 """
 
 import numpy as np
@@ -88,41 +87,6 @@ ENGINES = {
     "pndca-cycle": _mk_pndca_cycle,
     "lpndca": _mk_lpndca,
 }
-
-
-def _mk_ens_rsm(model, lat, seed):
-    from repro.ensemble import EnsembleRSM
-
-    return EnsembleRSM(
-        model, lat, n_replicas=3, seed=seed, sample_interval=0.5, block=512
-    )
-
-
-def _mk_ens_ndca(model, lat, seed):
-    from repro.ensemble import EnsembleNDCA
-
-    return EnsembleNDCA(
-        model, lat, n_replicas=3, seed=seed, sample_interval=0.5
-    )
-
-
-def _mk_ens_pndca(model, lat, seed):
-    from repro.ensemble import EnsemblePNDCA
-    from repro.partition import five_chunk_partition
-
-    return EnsemblePNDCA(
-        model, lat, n_replicas=3, seed=seed, sample_interval=0.5,
-        partition=five_chunk_partition(lat), strategy="random-order",
-        schedule_seed=17,
-    )
-
-
-ENSEMBLES = {
-    "ens-rsm": _mk_ens_rsm,
-    "ens-ndca": _mk_ens_ndca,
-    "ens-pndca": _mk_ens_pndca,
-}
-
 
 # ----------------------------------------------------------------------
 class TestPolicy:
@@ -283,9 +247,9 @@ class TestFingerprint:
 
     def test_kind_mismatch_refused(self, ziff, small_lattice):
         sim = _mk_rsm(ziff, small_lattice, seed=1)
-        ens = _mk_ens_rsm(ziff, small_lattice, seed=1)
+        payload = dict(sim.checkpoint_payload(), kind="ensemble")
         with pytest.raises(CheckpointMismatchError, match="kind"):
-            ens.restore_payload(sim.checkpoint_payload())
+            _mk_rsm(ziff, small_lattice, seed=1).restore_payload(payload)
 
     def test_fingerprint_covers_rates(self, ziff, small_lattice):
         from repro.models import ziff_model
@@ -326,24 +290,45 @@ def test_resume_bit_identical(engine_key, ziff, small_lattice, tmp_path):
     _assert_sim_identical(baseline, resumed)
 
 
-@pytest.mark.parametrize("engine_key", sorted(ENSEMBLES))
+@pytest.mark.parametrize(
+    "engine_key", ["ens-ndca", "ens-pndca", "ens-rsm"]
+)
 def test_ensemble_resume_bit_identical(engine_key, ziff, small_lattice, tmp_path):
-    mk = ENSEMBLES[engine_key]
-    baseline = mk(ziff, small_lattice, 42).run(until=UNTIL)
+    """Replica engines on spawned Generator streams (the run_ensemble
+    seeds) resume bit-identically from a mid-run checkpoint."""
+    from repro.core.rng import spawn_rngs
+
+    mk = ENGINES[engine_key.removeprefix("ens-")]
+    baseline = mk(ziff, small_lattice, spawn_rngs(42, 3)[2]).run(until=UNTIL)
 
     ck = Checkpointer(tmp_path, CheckpointPolicy(every_steps=1), tag=engine_key)
-    mk(ziff, small_lattice, 42).run(until=UNTIL, checkpoint=ck)
+    mk(ziff, small_lattice, spawn_rngs(42, 3)[2]).run(until=UNTIL, checkpoint=ck)
     paths = checkpoint_paths(tmp_path)
     assert len(paths) >= 2
 
     mid = paths[len(paths) // 2]
-    resumed = mk(ziff, small_lattice, 999).resume(mid).run(until=UNTIL)
-    assert np.array_equal(baseline.states, resumed.states)
-    assert np.array_equal(baseline.final_times, resumed.final_times)
-    assert np.array_equal(baseline.n_trials, resumed.n_trials)
-    assert np.array_equal(baseline.executed_per_type, resumed.executed_per_type)
-    for k in baseline.coverage:
-        assert np.array_equal(baseline.coverage[k], resumed.coverage[k])
+    resumed = mk(ziff, small_lattice, spawn_rngs(7, 3)[2]).resume(mid)
+    _assert_sim_identical(baseline, resumed.run(until=UNTIL))
+
+
+def test_retired_ensemble_checkpoint_is_refused(ziff, small_lattice, tmp_path, capsys):
+    """A stacked-ensemble envelope raises a named error and never
+    reaches a simulator, through the API and through ``--resume``."""
+    from repro.__main__ import main
+
+    sim = _mk_rsm(ziff, small_lattice, 42)
+    payload = dict(sim.checkpoint_payload(), kind="ensemble")
+    path = write_checkpoint(tmp_path / "ckpt_00000001_ens.json", payload)
+    before = sim.state.array.copy()
+    with pytest.raises(CheckpointMismatchError, match="'ensemble' is retired"):
+        sim.resume(path)
+    assert np.array_equal(sim.state.array, before)
+    assert sim.time == 0.0
+
+    assert main(["run", "zgb", "--resume", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "digest" not in out.splitlines()[-1]
+    assert err.count("\n") == 1 and "[sweep] seed" in err
 
 
 def test_resume_with_metrics_enabled(ziff, small_lattice, tmp_path):

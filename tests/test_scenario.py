@@ -124,8 +124,12 @@ BAD_DOCS = [
     (edited('kind = "rsm"', 'kind = "rsm"\npartition = "five-chunk"'),
      "engine kind 'rsm' takes no partition"),
     (edited('kind = "rsm"', 'kind = "pndca"'), "engine kind 'pndca' needs a partition"),
+    (edited('kind = "rsm"', 'kind = "rsm"\nn_replicas = 4'),
+     "engine.n_replicas: the stacked replica ensemble is retired"),
+    (edited('kind = "rsm"', 'kind = "rsm"\nsample_interval = 1.0'),
+     "engine.sample_interval: the stacked replica ensemble is retired"),
     (edited('kind = "rsm"', 'kind = "ensemble-rsm"'),
-     "engine.n_replicas: required for ensemble kind"),
+     "engine.kind: 'ensemble-rsm': the stacked replica ensemble is retired"),
     (edited('kind = "rsm"', 'kind = "rsm"\nL = 4'), "only the 'lpndca' engine"),
     (edited('kind = "rsm"', 'kind = "rsm"\nbackend = "jit"'),
      "engine.backend: unknown backend 'jit'; known: ['auto', 'cnative', 'numpy']"),
@@ -162,6 +166,30 @@ BAD_DOCS = [
 
 class TestLoaderErrors:
     """Every malformed document is refused with its own message."""
+
+    @pytest.mark.parametrize(
+        "old,new,key",
+        [
+            ('kind = "rsm"', 'kind = "ensemble-rsm"', "engine.kind"),
+            ('kind = "rsm"', 'kind = "ensemble-pndca"', "engine.kind"),
+            ('kind = "rsm"', 'kind = "rsm"\nn_replicas = 4', "engine.n_replicas"),
+            ('kind = "rsm"', 'kind = "rsm"\nsample_interval = 1.0',
+             "engine.sample_interval"),
+        ],
+        ids=["ensemble-rsm", "ensemble-pndca", "n_replicas", "sample_interval"],
+    )
+    def test_retired_ensemble_input_exits_2(self, tmp_path, capsys, old, new, key):
+        """The CLI refuses retired replica input with one line that
+        names the key and points at the seed sweep."""
+        from repro.__main__ import main
+
+        path = tmp_path / "retired.toml"
+        path.write_text(edited(old, new))
+        assert main(["run", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(key) and "[sweep] seed" in err
 
     @pytest.mark.parametrize(
         "text,fragment", BAD_DOCS, ids=[frag[:40] for _, frag in BAD_DOCS]
