@@ -23,10 +23,10 @@ Commands
     write-ahead (``repro.jobs/1``) so a killed campaign resumes with
     ``--resume`` — completed points are cache hits (see
     :mod:`repro.jobs`).
-``scenarios [--check] [--gates [NAME ...]]``
-    List the shipped scenario zoo; ``--check`` preflight-lints every
-    shipped scenario file, ``--gates`` runs the declared acceptance
-    gates (lint, fingerprint, mean-field) — both CI gates.
+``scenarios [--gates [NAME ...]]``
+    List the shipped scenario zoo; ``--gates`` runs the declared
+    acceptance gates (lint, fingerprint, mean-field) — a CI gate
+    (``lint --scenarios`` is the preflight of every shipped file).
 ``algorithms``
     Print the algorithm taxonomy table.
 ``lint [--model NAME] [--tiling M:C0,C1] [--shape LxM] [--scenarios] [--json] [--strict]``
@@ -207,28 +207,9 @@ def _run_scenario(args) -> int:
 
 
 def _cmd_scenarios(args) -> int:
-    from repro.lint.engine import LintError
-    from repro.scenario import (
-        ScenarioError,
-        lint_scenario,
-        run_gates,
-        scenario_registry,
-    )
+    from repro.scenario import run_gates, scenario_registry
 
     registry = scenario_registry()
-    if args.check:
-        status = 0
-        for name in sorted(registry):
-            spec = registry[name]
-            try:
-                lint_scenario(spec)
-            except (LintError, ScenarioError) as exc:
-                msg = exc.args[0] if exc.args else exc
-                print(f"FAIL {name}: {msg}", file=sys.stderr)
-                status = 1
-            else:
-                print(f"ok   {name} ({spec.source}) digest {spec.short_digest()}")
-        return status
     if args.gates is not None:
         names = args.gates or sorted(registry)
         unknown = sorted(set(names) - set(registry))
@@ -355,12 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     add_sweep_arguments(p_sweep)
     p_sweep.set_defaults(fn=_cmd_sweep)
     p_scenarios = sub.add_parser(
-        "scenarios", help="list/lint/gate the declarative scenario zoo"
-    )
-    p_scenarios.add_argument(
-        "--check",
-        action="store_true",
-        help="preflight-lint every shipped scenario file (the CI gate)",
+        "scenarios", help="list/gate the declarative scenario zoo"
     )
     p_scenarios.add_argument(
         "--gates",

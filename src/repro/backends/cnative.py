@@ -19,13 +19,18 @@ one at a time, which reproduces every reference kernel exactly:
 
 * ``run_trials_sequential`` — same semantics by construction (the C
   loop mirrors the python loop over :func:`seq_tables`).
-* ``run_trials_batch`` / ``execute_type_everywhere`` — their contracts
-  require pairwise conflict-free sites, under which the simultaneous
-  scatter is *defined* to equal sequential execution in any order
-  (disjoint footprints commute — the partition non-overlap theorem).
+* ``run_trials_batch`` — its contract requires pairwise conflict-free
+  sites, under which the simultaneous scatter is *defined* to equal
+  sequential execution in any order (disjoint footprints commute — the
+  partition non-overlap theorem).
 * ``run_trials_batch_with_duplicates`` — documented to equal
   sequential execution on its valid inputs (occurrence rounds preserve
   per-site order; distinct sites commute).
+
+``execute_type_everywhere`` has no twin: applying one type to a
+conflict-free chunk is a whole-array scatter, where the NumPy reference
+beats a one-trial-at-a-time C loop, so :class:`KernelSet` falls back to
+it.
 
 All randomness is drawn by the engines *before* these kernels run, so
 the backend cannot perturb RNG streams (draw-parity is asserted
@@ -61,7 +66,6 @@ from .registry import Backend, register_backend
 
 __all__ = [
     "CNativeBackend",
-    "c_execute_type_everywhere",
     "c_run_trials_batch",
     "c_run_trials_batch_with_duplicates",
     "c_run_trials_sequential",
@@ -532,24 +536,6 @@ def c_run_trials_batch_with_duplicates(
     return _run_stream(state, compiled, s_arr, t_arr, counts, None)
 
 
-@kernel(writes=("state",), twin="execute_type_everywhere")
-def c_execute_type_everywhere(
-    state: np.ndarray,
-    compiled: CompiledModel,
-    type_index: int,
-    sites: np.ndarray,
-) -> int:
-    """C twin of :func:`repro.core.kernels.execute_type_everywhere`."""
-    compiled.types[type_index]  # mirror the reference's IndexError
-    s_arr = _as_stream(sites)
-    t_arr = np.full(s_arr.size, int(type_index), dtype=np.int64)
-    if not _c_usable(state, s_arr) or not _stream_valid(
-        compiled, s_arr, t_arr
-    ):
-        return _ref.execute_type_everywhere(state, compiled, type_index, sites)
-    return _run_stream(state, compiled, s_arr, t_arr, None, None)
-
-
 class _VisitHandle(ctypes.Structure):
     """The C ``repro_visit_t``: the addresses a bound visit trusts."""
 
@@ -644,7 +630,6 @@ class CNativeBackend(Backend):
             "run_trials_batch_with_duplicates": (
                 c_run_trials_batch_with_duplicates
             ),
-            "execute_type_everywhere": c_execute_type_everywhere,
         }
 
 

@@ -1,15 +1,13 @@
 """Contract-driven property fuzzing for the dispatchable kernels.
 
 The ``@kernel`` contracts (:mod:`repro.core.contracts`) describe every
-dispatch kernel's argument space — symbolic shapes and dtypes — and
-its write set; the kernel docstrings state the index preconditions
-(conflict-free sites).  This module turns those into *generators of
+dispatch kernel's argument dtypes and its write set; the kernel
+docstrings state the index preconditions (conflict-free sites).  This module turns those into *generators of
 random valid inputs* and a differential checker, so backend
 bit-identity is established property-style over seeded random cases
 instead of hand-picked ones:
 
-* :func:`argument_grid` resolves a kernel's declared symbolic
-  shapes/dtypes against concrete dimension bindings.
+* :func:`argument_grid` reads a kernel's declared dtypes.
 * :func:`conflict_free_sites` samples a random *pairwise conflict-free*
   site set for any model/lattice — including degenerate shapes where
   the library partitions don't apply — by greedy footprint exclusion
@@ -58,45 +56,22 @@ class ArgSpec:
     """Resolved allocation facts for one kernel parameter."""
 
     name: str
-    shape: tuple[int, ...] | None  # None: undeclared (scalar/object)
-    dtype: np.dtype | None
+    dtype: np.dtype | None  # None: undeclared
 
 
-def argument_grid(
-    fn: Callable[..., Any], bindings: Mapping[str, int]
-) -> dict[str, ArgSpec]:
-    """Concrete per-parameter shapes/dtypes from the kernel's contract.
-
-    ``bindings`` maps the contract's symbolic dimension names (``"N"``,
-    ``"B"``, ``"T"``) to concrete sizes; parameters without a
-    declared shape/dtype resolve to ``None`` entries.
-    """
+def argument_grid(fn: Callable[..., Any]) -> dict[str, ArgSpec]:
+    """Per-parameter dtypes from the kernel's contract (``None`` where
+    the contract declares none)."""
     contract = contract_of(fn)
     if contract is None:
         raise ValueError(f"{fn.__name__} carries no @kernel contract")
-    grid: dict[str, ArgSpec] = {}
-    for p in inspect.signature(fn).parameters:
-        sym = contract.shapes.get(p)
-        dtype = contract.dtypes.get(p)
-        shape: tuple[int, ...] | None = None
-        if sym is not None:
-            resolved = []
-            for dim in sym:
-                if isinstance(dim, int):
-                    resolved.append(dim)
-                elif dim in bindings:
-                    resolved.append(int(bindings[dim]))
-                else:
-                    resolved = None  # type: ignore[assignment]
-                    break
-            if resolved is not None:
-                shape = tuple(resolved)
-        grid[p] = ArgSpec(
+    return {
+        p: ArgSpec(
             name=p,
-            shape=shape,
-            dtype=np.dtype(dtype) if dtype is not None else None,
+            dtype=np.dtype(contract.dtypes[p]) if p in contract.dtypes else None,
         )
-    return grid
+        for p in inspect.signature(fn).parameters
+    }
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +172,7 @@ def fuzz_case(
 ) -> dict[str, Any]:
     """One random *contract-valid* argument dict for a dispatch kernel.
 
-    The allocation shapes/dtypes come from :func:`argument_grid`; the
+    The allocation dtypes come from :func:`argument_grid`; the
     index preconditions (conflict-free anchors, repeated sites over a
     conflict-free pool) come from the generators above.
     Returned arrays are fresh — callers may mutate them freely.
@@ -209,13 +184,10 @@ def fuzz_case(
     fn = getattr(_ref, kernel_name)
     n = compiled.n_sites
     n_types = len(compiled.types)
-    grid = argument_grid(
-        fn, {"N": n, "T": n_types, "B": max(2 * n, 8)}
-    )
+    grid = argument_grid(fn)
 
-    def counts_for(param: str, default_shape: tuple[int, ...]) -> np.ndarray:
+    def counts_for(param: str, shape: tuple[int, ...]) -> np.ndarray:
         spec = grid.get(param)
-        shape = spec.shape if spec and spec.shape else default_shape
         dtype = spec.dtype if spec and spec.dtype else np.dtype(np.int64)
         return np.zeros(shape, dtype=dtype)
 

@@ -48,10 +48,9 @@ import numpy as np
 
 from ..dmc.base import SimulatorBase
 from ..partition.partition import Partition
+from ..taxonomy import check_chunk_selection, check_L
 
 __all__ = ["LPNDCA"]
-
-CHUNK_SELECTIONS = ("size-proportional", "uniform", "random-order", "ordered")
 
 
 class LPNDCA(SimulatorBase):
@@ -90,16 +89,8 @@ class LPNDCA(SimulatorBase):
         super().__init__(*args, **kwargs)
         if partition.lattice != self.lattice:
             raise ValueError("partition belongs to a different lattice")
-        if chunk_selection not in CHUNK_SELECTIONS:
-            raise ValueError(
-                f"unknown chunk selection {chunk_selection!r}; "
-                f"choose from {CHUNK_SELECTIONS}"
-            )
-        if isinstance(L, str):
-            if L != "chunk":
-                raise ValueError(f"L must be a positive int or 'chunk', got {L!r}")
-        elif L < 1:
-            raise ValueError(f"L must be >= 1, got {L}")
+        check_chunk_selection(chunk_selection)
+        check_L(L)
         if require_conflict_free:
             from ..lint.engine import preflight_partition
 

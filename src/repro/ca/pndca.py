@@ -49,10 +49,9 @@ import numpy as np
 
 from ..dmc.base import SimulatorBase
 from ..partition.partition import Partition
+from ..taxonomy import STRATEGIES, check_strategy
 
 __all__ = ["PNDCA", "STRATEGIES"]
-
-STRATEGIES = ("ordered", "random-order", "random", "weighted")
 
 
 class PNDCA(SimulatorBase):
@@ -87,8 +86,7 @@ class PNDCA(SimulatorBase):
         **kwargs,
     ):
         super().__init__(*args, **kwargs)
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+        check_strategy(strategy)
         partitions = [partition] if isinstance(partition, Partition) else list(partition)
         if not partitions:
             raise ValueError("need at least one partition")

@@ -6,12 +6,11 @@
   mutates.  :func:`repro.backends.fuzz.compare_backends` gives every
   backend fresh copies of each array or list argument and reports any
   argument outside this set that changed;
-* ``shapes`` / ``dtypes`` — symbolic shapes (``{"states": ("R", "N")}``)
-  and dtype names the fuzzer allocates its random inputs from
-  (:func:`repro.backends.fuzz.argument_grid`);
+* ``dtypes`` — the dtype names the fuzzer allocates its random inputs
+  with (:func:`repro.backends.fuzz.argument_grid`);
 * ``twin`` — for a compiled re-implementation, the name of the
   reference kernel it must reproduce bit for bit
-  (``tests/test_backends.py::TestCoverageMap`` checks every dispatch
+  (``tests/test_backends.py::TestCoverageMap`` checks each trial
   kernel has one).
 
 The decorator returns the function unchanged and registers it in
@@ -62,8 +61,6 @@ class KernelContract:
     """Declared writes and dataflow facts of one kernel."""
 
     writes: tuple[str, ...] = ()
-    #: symbolic shapes, e.g. ``{"states": ("R", "N")}``
-    shapes: Mapping[str, tuple[Any, ...]] = field(default_factory=dict)
     #: dtype names, e.g. ``{"states": "uint8"}``
     dtypes: Mapping[str, str] = field(default_factory=dict)
     #: name of the reference kernel a compiled twin reproduces
@@ -73,7 +70,6 @@ class KernelContract:
 def kernel(
     *,
     writes: Iterable[str] = (),
-    shapes: Mapping[str, tuple[Any, ...]] | None = None,
     dtypes: Mapping[str, str] | None = None,
     twin: str | None = None,
 ) -> Callable[[F], F]:
@@ -82,7 +78,6 @@ def kernel(
     def wrap(fn: F) -> F:
         fn.__kernel_contract__ = KernelContract(  # type: ignore[attr-defined]
             writes=tuple(writes),
-            shapes=dict(shapes or {}),
             dtypes=dict(dtypes or {}),
             twin=twin,
         )

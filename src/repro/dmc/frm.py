@@ -88,6 +88,9 @@ class FRM(SimulatorBase):
             heapq.heappop(heap)
             self._version.pop((t_idx, anchor))
             self.time = t
+            # the grid times this waiting time crosses see the state
+            # before the event
+            self._notify()
             self.compiled.execute(self.state.array, t_idx, anchor)
             self.executed_per_type[t_idx] += 1
             self.n_trials += 1

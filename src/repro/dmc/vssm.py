@@ -87,6 +87,9 @@ class VSSM(SimulatorBase):
             self.time = until
             return 1
         self.time += dt
+        # the grid times this waiting time crosses see the state before
+        # the event
+        self._notify()
         u = float(self.rng.random()) * total
         t_idx = int(np.searchsorted(np.cumsum(weights), u, side="right"))
         t_idx = min(t_idx, comp.n_types - 1)

@@ -1,6 +1,7 @@
 """``python -m repro lint`` — the static verification CI gate.
 
-Default invocation lints every registered model: sanity pass, then the
+Default invocation lints every model preset (the table a scenario's
+``model.preset`` names, :data:`repro.scenario.PRESETS`): sanity pass, then the
 symbolic conflict-freedom proof for the model's canonical modular
 tiling (``find_modular_tiling``).  Exit status 0 iff no error-severity
 diagnostic fired (``--strict`` also fails on warnings); a malformed
@@ -25,88 +26,24 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..core.model import Model
+from ..scenario.compile import PRESETS
 from .diagnostics import LintReport, code_table
 from .engine import run_lint
 
-__all__ = ["MODEL_REGISTRY", "main", "add_lint_arguments"]
-
-
-def _ziff() -> tuple[Model, list[str] | None]:
-    from ..models import ziff_model
-
-    return ziff_model(), None
-
-
-def _zgb() -> tuple[Model, list[str] | None]:
-    from ..models import zgb_model
-
-    return zgb_model(0.5), None
-
-
-def _diffusion_1d() -> tuple[Model, list[str] | None]:
-    from ..models import diffusion_model_1d
-
-    # experiments start from a random gas: vacancies and particles
-    return diffusion_model_1d(), ["*", "A"]
-
-
-def _diffusion_2d() -> tuple[Model, list[str] | None]:
-    from ..models import diffusion_model_2d
-
-    return diffusion_model_2d(), ["*", "A"]
-
-
-def _ising() -> tuple[Model, list[str] | None]:
-    from ..models import ising_model_2d
-
-    # both spin species exist in any initial configuration
-    return ising_model_2d(beta=0.4), ["-", "+"]
-
-
-def _single_file() -> tuple[Model, list[str] | None]:
-    from ..models import single_file_model
-
-    # tracer experiments place equally spaced particles on the ring
-    return single_file_model(), ["*", "A"]
-
-
-def _pt100() -> tuple[Model, list[str] | None]:
-    from ..models import pt100_model
-
-    # simulations start from the clean hex phase; CO arrives by adsorption
-    return pt100_model(), ["h"]
-
-
-#: name -> factory returning ``(model, initial_species | None)``
-MODEL_REGISTRY: dict[str, Callable[[], tuple[Model, list[str] | None]]] = {
-    "ziff": _ziff,
-    "zgb": _zgb,
-    "diffusion-1d": _diffusion_1d,
-    "diffusion-2d": _diffusion_2d,
-    "ising": _ising,
-    "single-file": _single_file,
-    "pt100": _pt100,
-}
+__all__ = ["main", "add_lint_arguments"]
 
 
 def _parse_tiling(spec: str) -> tuple[int, tuple[int, ...]]:
-    """Parse ``"m:c0,c1,..."`` (e.g. ``"5:1,2"``) with ``m >= 1``."""
+    """``--tiling`` through :func:`repro.partition.tilings.parse_tiling`."""
+    from ..partition.tilings import parse_tiling
+
     try:
-        m_str, _, coeff_str = spec.partition(":")
-        m = int(m_str)
-        coeffs = tuple(int(c) for c in coeff_str.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"tiling spec {spec!r} is not of the form 'm:c0,c1' (e.g. '5:1,2')"
-        ) from None
-    if m < 1:
-        raise argparse.ArgumentTypeError(
-            f"tiling spec {spec!r}: modulus m must be >= 1, got {m}"
-        )
-    return m, coeffs
+        return parse_tiling(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_shape(spec: str) -> tuple[int, ...]:
@@ -128,8 +65,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the lint flags to a parser (shared with ``repro.__main__``)."""
     parser.add_argument(
         "--model",
-        choices=sorted(MODEL_REGISTRY),
-        help="lint a single model (default: all registered models)",
+        choices=sorted(PRESETS),
+        help="lint a single model preset (default: every preset)",
     )
     parser.add_argument(
         "--tiling",
@@ -213,8 +150,11 @@ def run(args: argparse.Namespace) -> int:
                     f"digest {spec.short_digest()}"
                 )
     else:
-        names = [args.model] if args.model else sorted(MODEL_REGISTRY)
-        models = [(name, *MODEL_REGISTRY[name]()) for name in names]
+        names = [args.model] if args.model else sorted(PRESETS)
+        models = [
+            (name, PRESETS[name].build({}), PRESETS[name].initial)
+            for name in names
+        ]
         given = {"--tiling": args.tiling and args.tiling[1], "--shape": args.shape}
         for name, model, _ in models:
             for flag, spec in given.items():

@@ -28,6 +28,7 @@ from .conflicts import model_witnesses, residue_collides
 from .partition import Partition, TilingSpec
 
 __all__ = [
+    "parse_tiling",
     "modular_tiling",
     "find_modular_tiling",
     "checkerboard",
@@ -35,6 +36,21 @@ __all__ = [
     "block_partition",
     "five_chunk_partition",
 ]
+
+
+def parse_tiling(spec: str) -> tuple[int, tuple[int, ...]]:
+    """Parse ``"M:C0,C1"`` (e.g. ``"5:1,2"``) into ``(m, coeffs)``, ``m >= 1``."""
+    m_str, _, coeff_str = spec.partition(":")
+    try:
+        m = int(m_str)
+        coeffs = tuple(int(c) for c in coeff_str.split(","))
+    except ValueError:
+        raise ValueError(
+            f"tiling {spec!r} is not of the form 'M:C0,C1' (e.g. '5:1,2')"
+        ) from None
+    if m < 1:
+        raise ValueError(f"tiling {spec!r}: modulus m must be >= 1, got {m}")
+    return m, coeffs
 
 
 def modular_tiling(

@@ -46,8 +46,6 @@ from .registry import (
 )
 from .runner import format_overrides, provenance, run_scenario, run_sweep_point
 from .spec import (
-    ENGINE_KINDS,
-    PARALLEL_KINDS,
     ScenarioError,
     ScenarioSpec,
     load_scenario,
@@ -68,8 +66,6 @@ def __getattr__(name: str):
 __all__ = [
     "ScenarioError",
     "ScenarioSpec",
-    "ENGINE_KINDS",
-    "PARALLEL_KINDS",
     "load_scenario",
     "loads_scenario",
     "scenario_registry",

@@ -16,17 +16,21 @@ enforce, surfaced at load time instead of mid-run.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+import inspect
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ..core.builder import ModelBuilder
 from ..core.lattice import Lattice
 from ..core.model import Model
 from ..lint.diagnostics import LintReport
+from ..taxonomy import REGISTRY as ENGINES
+from ..taxonomy import load, make_simulator
 from .spec import (
-    PARALLEL_KINDS,
     ModelSpec,
     ScenarioError,
     ScenarioSpec,
+    check_dimensions,
 )
 
 if TYPE_CHECKING:
@@ -34,62 +38,87 @@ if TYPE_CHECKING:
 
 __all__ = [
     "PRESETS",
+    "Preset",
     "build_model",
     "build_partition",
     "build_engine",
+    "check_preset_params",
     "compile_scenario",
     "lint_scenario",
 ]
 
 
-def _preset_ziff(**params):
-    from ..models import ziff_model
+@dataclass(frozen=True)
+class Preset:
+    """One curated model: its constructor, defaults and lint start.
 
-    return ziff_model(**params), None
+    ``target`` and ``rates`` are ``"module:name"`` strings imported on
+    first use, so reading the table loads no model module.
+    """
+
+    target: str
+    #: parameters passed when the scenario does not set them
+    defaults: Mapping[str, Any] = field(default_factory=dict)
+    #: species present in the runs' initial configurations (lint's
+    #: reachability start); ``None`` -> the model's default fill
+    initial: tuple[str, ...] | None = None
+    #: the default-rate dict whose keys are the parameters; the
+    #: constructor then takes the parameters as one dict
+    rates: str | None = None
+
+    def param_names(self) -> list[str]:
+        """The accepted parameter names, read off the constructor."""
+        if self.rates is not None:
+            return sorted(load(self.rates))
+        params = inspect.signature(load(self.target)).parameters.values()
+        return sorted(
+            p.name for p in params
+            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+        )
+
+    def build(self, params: Mapping[str, Any]) -> Model:
+        merged = {**self.defaults, **params}
+        if self.rates is not None:
+            return load(self.target)(merged or None)
+        return load(self.target)(**merged)
 
 
-def _preset_zgb(**params):
-    from ..models import zgb_model
-
-    return zgb_model(**params), None
-
-
-def _preset_pt100(**params):
-    from ..models import pt100_model
-
-    # runs start from the clean hex phase (the all-"h" default fill)
-    return pt100_model(params or None), ["h"]
-
-
-def _preset_diffusion_2d(**params):
-    from ..models import diffusion_model_2d
-
-    return diffusion_model_2d(**params), ["*", "A"]
-
-
-#: preset name -> callable(**params) -> (Model, lint initial species | None)
-PRESETS: dict[str, Callable[..., tuple[Model, list[str] | None]]] = {
-    "ziff": _preset_ziff,
-    "zgb": _preset_zgb,
-    "pt100": _preset_pt100,
-    "diffusion-2d": _preset_diffusion_2d,
+#: the one preset table: ``model.preset``, ``repro lint`` and
+#: ``repro lint --model`` all read it
+PRESETS: dict[str, Preset] = {
+    "ziff": Preset("repro.models:ziff_model"),
+    "zgb": Preset("repro.models:zgb_model", defaults={"y": 0.5}),
+    # experiments start from a random gas: vacancies and particles
+    "diffusion-1d": Preset("repro.models:diffusion_model_1d", initial=("*", "A")),
+    "diffusion-2d": Preset("repro.models:diffusion_model_2d", initial=("*", "A")),
+    # both spin species exist in any initial configuration
+    "ising": Preset(
+        "repro.models:ising_model_2d", defaults={"beta": 0.4}, initial=("-", "+")
+    ),
+    # tracer experiments place equally spaced particles on the ring
+    "single-file": Preset("repro.models:single_file_model", initial=("*", "A")),
+    # runs start from the clean hex phase; CO arrives by adsorption
+    "pt100": Preset(
+        "repro.models:pt100_model",
+        initial=("h",),
+        rates="repro.models.pt100:OSCILLATING",
+    ),
 }
 
 
-def _check_preset_params(preset: str, params: Mapping[str, Any]) -> None:
-    """Reject unknown preset parameters before calling the constructor."""
-    target = {
-        "ziff": ("k_co", "k_o2", "k_co2"),
-        "zgb": ("y", "k_reaction"),
-        "diffusion-2d": ("rate",),
-    }.get(preset)
-    if target is None:  # pt100: rate-key dict validated by the model itself
+def check_preset_params(preset: str, names, where: str) -> None:
+    """Refuse parameter names the preset's constructor does not take.
+
+    Without names nothing is imported, so loading the zoo loads no model.
+    """
+    if not names:
         return
-    unknown = sorted(set(params) - set(target))
+    known = PRESETS[preset].param_names()
+    unknown = sorted(set(names) - set(known))
     if unknown:
         raise ScenarioError(
-            f"model.params: unknown parameter(s) {unknown} for preset "
-            f"{preset!r}; known: {sorted(target)}"
+            f"{where}: unknown parameter(s) {unknown} for preset "
+            f"{preset!r}; known: {known}"
         )
 
 
@@ -105,23 +134,16 @@ def build_model(
     reactions) apply one sweep point; base values come from the spec.
     """
     if model_spec.preset is not None:
+        preset = PRESETS[model_spec.preset]
+        params = {**model_spec.params, **(params_override or {})}
+        check_preset_params(model_spec.preset, params, "model.params")
         try:
-            fn = PRESETS[model_spec.preset]
-        except KeyError:
-            raise ScenarioError(
-                f"model.preset: unknown preset {model_spec.preset!r}; "
-                f"known: {sorted(PRESETS)}"
-            ) from None
-        params = dict(model_spec.params)
-        if params_override:
-            params.update(params_override)
-        _check_preset_params(model_spec.preset, params)
-        try:
-            return fn(**params)
+            model = preset.build(params)
         except (TypeError, KeyError, ValueError) as exc:
             raise ScenarioError(
                 f"model.preset {model_spec.preset!r}: {exc}"
             ) from None
+        return model, list(preset.initial) if preset.initial else None
 
     rates = dict(rates_override or {})
     unknown = sorted(set(rates) - {r.name for r in model_spec.reactions})
@@ -162,32 +184,35 @@ def build_partition(partition_spec: str, lattice: Lattice, model: Model):
         find_modular_tiling,
         five_chunk_partition,
         modular_tiling,
+        parse_tiling,
     )
 
     if partition_spec == "five-chunk":
         return five_chunk_partition(lattice)
     if partition_spec == "checkerboard":
         return checkerboard(lattice)
-    if partition_spec == "auto":
-        try:
-            m, coeffs = find_modular_tiling(model)
-        except ValueError as exc:
-            raise ScenarioError(f"engine.partition 'auto': {exc}") from None
-        return modular_tiling(lattice, m, coeffs)
-    m_str, sep, coeff_str = partition_spec.partition(":")
-    if sep:
-        try:
-            m = int(m_str)
-            coeffs = tuple(int(c) for c in coeff_str.split(","))
-            return modular_tiling(lattice, m, coeffs)
-        except ValueError as exc:
-            raise ScenarioError(
-                f"engine.partition {partition_spec!r}: {exc}"
-            ) from None
+    try:
+        if partition_spec == "auto":
+            return modular_tiling(lattice, *find_modular_tiling(model))
+        if ":" in partition_spec:
+            return modular_tiling(lattice, *parse_tiling(partition_spec))
+    except ValueError as exc:
+        raise ScenarioError(f"engine.partition {partition_spec!r}: {exc}") from None
     raise ScenarioError(
         f"engine.partition: unknown partition {partition_spec!r}; use "
         f"'five-chunk', 'checkerboard', 'auto' or 'M:C0,C1'"
     )
+
+
+def _check_fit(spec: ScenarioSpec, model: Model) -> None:
+    """Refuse a lattice rank or ``run.initial`` species the built model
+    does not have (a preset's are known only once it is built)."""
+    check_dimensions(spec.lattice_shape, model.ndim)
+    if spec.run.initial is not None and spec.run.initial not in model.species:
+        raise ScenarioError(
+            f"run.initial: species {spec.run.initial!r} is not in the model "
+            f"domain {list(model.species)}"
+        )
 
 
 def _initial_configuration(spec: ScenarioSpec, model: Model, lattice: Lattice):
@@ -196,11 +221,6 @@ def _initial_configuration(spec: ScenarioSpec, model: Model, lattice: Lattice):
         return None
     from ..core.state import Configuration
 
-    if spec.run.initial not in model.species:
-        raise ScenarioError(
-            f"run.initial: species {spec.run.initial!r} is not in the model "
-            f"domain {list(model.species)}"
-        )
     return Configuration.filled(lattice, model.species, spec.run.initial)
 
 
@@ -221,54 +241,34 @@ def build_engine(
     compiles here is exactly one ``repro lint`` accepts.  ``partition``
     is the scenario's partition when the caller holds it already (the
     :class:`ScenarioReport` of :func:`lint_scenario`); the parallel kinds
-    build it from the spec otherwise.
+    build it from the spec otherwise.  Only the engine options the spec
+    sets are passed, so the constructors' own defaults apply.
     """
     model, _ = build_model(
         spec.model, spec.name,
         params_override=params_override, rates_override=rates_override,
     )
+    _check_fit(spec, model)
     lattice = Lattice(spec.lattice_shape)
-    run_seed = spec.run.seed if seed is None else seed
-    be = backend if backend is not None else spec.engine.backend
-    common: dict[str, Any] = {"seed": run_seed, "backend": be}
+    e = spec.engine
+    row = ENGINES[e.kind]
+    kwargs: dict[str, Any] = {
+        "seed": spec.run.seed if seed is None else seed,
+        "backend": backend if backend is not None else e.backend,
+    }
     if metrics is not None:
-        common["metrics"] = metrics
+        kwargs["metrics"] = metrics
     initial = _initial_configuration(spec, model, lattice)
     if initial is not None:
-        common["initial"] = initial
-    e = spec.engine
-    kind = e.kind
-    if kind in PARALLEL_KINDS and partition is None:
-        partition = build_partition(e.partition, lattice, model)
-    if kind == "rsm":
-        from ..dmc.rsm import RSM
-
-        return RSM(model, lattice, **common)
-    if kind == "ndca":
-        from ..ca.ndca import NDCA
-
-        return NDCA(model, lattice, **common)
-    if kind == "typepart":
-        from ..ca.typepart import TypePartitionedCA
-
-        return TypePartitionedCA(model, lattice, **common)
-    if kind == "pndca":
-        from ..ca.pndca import PNDCA
-
-        return PNDCA(
-            model, lattice, partition=partition,
-            strategy=e.strategy or "random-order", **common,
-        )
-    if kind == "lpndca":
-        from ..ca.lpndca import LPNDCA
-
-        return LPNDCA(
-            model, lattice, partition=partition,
-            L=e.L if e.L is not None else 1,
-            chunk_selection=e.chunk_selection or "size-proportional",
-            **common,
-        )
-    raise ScenarioError(f"engine.kind: unknown engine {kind!r}")  # unreachable
+        kwargs["initial"] = initial
+    if row.partitioned:
+        if partition is None:
+            partition = build_partition(e.partition, lattice, model)
+        kwargs["partition"] = partition
+    for key in row.options:
+        if getattr(e, key) is not None:
+            kwargs[key] = getattr(e, key)
+    return make_simulator(e.kind, model, lattice, **kwargs)
 
 
 class ScenarioReport(LintReport):
@@ -289,6 +289,7 @@ def lint_scenario(spec: ScenarioSpec) -> ScenarioReport:
     from ..lint.engine import preflight_model, preflight_partition
 
     model, lint_initial = build_model(spec.model, spec.name)
+    _check_fit(spec, model)
     initial = [spec.run.initial] if spec.run.initial is not None else lint_initial
     # gates.mass_dt pins a CA step for the SR010 probability-mass proof;
     # None -> the canonical dt = 1/K, which passes by construction
@@ -296,7 +297,7 @@ def lint_scenario(spec: ScenarioSpec) -> ScenarioReport:
     report.extend(preflight_model(
         model, dt=spec.gates.mass_dt, initial_species=initial
     ))
-    if spec.engine.kind in PARALLEL_KINDS:
+    if ENGINES[spec.engine.kind].partitioned:
         lattice = Lattice(spec.lattice_shape)
         report.partition = build_partition(spec.engine.partition, lattice, model)
         report.extend(preflight_partition(report.partition, model))

@@ -54,6 +54,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+from ..taxonomy import REGISTRY as ENGINES
+from ..taxonomy import scenario_kinds
+
 __all__ = [
     "ScenarioError",
     "ScenarioSpec",
@@ -71,19 +74,6 @@ __all__ = [
 
 #: schema tag accepted by this loader
 SCHEMA = "repro.scenario/1"
-
-#: engine kinds the compiler knows how to construct
-ENGINE_KINDS = (
-    "rsm",
-    "ndca",
-    "pndca",
-    "lpndca",
-    "typepart",
-)
-
-#: engine kinds that execute chunks in parallel and therefore need a
-#: conflict-free partition (proved by the lint preflight before any run)
-PARALLEL_KINDS = ("pndca", "lpndca")
 
 #: why ``ensemble-*`` kinds and ``engine.n_replicas``/``sample_interval``
 #: are refused: replicas are a ``[sweep] seed`` grid run by ``repro sweep``
@@ -127,12 +117,16 @@ class ReactionSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """``[model]``: either a preset reference or inline reactions."""
+    """``[model]``: either a preset reference or inline reactions.
+
+    ``ndim`` is ``None`` for a preset: its dimension is the built
+    model's, checked against the lattice when the model is built.
+    """
 
     preset: str | None
     params: Mapping[str, Any]
     species: tuple[str, ...]
-    ndim: int
+    ndim: int | None
     reactions: tuple[ReactionSpec, ...]
 
 
@@ -373,15 +367,22 @@ def _parse_model(doc: Mapping) -> ModelSpec:
     table = _require_table(doc, "model", "scenario")
     preset = _get_str(table, "preset", "model")
     if preset is not None:
+        from .compile import PRESETS, check_preset_params
+
         _reject_unknown(table, ("preset", "params"), "model")
+        if preset not in PRESETS:
+            raise _err(
+                f"model.preset: unknown preset {preset!r}; known: {sorted(PRESETS)}"
+            )
         params = table.get("params", {})
         if not isinstance(params, Mapping):
             raise _err("model.params: expected a table")
+        check_preset_params(preset, params, "model.params")
         return ModelSpec(
             preset=preset,
             params=dict(params),
             species=(),
-            ndim=2,
+            ndim=None,
             reactions=(),
         )
     _reject_unknown(table, ("species", "ndim", "reactions"), "model")
@@ -414,7 +415,16 @@ def _parse_model(doc: Mapping) -> ModelSpec:
     )
 
 
-def _parse_lattice(doc: Mapping, ndim: int) -> tuple[int, ...]:
+def check_dimensions(shape: tuple[int, ...], ndim: int) -> None:
+    """Refuse a lattice shape whose rank is not the model's."""
+    if len(shape) != ndim:
+        raise _err(
+            f"lattice.shape: {len(shape)}-d shape {list(shape)} does not match "
+            f"the model dimensionality ({ndim}-d)"
+        )
+
+
+def _parse_lattice(doc: Mapping, ndim: int | None) -> tuple[int, ...]:
     table = _require_table(doc, "lattice", "scenario")
     _reject_unknown(table, ("shape",), "lattice")
     shape_raw = table.get("shape")
@@ -424,22 +434,15 @@ def _parse_lattice(doc: Mapping, ndim: int) -> tuple[int, ...]:
         if _get_bool_free_number(s) or not isinstance(s, int) or s < 1:
             raise _err(f"lattice.shape: sides must be positive integers, got {shape_raw}")
     shape = tuple(shape_raw)
-    if len(shape) != ndim:
-        raise _err(
-            f"lattice.shape: {len(shape)}-d shape {list(shape)} does not match "
-            f"the model dimensionality ({ndim}-d)"
-        )
+    if ndim is not None:
+        check_dimensions(shape, ndim)
     return shape
 
 
-_ENGINE_KEYS = (
-    "kind",
-    "partition",
-    "strategy",
-    "L",
-    "chunk_selection",
-    "backend",
-)
+#: every option some scenario engine kind takes, in table order
+_OPTION_KEYS = tuple(dict.fromkeys(
+    key for info in ENGINES.values() if info.scenario for key in info.options
+))
 
 
 def _parse_engine(doc: Mapping) -> EngineSpec:
@@ -447,19 +450,17 @@ def _parse_engine(doc: Mapping) -> EngineSpec:
     for key in ("n_replicas", "sample_interval"):
         if key in table:
             raise _err(f"engine.{key}: {_RETIRED}")
-    _reject_unknown(table, _ENGINE_KEYS, "engine")
+    _reject_unknown(table, ("kind", "partition", "backend") + _OPTION_KEYS, "engine")
     kind = _get_str(table, "kind", "engine")
     if kind is None:
         raise _err("engine.kind: missing required key")
     if kind.startswith("ensemble-"):
         raise _err(f"engine.kind: {kind!r}: {_RETIRED}")
-    if kind not in ENGINE_KINDS:
-        raise _err(
-            f"engine.kind: unknown engine {kind!r}; known: {sorted(ENGINE_KINDS)}"
-        )
+    kinds = scenario_kinds()
+    if kind not in kinds:
+        raise _err(f"engine.kind: unknown engine {kind!r}; known: {kinds}")
+    row = ENGINES[kind]
     partition = _get_str(table, "partition", "engine")
-    strategy = _get_str(table, "strategy", "engine")
-    chunk_selection = _get_str(table, "chunk_selection", "engine")
     backend = _get_str(table, "backend", "engine")
     if backend is not None:
         from ..backends import check_backend_name
@@ -468,37 +469,37 @@ def _parse_engine(doc: Mapping) -> EngineSpec:
             check_backend_name(backend)
         except ValueError as exc:
             raise _err(f"engine.backend: {exc}") from None
-    L: int | str | None = None
-    if "L" in table:
-        v = table["L"]
-        if isinstance(v, str):
-            if v != "chunk":
-                raise _err(f"engine.L: must be a positive integer or 'chunk', got {v!r}")
-            L = v
-        elif isinstance(v, int) and not isinstance(v, bool) and v >= 1:
-            L = v
-        else:
-            raise _err(f"engine.L: must be a positive integer or 'chunk', got {v!r}")
 
     # option/kind consistency — refusing silently-ignored options keeps
     # scenario files honest about what actually ran
-    if partition is not None and kind not in PARALLEL_KINDS:
+    if partition is not None and not row.partitioned:
         raise _err(f"engine.partition: engine kind {kind!r} takes no partition")
-    if partition is None and kind in PARALLEL_KINDS:
+    if partition is None and row.partitioned:
         raise _err(
             f"engine.partition: engine kind {kind!r} needs a partition "
             f"('five-chunk', 'checkerboard', 'auto' or 'M:C0,C1')"
         )
-    if strategy is not None and kind != "pndca":
-        raise _err(f"engine.strategy: engine kind {kind!r} takes no chunk strategy")
-    if (L is not None or chunk_selection is not None) and kind != "lpndca":
-        raise _err(f"engine.L/chunk_selection: only the 'lpndca' engine takes them")
+    options: dict[str, Any] = {}
+    for key in _OPTION_KEYS:
+        if key not in table:
+            continue
+        if key not in row.options:
+            owners = " or ".join(repr(k) for k in kinds if key in ENGINES[k].options)
+            raise _err(
+                f"engine.{key}: engine kind {kind!r} takes no {key}; "
+                f"only the {owners} engine takes it"
+            )
+        try:
+            row.options[key](table[key])
+        except ValueError as exc:
+            raise _err(f"engine.{key}: {exc}") from None
+        options[key] = table[key]
     return EngineSpec(
         kind=kind,
         partition=partition,
-        strategy=strategy,
-        L=L,
-        chunk_selection=chunk_selection,
+        strategy=options.get("strategy"),
+        L=options.get("L"),
+        chunk_selection=options.get("chunk_selection"),
         backend=backend,
     )
 
@@ -558,6 +559,9 @@ def _parse_sweep(doc: Mapping, model: ModelSpec) -> SweepSpec | None:
         raw = table["params"]
         if not isinstance(raw, Mapping) or not raw:
             raise _err("sweep.params: expected a non-empty table of grids")
+        from .compile import check_preset_params
+
+        check_preset_params(model.preset, raw, "sweep.params")
         for key, value in raw.items():
             params[key] = _scalar_list(value, f"sweep.params.{key}", (int, float))
     rates: dict[str, tuple[float, ...]] = {}

@@ -67,6 +67,14 @@ from repro.backends.fuzz import (
 from repro.core import Lattice, Model, ReactionType
 from repro.models import ziff_model
 
+#: the dispatch kernels with a compiled twin; ``execute_type_everywhere``
+#: has none (its whole-array NumPy scatter is the faster tier)
+TRIAL_KERNELS = (
+    "run_trials_sequential",
+    "run_trials_batch",
+    "run_trials_batch_with_duplicates",
+)
+
 #: every registered non-reference backend that can run on this host
 COMPILED = [n for n in available_backends() if n != "numpy"]
 
@@ -225,40 +233,14 @@ def _fresh_python(code: str, env: dict) -> subprocess.CompletedProcess:
 # ----------------------------------------------------------------------
 # the contract-driven generators
 # ----------------------------------------------------------------------
-def _stacked_contract():
-    """A contract with replica-indexed symbolic shapes (no dispatch kernel
-    declares shapes, so the resolver is checked on its own)."""
-    from repro.core.contracts import kernel
-
-    @kernel(
-        writes=("states", "counts"),
-        shapes={"states": ("R", "N"), "counts": ("R", "T")},
-        dtypes={"states": "uint8", "counts": "int64"},
-    )
-    def stacked_example(states, counts, sites):
-        return 0
-
-    return stacked_example
-
 class TestArgumentGrid:
     def test_dtypes_resolve_from_contract(self):
         from repro.core.kernels import run_trials_sequential
 
-        grid = argument_grid(run_trials_sequential, {"N": 100, "T": 7})
+        grid = argument_grid(run_trials_sequential)
         assert grid["state"].dtype == np.dtype(np.uint8)
         assert grid["counts"].dtype == np.dtype(np.int64)
-        assert grid["state"].shape is None  # sequential declares no shapes
-
-    def test_stacked_shapes_are_replica_indexed(self):
-        grid = argument_grid(_stacked_contract(), {"R": 4, "N": 64, "T": 5})
-        assert grid["states"].shape == (4, 64)
-        assert grid["counts"].shape == (4, 5)
-        assert grid["states"].dtype == np.dtype(np.uint8)
-
-    def test_unbound_symbol_resolves_to_none(self):
-        grid = argument_grid(_stacked_contract(), {"R": 4})
-        assert grid["states"].shape is None  # "N" unbound
-        assert grid["counts"].shape is None  # "T" unbound
+        assert grid["sites"].dtype is None  # no declared dtype
 
     def test_fuzz_rejects_non_dispatch_kernels(self, ziff, small_lattice, rng):
         comp = ziff.compile(small_lattice)
@@ -810,9 +792,9 @@ class TestCoverageMap:
             for fn in registered_kernels(("repro.backends.cnative",))
             if contract_of(fn).twin
         }
-        assert set(DISPATCH_KERNELS) <= twins, (
+        assert set(TRIAL_KERNELS) <= twins, (
             f"repro.backends.cnative is missing twins for "
-            f"{set(DISPATCH_KERNELS) - twins}"
+            f"{set(TRIAL_KERNELS) - twins}"
         )
 
     def test_backend_kernel_sets_override_every_dispatch_kernel(self):
@@ -820,7 +802,7 @@ class TestCoverageMap:
 
         for name in COMPILED:
             ks = get_backend(name).kernel_set()
-            for kernel_name in DISPATCH_KERNELS:
+            for kernel_name in TRIAL_KERNELS:
                 assert getattr(ks, kernel_name) is not getattr(ref, kernel_name)
 
 

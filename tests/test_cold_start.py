@@ -20,7 +20,9 @@ _SRC = str(Path(repro.__file__).resolve().parents[1])
 #: equation and the analysis helpers, multiprocessing and the
 #: orchestrator the executor and ``repro sweep``; the other DMC engines,
 #: the fault injector and the acceptance gates serve other commands;
-#: networkx is no dependency at all
+#: the CA engines, the executor, partitions, model presets and report
+#: rendering serve other scenarios (the engine and preset tables name
+#: them lazily); networkx is no dependency at all
 UNUSED = (
     "scipy",
     "networkx",
@@ -31,6 +33,11 @@ UNUSED = (
     "repro.dmc.master_equation",
     "repro.resilience.chaos",
     "repro.scenario.gates",
+    "repro.ca",
+    "repro.parallel",
+    "repro.partition",
+    "repro.models",
+    "repro.io",
 )
 
 

@@ -221,6 +221,156 @@ class TestLoaderErrors:
         assert lint_scenario(spec).ok()
 
 
+PNDCA = edited('kind = "rsm"', 'kind = "pndca"\npartition = "five-chunk"')
+LPNDCA = edited('kind = "rsm"', 'kind = "lpndca"\npartition = "five-chunk"')
+
+PRESET = """\
+[scenario]
+name = "p"
+
+[model]
+preset = "{preset}"
+{params}
+[lattice]
+shape = {shape}
+
+[engine]
+kind = "rsm"
+
+[run]
+until = 0.5
+"""
+
+
+def preset_doc(preset="diffusion-2d", params="", shape="[6, 6]", sweep=""):
+    return PRESET.format(preset=preset, params=params, shape=shape) + sweep
+
+
+class TestEngineOptions:
+    """Engine options are checked against the engine table at load."""
+
+    @pytest.mark.parametrize(
+        "text,key,choices",
+        [
+            (PNDCA.replace('partition = "five-chunk"',
+                           'partition = "five-chunk"\nstrategy = "bogus"'),
+             "engine.strategy", "'random-order'"),
+            (LPNDCA.replace('partition = "five-chunk"',
+                            'partition = "five-chunk"\nchunk_selection = "bogus"'),
+             "engine.chunk_selection", "'size-proportional'"),
+            (LPNDCA.replace('partition = "five-chunk"',
+                            'partition = "five-chunk"\nL = 0'),
+             "engine.L", "positive integer or 'chunk'"),
+        ],
+        ids=["strategy", "chunk_selection", "L"],
+    )
+    def test_bad_value_exits_2_before_the_header(
+        self, tmp_path, capsys, text, key, choices
+    ):
+        path = tmp_path / "bad.toml"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(key) and choices in err
+        journal = tmp_path / "journal"
+        assert main(["sweep", str(path), "--journal", str(journal)]) == 2
+        assert not journal.exists()
+
+    def test_option_of_another_kind_names_its_owner(self):
+        with pytest.raises(ScenarioError, match="only the 'pndca' engine"):
+            loads_scenario(edited('kind = "rsm"', 'kind = "rsm"\nstrategy = "ordered"'))
+
+    def test_set_options_reach_the_engine(self):
+        engine = build_engine(loads_scenario(LPNDCA.replace(
+            'partition = "five-chunk"',
+            'partition = "five-chunk"\nL = 3\nchunk_selection = "uniform"',
+        ).replace("shape = [6, 6]", "shape = [10, 10]")))
+        assert (engine.L, engine.chunk_selection) == (3, "uniform")
+
+    def test_unset_options_take_the_constructor_defaults(self):
+        engine = build_engine(loads_scenario(
+            PNDCA.replace("shape = [6, 6]", "shape = [10, 10]")
+        ))
+        assert engine.strategy == "random-order"
+
+
+class TestPresets:
+    """Preset parameters come from the constructor, checked at load."""
+
+    def test_diffusion_2d_takes_k_hop(self):
+        spec = loads_scenario(preset_doc(params="params = { k_hop = 2.0 }"))
+        engine = build_engine(spec)
+        assert {ct.rate for ct in engine.compiled.types} == {2.0}
+
+    def test_unknown_param_is_refused_at_load(self):
+        with pytest.raises(ScenarioError, match=re.escape(
+            "model.params: unknown parameter(s) ['rate'] for preset "
+            "'diffusion-2d'; known: ['k_hop']"
+        )):
+            loads_scenario(preset_doc(params="params = { rate = 2.0 }"))
+
+    def test_unknown_swept_param_exits_2_before_any_point(self, tmp_path, capsys):
+        path = tmp_path / "sweep.toml"
+        path.write_text(preset_doc(sweep="\n[sweep]\nparams.rate = [1.0, 2.0]\n"))
+        for argv in (["run", str(path), "--sweep"],
+                     ["sweep", str(path), "--journal", str(tmp_path / "j")]):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("sweep.params: unknown parameter(s) ['rate']")
+        assert not (tmp_path / "j").exists()
+
+    def test_pt100_params_are_its_rate_keys(self):
+        spec = loads_scenario(preset_doc("pt100", "params = { k_diff = 3.0 }"))
+        assert lint_scenario(spec).ok()
+        with pytest.raises(ScenarioError, match="known: \\['k_co_ads'"):
+            loads_scenario(preset_doc("pt100", "params = { k_nope = 3.0 }"))
+
+    def test_zgb_defaults_y(self):
+        from repro.models import zgb_model
+        from repro.resilience.runs import run_digest
+
+        a = build_engine(loads_scenario(preset_doc("zgb", shape="[8, 8]")))
+        b = build_engine(loads_scenario(preset_doc("zgb", "params = { y = 0.5 }", "[8, 8]")))
+        assert a.model.reaction_types == zgb_model(0.5).reaction_types
+        a.run(until=0.5)
+        b.run(until=0.5)
+        assert run_digest(a) == run_digest(b)
+
+    @pytest.mark.parametrize("preset", ["diffusion-1d", "single-file"])
+    def test_1d_preset_takes_its_dimension_from_the_model(self, preset, capsys, tmp_path):
+        spec = loads_scenario(preset_doc(preset, shape="[12]"))
+        assert lint_scenario(spec).ok()
+        build_engine(spec).run(until=0.5)
+        path = tmp_path / "two.toml"
+        path.write_text(preset_doc(preset, shape="[6, 6]"))
+        assert main(["run", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "does not match the model dimensionality (1-d)" in err
+
+    def test_unknown_initial_species_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "initial.toml"
+        path.write_text(preset_doc().replace("until = 0.5", 'until = 0.5\ninitial = "Q"'))
+        assert main(["run", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("run.initial: species 'Q' is not in the model domain")
+
+    def test_every_preset_builds(self):
+        from repro.scenario import PRESETS
+
+        assert sorted(PRESETS) == [
+            "diffusion-1d", "diffusion-2d", "ising", "pt100", "single-file",
+            "zgb", "ziff",
+        ]
+        for name, preset in PRESETS.items():
+            shape = "[12]" if name in ("diffusion-1d", "single-file") else "[10, 10]"
+            assert lint_scenario(loads_scenario(preset_doc(name, shape=shape))).ok()
+
+
 class TestDigest:
     def test_stable_under_comments_and_formatting(self):
         a = loads_scenario(BASE)
@@ -425,11 +575,6 @@ class TestScenarioCli:
         for name in TestRegistry.ZOO:
             assert name in out
         assert "digest" in out
-
-    def test_scenarios_check(self, capsys):
-        assert main(["scenarios", "--check"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("ok   ") == len(TestRegistry.ZOO)
 
     def test_scenarios_gates_one_entry(self, capsys):
         assert main(["scenarios", "--gates", "ab2-desorption"]) == 0

@@ -1,7 +1,16 @@
 """Tests for the algorithm taxonomy / factory."""
 
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import repro
 from repro.core import Lattice
 from repro.partition import five_chunk_partition
 from repro.taxonomy import REGISTRY, describe_all, list_algorithms, make_simulator
@@ -60,3 +69,50 @@ class TestDescribe:
         for key in REGISTRY:
             assert key in text
         assert "exact" in text and "approx" in text
+
+
+class TestEngineTable:
+    def test_scenario_kinds(self):
+        from repro.taxonomy import scenario_kinds
+
+        assert scenario_kinds() == ["lpndca", "ndca", "pndca", "rsm", "typepart"]
+        assert {k for k, v in REGISTRY.items() if v.partitioned} == {"pndca", "lpndca"}
+
+    @pytest.mark.parametrize(
+        "key,option,value,fragment",
+        [
+            ("pndca", "strategy", "bogus", "choose from ('ordered'"),
+            ("lpndca", "chunk_selection", "bogus", "choose from ('size-proportional'"),
+            ("lpndca", "L", 0, "positive integer or 'chunk'"),
+            ("lpndca", "L", True, "positive integer or 'chunk'"),
+            ("lpndca", "L", 2.5, "positive integer or 'chunk'"),
+            ("lpndca", "L", "half", "positive integer or 'chunk'"),
+        ],
+    )
+    def test_option_checks_name_the_choices(self, key, option, value, fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            REGISTRY[key].options[option](value)
+
+    def test_constructors_check_against_the_table(self, ziff, small_lattice):
+        p = five_chunk_partition(small_lattice)
+        with pytest.raises(ValueError, match="choose from"):
+            make_simulator("pndca", ziff, small_lattice, partition=p, strategy="x")
+        sim = make_simulator("lpndca", ziff, small_lattice, partition=p, L=np.int64(3))
+        assert sim.L == 3
+
+    def test_reading_the_table_loads_no_engine(self):
+        code = (
+            "import json, sys\n"
+            "from repro.taxonomy import REGISTRY, scenario_kinds\n"
+            "scenario_kinds()\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro'))))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH")))
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        ).stdout
+        assert json.loads(out) == ["repro", "repro.taxonomy"]

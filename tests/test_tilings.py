@@ -1,5 +1,7 @@
 """Unit tests for repro.partition.tilings."""
 
+import re
+
 import pytest
 
 from repro.core import Lattice
@@ -9,6 +11,7 @@ from repro.partition.tilings import (
     find_modular_tiling,
     five_chunk_partition,
     modular_tiling,
+    parse_tiling,
     stripes,
 )
 
@@ -191,3 +194,31 @@ class TestDegenerateLattices:
         assert {d.code for d in report} == {"SR002"}
         d0 = report.diagnostics[0].data
         assert d0["site_s"] != d0["site_t"]
+
+
+class TestParseTiling:
+    def test_parses_modulus_and_coefficients(self):
+        assert parse_tiling("5:1,2") == (5, (1, 2))
+        assert parse_tiling("3:1") == (3, (1,))
+
+    @pytest.mark.parametrize(
+        "spec,fragment",
+        [
+            ("5", "not of the form 'M:C0,C1'"),
+            ("5:a,2", "not of the form 'M:C0,C1'"),
+            ("x:1,2", "not of the form 'M:C0,C1'"),
+            ("0:1,2", "m must be >= 1, got 0"),
+        ],
+    )
+    def test_refuses_malformed_specs(self, spec, fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            parse_tiling(spec)
+
+    def test_scenario_partitions_use_it(self, ziff):
+        from repro.scenario import ScenarioError, build_partition
+
+        lat = Lattice((10, 10))
+        p = build_partition("5:1,2", lat, ziff)
+        assert p.m == 5
+        with pytest.raises(ScenarioError, match="m must be >= 1"):
+            build_partition("0:1,2", lat, ziff)

@@ -118,3 +118,30 @@ class TestCrossValidation:
             means[cls.__name__] = np.mean(vals)
         assert means["VSSM"] == pytest.approx(means["RSM"], abs=0.1)
         assert means["FRM"] == pytest.approx(means["RSM"], abs=0.1)
+
+
+@pytest.mark.parametrize("cls", [VSSM, FRM])
+def test_observer_sees_the_state_before_the_crossing_event(cls):
+    """A grid time inside an event's waiting time is sampled with the
+    state before that event: the 2x2 Ziff CO coverage at t = 0.25 from
+    an empty surface matches the exact master equation (0.140), where
+    sampling after the event read about 0.19."""
+    from repro.core.state import Configuration
+    from repro.dmc.base import CoverageObserver
+    from repro.dmc.master_equation import MasterEquation
+    from repro.models import ziff_model
+
+    model, lat = ziff_model(), Lattice((2, 2))
+    me = MasterEquation(model, lat)
+    p0 = me.delta(Configuration.empty(lat, model.species))
+    exact = float(me.expected_coverage(me.propagate(p0, [0.25])[0], "CO"))
+    samples = []
+    for seed in range(400):
+        res = cls(model, lat, seed=seed, observers=[CoverageObserver(0.25)]).run(
+            until=0.5
+        )
+        assert res.times[1] == 0.25
+        samples.append(res.coverage["CO"][1])
+    mean = np.mean(samples)
+    sem = np.std(samples, ddof=1) / np.sqrt(len(samples))
+    assert abs(mean - exact) < 3 * sem, (mean, exact, sem)
