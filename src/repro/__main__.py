@@ -9,20 +9,21 @@ Commands
     (e.g. ``python -m repro run fig4``), or run a zoo scenario
     (``zgb``, ``no-co`` ... — see ``scenarios``) or a scenario file
     (``path/to/scenario.toml``) and print its ``digest`` line; scenario
-    runs accept ``--sweep`` and the checkpoint/resume options.
+    runs accept the checkpoint/resume options, and SIGINT/SIGTERM
+    during a checkpointed run flush a final checkpoint (exit 130).
     ``--metrics`` appends the run's collected counters/histograms (see
     :mod:`repro.obs`); ``--backend`` selects the kernel backend
     (numpy/cnative/auto, see :mod:`repro.backends`; an unknown name
     exits 2) — an execution detail only, results are bit-identical
     across backends.
 ``sweep <scenario>... [--jobs N] [--journal DIR] [--resume]``
-    Crash-safe batch orchestration of scenario sweeps: expand the
-    declared ``[sweep]`` grids into a job set, execute it on supervised
-    worker processes with per-job deadlines and a retry/backoff/
-    respawn/serial recovery ladder, and journal every state transition
-    write-ahead (``repro.jobs/1``) so a killed campaign resumes with
-    ``--resume`` — completed points are cache hits (see
-    :mod:`repro.jobs`).
+    The one sweep command: crash-safe batch orchestration of scenario
+    sweeps.  Expand the declared ``[sweep]`` grids into a job set,
+    execute it on supervised worker processes with per-job deadlines
+    and a retry/backoff/respawn/serial recovery ladder, and journal
+    every state transition write-ahead (``repro.jobs/1``) so a killed
+    campaign resumes with ``--resume`` — completed points are cache
+    hits (see :mod:`repro.jobs`).
 ``scenarios [--gates [NAME ...]]``
     List the shipped scenario zoo; ``--gates`` runs the declared
     acceptance gates (lint, fingerprint, mean-field) — a CI gate
@@ -168,11 +169,6 @@ def _experiment_flags_refusal(args) -> str | None:
             f"{', '.join(offending)} only apply to scenario runs, not "
             f"experiment {args.experiment!r}"
         )
-    if args.sweep:
-        return (
-            f"--sweep only applies to scenario runs, not experiment "
-            f"{args.experiment!r}"
-        )
     return None
 
 
@@ -195,7 +191,6 @@ def _run_scenario(args) -> int:
             seed=args.seed,
             until=args.until,
             backend=args.backend,  # explicit CLI choice wins over the spec
-            sweep=args.sweep,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
             checkpoint_seconds=args.checkpoint_seconds,
@@ -295,11 +290,6 @@ def main(argv: list[str] | None = None) -> int:
         "--seed", type=int, default=None,
         help="engine seed (scenario runs only; default: the scenario's "
         "declared seed)",
-    )
-    p_run.add_argument(
-        "--sweep", action="store_true",
-        help="run the scenario's declared [sweep] grid instead of the "
-        "base configuration (scenario runs only)",
     )
     p_run.add_argument(
         "--checkpoint-dir", metavar="DIR",

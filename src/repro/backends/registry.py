@@ -1,6 +1,6 @@
 """The compiled-kernel backend registry: per-run kernel selection.
 
-Every simulation engine ultimately mutates state through the six
+Every simulation engine ultimately mutates state through the four
 public execution kernels of :mod:`repro.core.kernels`
 (:data:`DISPATCH_KERNELS`).  Those kernels are *deterministic state
 transforms* — all randomness is drawn by the engines — so a compiled

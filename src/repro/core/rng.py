@@ -53,9 +53,7 @@ def draw_types(rng: np.random.Generator, cum: np.ndarray, n: int) -> np.ndarray:
     return types_from_uniforms(cum, rng.random(n))
 
 
-def types_from_uniforms(
-    cum: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def types_from_uniforms(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Map uniforms in ``[0, 1)`` to type indices against ``cum``.
 
     Elementwise equal to ``np.searchsorted(cum, u, side="right")`` for
@@ -66,9 +64,7 @@ def types_from_uniforms(
     search by an order of magnitude on large blocks; the sum runs in
     ``uint8`` (at most 15 edges cannot overflow it), which moves an
     eighth of the bytes an ``intp`` accumulator would.  Big tables fall
-    back to ``searchsorted``.  ``out``, an ``intp`` array of ``u``'s
-    shape, receives the indices (and is returned) instead of a fresh
-    array.
+    back to ``searchsorted``.
     """
     if len(cum) > 16:
         index = np.searchsorted(cum, u, side="right")
@@ -76,10 +72,7 @@ def types_from_uniforms(
         index = np.zeros(u.shape, dtype=np.uint8)
         for edge in cum[:-1]:
             index += u >= edge
-    if out is None:
-        return index.astype(np.intp)
-    out[...] = index
-    return out
+    return index.astype(np.intp)
 
 
 def draw_sites(rng: np.random.Generator, n_sites: int, n: int) -> np.ndarray:

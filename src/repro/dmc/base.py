@@ -507,17 +507,12 @@ class SimulatorBase(ABC):
         """Simulate until the given simulation time (or ``max_steps`` blocks).
 
         ``checkpoint`` is an optional
-        :class:`~repro.resilience.checkpoint.Checkpointer`; when omitted
-        the ambient one installed by
-        :func:`~repro.resilience.checkpoint.use_checkpoints` (if any)
-        is used.  Checkpoints are written at step-block boundaries —
-        the consistent points of every algorithm.
+        :class:`~repro.resilience.checkpoint.Checkpointer`, the only way
+        a run checkpoints.  Checkpoints are written at step-block
+        boundaries — the consistent points of every algorithm.
         """
         if until <= self.time:
             raise ValueError(f"until={until} is not beyond current time {self.time}")
-        from ..resilience.checkpoint import current_checkpointer
-
-        ckpt = checkpoint if checkpoint is not None else current_checkpointer()
         for obs in self.observers:
             obs.start(self)
         m = self.metrics
@@ -525,8 +520,8 @@ class SimulatorBase(ABC):
         wall0 = _wall.perf_counter()
         steps = 0
         trials0 = executed0 = 0
-        if ckpt is not None:
-            ckpt.start(self)
+        if checkpoint is not None:
+            checkpoint.start(self)
         try:
             with m.phase("run"):
                 self._notify()
@@ -542,15 +537,15 @@ class SimulatorBase(ABC):
                         m.inc("trials.attempted", self.n_trials - trials0)
                         m.inc("trials.executed", self.n_executed - executed0)
                     tracer.on_step(steps, self.time)
-                    if ckpt is not None:
-                        ckpt.after_step(self)
+                    if checkpoint is not None:
+                        checkpoint.after_step(self)
                     if n == 0:
                         break  # absorbing state or no work possible
                     if max_steps is not None and steps >= max_steps:
                         break
         finally:
-            if ckpt is not None:
-                ckpt.finish(self)
+            if checkpoint is not None:
+                checkpoint.finish(self)
         wall = _wall.perf_counter() - wall0
         return self._result(wall)
 

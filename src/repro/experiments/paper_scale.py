@@ -3,9 +3,9 @@
 The default experiment scale (40x40, t = 70) keeps the benchmark suite
 minutes-fast; the paper itself uses 100x100 lattices and horizons of
 200-300 time units.  This module provides the paper-scale presets and
-a small runner that executes them, saves each run's coverage series as
-an npz archive (:mod:`repro.io.trace`) and prints the reports — the
-"overnight" companion to the quick benchmarks::
+a small runner that executes them, writes each figure's report to
+``<out_dir>/<figure>.txt`` and prints it — the "overnight" companion
+to the quick benchmarks::
 
     python -m repro.experiments.paper_scale            # all three figures
     python -m repro.experiments.paper_scale fig9       # one of them
@@ -18,7 +18,6 @@ of figures runs in well under an hour.
 from __future__ import annotations
 
 import argparse
-from contextlib import nullcontext
 from pathlib import Path
 
 from . import fig8_limits, fig9_l_effect, fig10_random_order
@@ -41,17 +40,8 @@ def run_paper_scale(
     side: int = PAPER_SIDE,
     until: float = PAPER_UNTIL,
     out_dir: str | Path = "paper_scale_results",
-    checkpoint_dir: str | Path | None = None,
 ) -> dict[str, str]:
-    """Run the selected figures at paper scale; returns id -> report.
-
-    ``checkpoint_dir`` makes the overnight runs interruptible: every
-    engine ``run()`` inside the loop checkpoints there periodically
-    (``repro.ckpt/1`` files, one tag per figure), and SIGINT/SIGTERM
-    flush a final checkpoint at the next step boundary before exiting —
-    Ctrl-C or a batch-scheduler kill costs at most one checkpoint
-    interval, not the whole night.
-    """
+    """Run the selected figures at paper scale; returns id -> report."""
     keys = [which] if which else list(_RUNNERS)
     unknown = [k for k in keys if k not in _RUNNERS]
     if unknown:
@@ -60,25 +50,8 @@ def run_paper_scale(
     out_path = Path(out_dir)
     out_path.mkdir(exist_ok=True)
     for key in keys:
-        if checkpoint_dir is not None:
-            from ..resilience.checkpoint import (
-                Checkpointer,
-                CheckpointPolicy,
-                use_checkpoints,
-            )
-
-            ctx = use_checkpoints(
-                Checkpointer(
-                    Path(checkpoint_dir),
-                    CheckpointPolicy(every_steps=None, every_seconds=30.0),
-                    tag=key,
-                )
-            )
-        else:
-            ctx = nullcontext()
         run, report = _RUNNERS[key]
-        with ctx:
-            result = run(side=side, until=until)
+        result = run(side=side, until=until)
         text = report(result)
         (out_path / f"{key}.txt").write_text(text + "\n")
         out[key] = text
@@ -91,14 +64,9 @@ if __name__ == "__main__":
     parser.add_argument("--side", type=int, default=PAPER_SIDE)
     parser.add_argument("--until", type=float, default=PAPER_UNTIL)
     parser.add_argument("--out-dir", default="paper_scale_results")
-    parser.add_argument(
-        "--checkpoint-dir",
-        help="periodic repro.ckpt/1 checkpoints + SIGINT/SIGTERM final flush",
-    )
     a = parser.parse_args()
     for key, text in run_paper_scale(
-        a.which, side=a.side, until=a.until,
-        out_dir=a.out_dir, checkpoint_dir=a.checkpoint_dir,
+        a.which, side=a.side, until=a.until, out_dir=a.out_dir
     ).items():
         print(text)
         print()

@@ -169,16 +169,11 @@ def run_phase_diagram(
     seed: int = 0,
     rsm_check_ys: tuple[float, ...] = (0.45,),
     n_replicas: int = 1,
-    checkpoint_dir: str | None = None,
 ) -> PhaseDiagram:
     """Sweep y with PNDCA; verify selected points with RSM.
 
     ``n_replicas > 1`` makes every coverage a mean over that many
     independent replicas (with stderr on the :class:`PhasePoint`).
-
-    ``checkpoint_dir`` makes the sweep interruptible: each y point's
-    engine run checkpoints there periodically, and SIGINT/SIGTERM flush
-    a final checkpoint at the next step boundary before exiting.
     """
     if ys is None:
         ys = np.concatenate(
@@ -186,22 +181,6 @@ def run_phase_diagram(
                 np.arange(0.30, 0.60 + 1e-9, 0.025),
             ]
         )
-    if checkpoint_dir is not None:
-        from ..resilience.checkpoint import (
-            Checkpointer,
-            CheckpointPolicy,
-            use_checkpoints,
-        )
-
-        ckpt = Checkpointer(
-            checkpoint_dir,
-            CheckpointPolicy(every_steps=None, every_seconds=30.0),
-            tag="phase-diagram",
-        )
-        with use_checkpoints(ckpt):
-            return run_phase_diagram(
-                ys, side, until, seed, rsm_check_ys, n_replicas, None
-            )
     out = PhaseDiagram()
     for y in ys:
         out.points.append(
@@ -261,12 +240,7 @@ if __name__ == "__main__":
     parser.add_argument("--until", type=float, default=150.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--replicas", type=int, default=1)
-    parser.add_argument(
-        "--checkpoint-dir",
-        help="periodic repro.ckpt/1 checkpoints + SIGINT/SIGTERM final flush",
-    )
     a = parser.parse_args()
     print(phase_diagram_report(run_phase_diagram(
-        side=a.side, until=a.until, seed=a.seed,
-        n_replicas=a.replicas, checkpoint_dir=a.checkpoint_dir,
+        side=a.side, until=a.until, seed=a.seed, n_replicas=a.replicas,
     )))

@@ -48,12 +48,6 @@ def add_sweep_arguments(parser) -> None:
         "a worker death is still seen at once)",
     )
     parser.add_argument(
-        "--no-fsync", action="store_true",
-        help="skip the per-append fsync of the journal (faster; a crash "
-        "may lose the last OS-buffered records but never tears settled "
-        "history)",
-    )
-    parser.add_argument(
         "--until", type=float, default=None, metavar="T",
         help="override the simulated-time horizon of every job",
     )
@@ -91,11 +85,6 @@ def add_sweep_arguments(parser) -> None:
     parser.add_argument(
         "--chaos-seed", type=int, default=0, metavar="N",
         help="seed of the chaos payload generator (default 0)",
-    )
-    parser.add_argument(
-        "--workers-context", default=None, metavar="NAME",
-        help="multiprocessing start method for the workers "
-        "(fork/spawn/forkserver; default: platform pick)",
     )
 
 
@@ -154,7 +143,6 @@ def run(args) -> int:
             specs,
             n_workers=args.jobs,
             journal_dir=args.journal,
-            fsync=not args.no_fsync,
             max_retries=args.max_retries,
             deadline=args.deadline,
             seed=args.seed,
@@ -163,7 +151,6 @@ def run(args) -> int:
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
             checkpoint_seconds=args.checkpoint_seconds,
-            context=args.workers_context,
             chaos=chaos,
         )
         return orchestrator.run(resume=args.resume)

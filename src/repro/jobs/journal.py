@@ -7,12 +7,11 @@ killed campaign resumable.  Each line is a small envelope::
 
     {"crc32": <int>, "payload": {...}, "schema": "repro.jobs/1"}
 
-with the CRC-32 computed over the canonical (sorted, compact) payload
-JSON, exactly as ``repro.ckpt/1`` does for checkpoints.  Lines are
+with the CRC-32 over the canonical (sorted, compact) payload JSON — the
+one CRC the ``repro.ckpt/1`` checkpoints use too.  Lines are
 serialised *before* the file is touched and written with a single
-``write`` call plus flush (and, under the default fsync policy, an
-``fsync``), so a crash can damage at most the final line — the *torn
-tail*.
+``write`` call plus flush and ``fsync``, so a crash can damage at most
+the final line — the *torn tail*.
 
 Reload (:func:`replay_journal`) distinguishes the two damage shapes:
 
@@ -39,10 +38,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping
+
+from ..resilience.checkpoint import _payload_crc
 
 __all__ = [
     "JOBS_SCHEMA",
@@ -85,14 +85,6 @@ def job_key(digest: str, overrides: Mapping[str, Any]) -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def _payload_crc(payload: Mapping[str, Any]) -> int:
-    """CRC-32 over the canonical payload JSON (cf. ``repro.ckpt/1``)."""
-    blob = json.dumps(
-        dict(payload), sort_keys=True, separators=(",", ":")
-    ).encode()
-    return zlib.crc32(blob) & 0xFFFFFFFF
 
 
 def encode_record(payload: Mapping[str, Any]) -> str:
@@ -140,11 +132,8 @@ class JournalWriter:
 
     Each record is serialised *before* the file is touched (a
     serialisation error can never leave a partial line), written with a
-    single ``write`` call and flushed; with ``fsync=True`` (default,
-    the WAL guarantee) every append is also fsynced, so a completed
-    ``append`` survives power loss.  ``fsync=False`` trades that for
-    throughput on very large campaigns — a crash may then lose the last
-    few OS-buffered records, but never tears the settled prefix.
+    single ``write`` call, flushed and fsynced (the WAL guarantee), so
+    a completed ``append`` survives power loss.
 
     :attr:`last_line_bytes` is the byte length (newline included) of
     the most recent line — the chaos harness uses it to confine
@@ -152,20 +141,18 @@ class JournalWriter:
     real torn write can touch.
     """
 
-    def __init__(self, path: str | Path, fsync: bool = True):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.fsync = fsync
         self.last_line_bytes = 0
         self._fh = open(self.path, "a", encoding="utf-8")
 
     def append(self, payload: Mapping[str, Any]) -> None:
-        """Journal one record (write + flush + fsync-per-policy)."""
+        """Journal one record (write + flush + fsync)."""
         line = encode_record(payload) + "\n"
         self._fh.write(line)
         self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
+        os.fsync(self._fh.fileno())
         self.last_line_bytes = len(line.encode())
 
     def close(self) -> None:

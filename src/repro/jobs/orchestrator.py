@@ -32,14 +32,19 @@ Determinism is the cache: a completed job's journal record carries the
 full ``sweep ... digest ...`` line, so ``--resume`` replays the journal,
 re-prints completed lines bit for bit, and runs only what is missing.
 The sorted digest-line set of *any* interleaving of crashes, retries
-and resumes equals the serial ``repro run --sweep`` baseline — CI's
-``jobs-soak`` gate asserts exactly that.
+and resumes equals the serial baseline (one
+:func:`~repro.scenario.runner.run_sweep_point` call per grid point, in
+order) — CI's ``jobs-soak`` gate asserts exactly that.
+
+SIGINT/SIGTERM drain the campaign: while jobs run, the orchestrator's
+handler (under :func:`~repro.resilience.checkpoint.signal_trap`) only
+sets a flag, and the supervision loop journals the interrupted jobs and
+returns 130.
 """
 
 from __future__ import annotations
 
 import math
-import signal as _signal
 import sys
 import time as _time
 from collections import deque
@@ -49,6 +54,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 
 from ..obs.metrics import NULL_METRICS, MetricsCollector
 from ..obs.trace import NULL_TRACER, Tracer
+from ..resilience.checkpoint import signal_trap
 from ..resilience.supervisor import RecoveryLadder, Supervisor
 from .journal import (
     JOURNAL_NAME,
@@ -76,8 +82,7 @@ def _sweep_point_runner(seed, until, backend):
     The handler takes ``(spec, overrides, checkpoint keywords)`` and
     returns ``(digest line, wall seconds)``.  Workers and the serial
     rung run the same handler, so their digest lines are bit-identical
-    to the serial runner's (all call
-    :func:`repro.scenario.runner.run_sweep_point`).
+    (both call :func:`repro.scenario.runner.run_sweep_point`).
     """
     from ..scenario.runner import run_sweep_point
 
@@ -121,7 +126,6 @@ class JobOrchestrator:
     specs: tuple
     n_workers: int = 2
     journal_dir: str | Path | None = None
-    fsync: bool = True
     max_retries: int = 2
     deadline: float | None = None
     seed: int | None = None
@@ -130,7 +134,6 @@ class JobOrchestrator:
     checkpoint_dir: str | Path | None = None
     checkpoint_every: int | None = None
     checkpoint_seconds: float | None = None
-    context: str | None = None
     chaos: "ChaosMonkey | None" = None
     metrics: MetricsCollector = field(default_factory=lambda: NULL_METRICS)
     tracer: Tracer = field(default_factory=lambda: NULL_TRACER)
@@ -150,7 +153,6 @@ class JobOrchestrator:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         self._writer: JournalWriter | None = None
         self._signal: int | None = None
-        self._old_handlers: dict[int, Any] = {}
         # campaign tallies (also journaled in the complete record)
         self.n_done = 0
         self.n_cached = 0
@@ -237,33 +239,9 @@ class JobOrchestrator:
                 f"edit invalidates its journal — start a fresh --journal"
             )
 
-    # ------------------------------------------------------------------
-    # signals (every install is restored in a covering finally)
-    # ------------------------------------------------------------------
     def _on_signal(self, signum: int, frame: Any) -> None:
         """Drain request: set the flag, no I/O inside the handler."""
         self._signal = signum
-
-    def install_signals(self) -> None:
-        """Route SIGINT/SIGTERM to the graceful drain (idempotent)."""
-        if self._old_handlers:
-            return
-        for signum in (_signal.SIGINT, _signal.SIGTERM):
-            try:
-                self._old_handlers[signum] = _signal.signal(
-                    signum, self._on_signal
-                )
-            except ValueError:  # pragma: no cover - not the main thread
-                pass
-
-    def restore_signals(self) -> None:
-        """Put the previous SIGINT/SIGTERM handlers back."""
-        for signum, handler in self._old_handlers.items():
-            try:
-                _signal.signal(signum, handler)
-            except ValueError:  # pragma: no cover - not the main thread
-                pass
-        self._old_handlers.clear()
 
     # ------------------------------------------------------------------
     # the campaign
@@ -310,7 +288,7 @@ class JobOrchestrator:
             )
 
         if path is not None:
-            self._writer = JournalWriter(path, fsync=self.fsync)
+            self._writer = JournalWriter(path)
         try:
             return self._run_jobs(jobs, completed, out)
         finally:
@@ -376,16 +354,13 @@ class JobOrchestrator:
                 )
                 self.tracer.on_job(job.key, "submit")
         failed: dict[str, str] = {}
-        self.install_signals()
-        try:
+        with signal_trap(self._on_signal):
             serial = self._supervise(todo, out, failed)
             if self._signal is not None:
                 return 130
             self._run_serial(serial, out, failed)
             if self._signal is not None:
                 return 130
-        finally:
-            self.restore_signals()
         self._journal(
             {
                 "event": "complete",
@@ -425,7 +400,6 @@ class JobOrchestrator:
             self.n_workers,
             _sweep_point_runner,
             (self.seed, self.until, self.backend),
-            context=self.context,
         )
         try:
             while pending or inflight:

@@ -299,12 +299,12 @@ NULL_METRICS = NullMetrics()
 # ambient default (for `repro run --metrics`: drivers build their own
 # simulators, so the flag installs a collector they pick up implicitly)
 # ----------------------------------------------------------------------
-_default_stack: list[MetricsCollector] = []
+_collector_stack: list[MetricsCollector] = []
 
 
 def current_metrics() -> MetricsCollector:
     """The ambient collector: innermost :func:`use_metrics`, else null."""
-    return _default_stack[-1] if _default_stack else NULL_METRICS
+    return _collector_stack[-1] if _collector_stack else NULL_METRICS
 
 
 @contextmanager
@@ -315,11 +315,11 @@ def use_metrics(collector: MetricsCollector) -> Iterator[MetricsCollector]:
     ``metrics=`` argument) record into it — the mechanism behind
     ``python -m repro run <id> --metrics``.
     """
-    _default_stack.append(collector)
+    _collector_stack.append(collector)
     try:
         yield collector
     finally:
-        _default_stack.pop()
+        _collector_stack.pop()
 
 
 # ----------------------------------------------------------------------

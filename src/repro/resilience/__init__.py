@@ -13,10 +13,11 @@ restartable and every recovery path testable:
   every-T-seconds) and :class:`Checkpointer` hook into the ``run()``
   loop of :class:`repro.dmc.base.SimulatorBase`; ``Engine.resume(path)``
   restores with a hard guarantee that a resumed run is bit-identical
-  to an uninterrupted one at the same seed.  :func:`use_checkpoints`
-  installs an ambient checkpointer (cf.
-  :func:`repro.obs.metrics.use_metrics`) plus SIGINT/SIGTERM handlers
-  that flush a final checkpoint at the next step boundary.
+  to an uninterrupted one at the same seed.  An engine checkpoints
+  only through ``run(checkpoint=ck)``; :func:`signal_trap` routes
+  SIGINT/SIGTERM to a handler for the length of a block (the
+  checkpointer's flush-at-the-next-step-boundary and the job
+  orchestrator's drain).
 * :mod:`repro.resilience.chaos` — a *seeded, deterministic* fault
   injector: kill a worker mid-slice, delay a slice past its deadline,
   truncate/corrupt a checkpoint, fail an emit write.  Every recovery
@@ -42,13 +43,12 @@ from .checkpoint import (
     Checkpointer,
     ResilienceError,
     checkpoint_paths,
-    current_checkpointer,
     decode_array,
     encode_array,
     engine_fingerprint,
     last_good_checkpoint,
     load_checkpoint,
-    use_checkpoints,
+    signal_trap,
     write_checkpoint,
 )
 
@@ -71,8 +71,7 @@ __all__ = [
     "CheckpointPolicy",
     "Checkpointer",
     "checkpoint_paths",
-    "current_checkpointer",
-    "use_checkpoints",
+    "signal_trap",
     "encode_array",
     "decode_array",
     "engine_fingerprint",

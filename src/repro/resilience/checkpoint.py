@@ -53,7 +53,7 @@ import time as _time
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -71,8 +71,7 @@ __all__ = [
     "CheckpointPolicy",
     "Checkpointer",
     "checkpoint_paths",
-    "current_checkpointer",
-    "use_checkpoints",
+    "signal_trap",
     "encode_array",
     "decode_array",
     "engine_fingerprint",
@@ -198,9 +197,15 @@ def engine_fingerprint(engine: Any) -> str:
 # ----------------------------------------------------------------------
 # file format: atomic write, CRC-guarded load
 # ----------------------------------------------------------------------
-def _payload_crc(payload: dict) -> int:
-    """CRC-32 over the canonical (sorted, compact) payload JSON."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+def _payload_crc(payload: Mapping[str, Any]) -> int:
+    """CRC-32 over the canonical (sorted, compact) payload JSON.
+
+    The one CRC of the ``repro.ckpt/1`` checkpoint and the
+    ``repro.jobs/1`` journal envelopes (:mod:`repro.jobs.journal`).
+    """
+    blob = json.dumps(
+        dict(payload), sort_keys=True, separators=(",", ":")
+    ).encode()
     return zlib.crc32(blob) & 0xFFFFFFFF
 
 
@@ -357,14 +362,13 @@ class Checkpointer:
     The engines call :meth:`start` once per ``run()``, :meth:`after_step`
     after every step block and :meth:`finish` on the way out; user code
     only constructs the checkpointer and passes it via ``run(...,
-    checkpoint=...)`` or installs it ambiently with
-    :func:`use_checkpoints`.
+    checkpoint=...)``.
 
-    Signal handling: :meth:`install_signals` (done by
-    :func:`use_checkpoints`) registers SIGINT/SIGTERM handlers that
-    *defer* — a flag is set, and the next ``after_step`` flushes a
-    final checkpoint before raising ``KeyboardInterrupt``.  Writing
-    from inside a signal handler mid-kernel would risk snapshotting a
+    Signal handling: ``with signal_trap(ck._on_signal):`` around the
+    run (as ``repro run <scenario>`` does) makes SIGINT/SIGTERM *defer*
+    — a flag is set, and the next ``after_step`` flushes a final
+    checkpoint before raising ``KeyboardInterrupt``.  Writing from
+    inside a signal handler mid-kernel would risk snapshotting a
     half-updated chunk; the step boundary is the consistent point.
 
     Write failures (disk full, permissions — or the chaos harness's
@@ -392,7 +396,6 @@ class Checkpointer:
         self._steps_since = 0
         self._last_write = _time.perf_counter()
         self._signal: int | None = None
-        self._old_handlers: dict[int, Any] = {}
 
     # -- engine hooks --------------------------------------------------
     def start(self, engine: Any) -> None:
@@ -463,63 +466,26 @@ class Checkpointer:
             raise KeyboardInterrupt(f"signal {signum}")
         self._signal = signum
 
-    def install_signals(self) -> None:
-        """Route SIGINT/SIGTERM through the deferred-flush handler.
-
-        Idempotent per instance: a second install while handlers are
-        already rerouted is a no-op — recording our own handler as the
-        "previous" one would make the later restore re-install it and
-        leave the deferred-flush reroute in place forever.
-        """
-        if self._old_handlers:
-            return
-        for signum in (_signal.SIGINT, _signal.SIGTERM):
-            try:
-                self._old_handlers[signum] = _signal.signal(
-                    signum, self._on_signal
-                )
-            except ValueError:  # pragma: no cover - not the main thread
-                pass
-
-    def restore_signals(self) -> None:
-        """Put the previous SIGINT/SIGTERM handlers back."""
-        for signum, handler in self._old_handlers.items():
-            try:
-                _signal.signal(signum, handler)
-            except ValueError:  # pragma: no cover - not the main thread
-                pass
-        self._old_handlers.clear()
-
-
-# ----------------------------------------------------------------------
-# ambient checkpointer (cf. repro.obs.metrics.use_metrics)
-# ----------------------------------------------------------------------
-_default_stack: list[Checkpointer] = []
-
-
-def current_checkpointer() -> Checkpointer | None:
-    """The ambient checkpointer installed by :func:`use_checkpoints`."""
-    return _default_stack[-1] if _default_stack else None
-
 
 @contextmanager
-def use_checkpoints(
-    checkpointer: Checkpointer, signals: bool = True
-) -> Iterator[Checkpointer]:
-    """Install ``checkpointer`` as the ambient default within the block.
+def signal_trap(handler: Callable[[int, Any], None]) -> Iterator[None]:
+    """Route SIGINT/SIGTERM to ``handler`` within the block.
 
-    Every engine ``run()`` started inside the block (without an
-    explicit ``checkpoint=`` argument) checkpoints through it — the
-    mechanism behind the experiment drivers' ``checkpoint_dir``
-    parameter.  With ``signals=True`` (default) SIGINT/SIGTERM flush a
-    final checkpoint at the next step boundary before interrupting.
+    The previous handlers are saved on entry and put back in
+    ``finally``, so nested traps unwind in order and an exception never
+    leaves ``handler`` installed.  Outside the main thread, where
+    handlers cannot be set, the block runs untrapped.  The one trap of
+    the package: the checkpointer's deferred flush and the job
+    orchestrator's drain both run under it.
     """
-    if signals:
-        checkpointer.install_signals()
-    _default_stack.append(checkpointer)
+    old: dict[int, Any] = {}
+    for signum in (_signal.SIGINT, _signal.SIGTERM):
+        try:
+            old[signum] = _signal.signal(signum, handler)
+        except ValueError:  # pragma: no cover - not the main thread
+            pass
     try:
-        yield checkpointer
+        yield
     finally:
-        _default_stack.pop()
-        if signals:
-            checkpointer.restore_signals()
+        for signum, previous in old.items():
+            _signal.signal(signum, previous)

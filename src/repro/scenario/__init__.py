@@ -15,7 +15,8 @@ Layout::
     compile.py   spec -> Model (via core.builder) -> engine, lint-gated
     registry.py  the shipped zoo (repro/scenario/zoo/*.toml)
     gates.py     lint / fingerprint / mean-field acceptance gates
-    runner.py    `repro run` backend: runs, sweeps, checkpoint/resume
+    runner.py    `repro run` backend (checkpoint/resume) and the one
+                 sweep-point runner of `repro sweep`
     zoo/         the Jansen-catalogue model zoo (TOML files)
 
 Quick start::

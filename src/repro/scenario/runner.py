@@ -5,22 +5,17 @@ source, content digest), the run summary, and the machine-diffable
 ``digest`` line (:func:`repro.resilience.runs.run_digest`) — so two
 runs can be checked bit-identical by diffing two lines of stdout.
 
-Sweeps (``--sweep``) expand the scenario's declared grids into the
-cartesian product and run every point, one ``sweep ... digest ...``
-line each (flushed as produced, so piped campaigns show progress);
-the scenario digest plus the printed override pairs make every line
-cache-keyable by ``(digest, params, seed)``.  The single-point
-executor, :func:`run_sweep_point`, is shared with the batch
-orchestrator (:mod:`repro.jobs`) — a job worker's digest line is
-bit-identical to the serial loop's because both are this function.
-
 All engines a scenario can construct implement the versioned
 checkpoint protocol, so ``--checkpoint-dir``/``--resume`` apply to
-every scenario.  Under ``--sweep``, ``--checkpoint-dir`` routes each
-grid point to its own ``<dir>/<jobkey>/`` subdirectory (the same job
-keys the orchestrator uses); only ``--resume`` stays rejected there —
-resuming a sweep needs the write-ahead journal, i.e.
-``repro sweep --resume``.
+every scenario.  :func:`run_scenario` traps SIGINT/SIGTERM around its
+one checkpointed run: the signal flushes a final checkpoint at the
+next step boundary, and the run exits 130 with its digest line.
+
+Sweeps run only through ``repro sweep`` (:mod:`repro.jobs`).
+:func:`run_sweep_point` executes one grid point, one ``sweep ...
+digest ...`` line; the job workers and the orchestrator's serial rung
+both call it, which is why their digest lines are bit-identical.  It
+traps no signals: the orchestrator owns interrupts.
 """
 
 from __future__ import annotations
@@ -29,9 +24,8 @@ import sys
 from pathlib import Path
 from typing import Any, Mapping
 
-
 from .compile import build_engine, lint_scenario
-from .spec import ScenarioError, ScenarioSpec
+from .spec import ScenarioSpec
 
 __all__ = [
     "provenance",
@@ -97,39 +91,35 @@ def _digest_line(engine) -> str:
     )
 
 
-def _run_engine(
-    engine,
-    until: float,
+def _checkpointer(
     spec: ScenarioSpec,
-    checkpoint_dir: str | Path | None,
+    directory: str | Path | None,
     every: int | None,
     seconds: float | None,
-    *,
-    signals: bool = True,
-) -> Path | None:
-    """Run ``engine`` to ``until``; returns the last checkpoint written.
+):
+    """The run's :class:`Checkpointer`, or ``None`` without a directory.
 
-    Without ``checkpoint_dir`` nothing is checkpointed (``None``); with
-    only the directory set, a checkpoint is taken every 10 step blocks.
+    With only the directory set, a checkpoint is taken every 10 step
+    blocks.
     """
-    if checkpoint_dir is None:
-        engine.run(until=until)
+    if directory is None:
         return None
-    from ..resilience.checkpoint import (
-        Checkpointer,
-        CheckpointPolicy,
-        use_checkpoints,
-    )
+    from ..resilience.checkpoint import Checkpointer, CheckpointPolicy
 
     if every is None and seconds is None:
         every = 10
-    ckpt = Checkpointer(
-        Path(checkpoint_dir),
+    return Checkpointer(
+        Path(directory),
         CheckpointPolicy(every_steps=every, every_seconds=seconds),
         tag=spec.name,
     )
-    with use_checkpoints(ckpt, signals=signals):
-        engine.run(until=until)
+
+
+def _run_engine(engine, until: float, ckpt) -> Path | None:
+    """Run ``engine`` to ``until``; returns the last checkpoint written."""
+    engine.run(until=until, checkpoint=ckpt)
+    if ckpt is None:
+        return None
     # final flush: short runs may never cross the policy cadence, and a
     # completed run should always be resumable from its end
     ckpt.flush(engine)
@@ -149,12 +139,11 @@ def run_sweep_point(
 ) -> str:
     """Execute one sweep grid point; returns its ``sweep ...`` output line.
 
-    The single source of truth for what one point *is*: the serial
-    sweep loop, the job workers and the orchestrator's serial rung all
-    call this function, which is why their digest lines are
-    bit-identical and a journaled completion can stand in for a re-run.
-    ``seed``/``until`` are fallbacks — an override in the grid point
-    wins, exactly as in the serial loop.
+    The single source of truth for what one point *is*: the job
+    workers and the orchestrator's serial rung both call this function,
+    which is why their digest lines are bit-identical and a journaled
+    completion can stand in for a re-run.  ``seed``/``until`` are
+    fallbacks — an override in the grid point wins.
     """
     params, rates, o_seed, o_until = _split_overrides(overrides)
     engine = build_engine(
@@ -166,11 +155,9 @@ def run_sweep_point(
     )
     horizon = spec.run.until if until is None else until
     run_until = o_until if o_until is not None else horizon
-    # signals stay with the caller: the orchestrator (or the serial
-    # sweep loop) owns interrupt semantics, not an individual point
     _run_engine(
-        engine, run_until, spec, checkpoint_dir, checkpoint_every,
-        checkpoint_seconds, signals=False,
+        engine, run_until,
+        _checkpointer(spec, checkpoint_dir, checkpoint_every, checkpoint_seconds),
     )
     label = format_overrides(overrides) or "(base)"
     return f"sweep {label} {_digest_line(engine)}"
@@ -182,14 +169,13 @@ def run_scenario(
     seed: int | None = None,
     until: float | None = None,
     backend: str | None = None,
-    sweep: bool = False,
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int | None = None,
     checkpoint_seconds: float | None = None,
     resume: str | Path | None = None,
     out=None,
 ) -> int:
-    """Execute one scenario (or its sweep grid); returns the exit code."""
+    """Execute one scenario; returns the exit code."""
     out = out if out is not None else sys.stdout
     # fail closed before any trial: the lint preflight refuses what
     # `repro lint` would flag (LintError propagates to the CLI)
@@ -199,46 +185,6 @@ def run_scenario(
         f"scenario {spec.name} ({spec.source}) digest {spec.short_digest()}",
         file=out,
     )
-
-    if sweep:
-        if resume is not None:
-            raise ScenarioError(
-                "--sweep --resume needs the write-ahead journal: use "
-                "`repro sweep <scenario> --journal DIR --resume` (the "
-                "batch orchestrator) to resume a sweep campaign"
-            )
-        if spec.sweep is None:
-            raise ScenarioError(
-                f"scenario {spec.name!r} declares no [sweep] table"
-            )
-        grid = spec.sweep.grid()
-        print(f"sweep: {len(grid)} point(s)", file=out)
-        digest = spec.digest()
-        for overrides in grid:
-            point_ckpt_dir: Path | None = None
-            if checkpoint_dir is not None:
-                # one repro.ckpt/1 directory per grid point, keyed the
-                # same way the orchestrator keys its jobs — the two
-                # entry points share checkpoint trees
-                from ..jobs.journal import job_key
-
-                point_ckpt_dir = Path(checkpoint_dir) / job_key(
-                    digest, overrides
-                )
-            line = run_sweep_point(
-                spec,
-                overrides,
-                seed=seed,
-                until=until,
-                backend=backend,
-                checkpoint_dir=point_ckpt_dir,
-                checkpoint_every=checkpoint_every,
-                checkpoint_seconds=checkpoint_seconds,
-            )
-            # flush per line: long campaigns piped through tee/head must
-            # show progress, and journal/stdout orderings must agree
-            print(line, file=out, flush=True)
-        return 0
 
     engine = build_engine(spec, seed=seed, backend=backend, partition=partition)
     print(
@@ -262,11 +208,15 @@ def run_scenario(
         print(_digest_line(engine), file=out)
         return 0
 
+    ckpt = _checkpointer(spec, checkpoint_dir, checkpoint_every, checkpoint_seconds)
     try:
-        last = _run_engine(
-            engine, horizon, spec, checkpoint_dir, checkpoint_every,
-            checkpoint_seconds,
-        )
+        if ckpt is None:
+            last = _run_engine(engine, horizon, None)
+        else:
+            from ..resilience.checkpoint import signal_trap
+
+            with signal_trap(ckpt._on_signal):
+                last = _run_engine(engine, horizon, ckpt)
     except KeyboardInterrupt as exc:
         print(f"interrupted: {exc}", file=out)
         print(_digest_line(engine), file=out)

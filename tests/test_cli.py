@@ -66,8 +66,11 @@ class TestCli:
         assert flags[0] in err and "only apply to scenario runs" in err
 
     def test_sweep_rejected_for_experiments(self, capsys):
-        assert main(["run", "table1", "--sweep"]) == 2
-        assert "--sweep only applies to scenario runs" in capsys.readouterr().err
+        """`run` takes no --sweep at all: argparse refuses it (exit 2)."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "table1", "--sweep"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sweep" in capsys.readouterr().err
 
     def test_algorithms(self, capsys):
         assert main(["algorithms"]) == 0

@@ -2,7 +2,8 @@
 
 The journal's torn-tail contract (drop exactly the damaged final
 record, refuse mid-file corruption), job-key determinism, the
-orchestrator's bit-identity with the serial sweep loop, the chaos-driven
+orchestrator's bit-identity with the serial baseline (one
+``run_sweep_point`` call per grid point), the chaos-driven
 recovery ladder (kill-job retry, stall-job deadline, sticky serial
 degradation), resume-as-cache-hit, and the CLI surface.
 """
@@ -27,7 +28,7 @@ from repro.jobs import (
 from repro.obs.metrics import MetricsCollector
 from repro.obs.trace import Tracer
 from repro.resilience.chaos import ChaosMonkey, FaultSpec
-from repro.scenario import loads_scenario, run_scenario
+from repro.scenario import loads_scenario, run_sweep_point
 
 # a fast two-point sweep: RSM on a 6x6 lattice, ~10ms per point
 SWEEP = """\
@@ -76,12 +77,8 @@ def sweep_spec(extra: str = ""):
 
 
 def serial_lines(spec):
-    """The baseline: sorted digest lines of the serial sweep loop."""
-    out = io.StringIO()
-    assert run_scenario(spec, sweep=True, out=out) == 0
-    return sorted(
-        line for line in out.getvalue().splitlines() if line.startswith("sweep ")
-    )
+    """The baseline: sorted digest lines of one in-process point each."""
+    return sorted(run_sweep_point(spec, o) for o in spec.sweep.grid())
 
 
 def campaign_lines(text: str) -> list[str]:
@@ -118,7 +115,7 @@ class TestJournal:
         assert a != job_key("d" * 64, {"seed": 2, "rates.x": 0.5})
 
     def _write(self, path, n=4):
-        with JournalWriter(path, fsync=False) as w:
+        with JournalWriter(path) as w:
             for i in range(n):
                 w.append({"event": "done", "key": f"k{i}", "line": f"l{i}"})
         return w
@@ -360,9 +357,3 @@ class TestSweepCli:
         out = capsys.readouterr().out
         assert len(campaign_lines(out)) == 2
         assert "1 respawns" in out
-
-    def test_run_sweep_resume_names_repro_sweep(self, capsys, tmp_path):
-        p = self.write_spec(tmp_path)
-        assert main(["run", str(p), "--sweep", "--resume",
-                     "--checkpoint-dir", str(tmp_path / "c")]) == 2
-        assert "repro sweep" in capsys.readouterr().err

@@ -2,8 +2,8 @@
 
 The executor, checkpoint and jobs layers rely on a protocol the kernels
 never see.  The shared-memory segment is closed and unlinked on every
-path.  Signal handlers and the ambient checkpointer stack are popped.
-Checkpoint payloads round-trip.  The recovery ladder rolls a failed
+path.  A signal trap puts the previous handlers back.  Checkpoint
+payloads round-trip.  The recovery ladder rolls a failed
 chunk back before it retries.  Workers receive only inputs they can
 use.  The supervisor drops replies to tasks it no longer waits for, and
 sees a dead worker through its process sentinel.
@@ -65,18 +65,12 @@ MUTANTS = {
     ),
     "dropped-restore-signals": (
         _CHECKPOINT,
-        "        if signals:\n            checkpointer.restore_signals()",
-        "        pass",
+        "            _signal.signal(signum, previous)",
+        "            pass",
         [
             "tests/test_resilience.py::TestSignalDiscipline"
-            "::test_use_checkpoints_restores_on_exception"
+            "::test_trap_restores_on_exception"
         ],
-    ),
-    "dropped-stack-pop": (
-        _CHECKPOINT,
-        "        _default_stack.pop()",
-        "        pass",
-        ["tests/test_resilience.py::TestCheckpointer::test_ambient_checkpointer"],
     ),
     "payload-key-drift": (
         _DMC_BASE,

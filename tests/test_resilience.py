@@ -19,13 +19,12 @@ from repro.resilience import (
     CheckpointPolicy,
     Checkpointer,
     checkpoint_paths,
-    current_checkpointer,
     decode_array,
     encode_array,
     engine_fingerprint,
     last_good_checkpoint,
     load_checkpoint,
-    use_checkpoints,
+    signal_trap,
     write_checkpoint,
 )
 from repro.resilience.checkpoint import restore_rng_state, rng_state
@@ -372,15 +371,6 @@ class TestCheckpointer:
         assert snap.counter("checkpoint.writes") == len(checkpoint_paths(tmp_path))
         assert snap.counter("checkpoint.write_errors", 0) == 0
 
-    def test_ambient_checkpointer(self, ziff, small_lattice, tmp_path):
-        assert current_checkpointer() is None
-        ck = Checkpointer(tmp_path, CheckpointPolicy(every_steps=1))
-        with use_checkpoints(ck, signals=False) as active:
-            assert current_checkpointer() is active
-            _mk_rsm(ziff, small_lattice, 1).run(until=1.0)
-        assert current_checkpointer() is None
-        assert len(checkpoint_paths(tmp_path)) >= 1
-
     def test_signal_flushes_then_interrupts(self, ziff, small_lattice, tmp_path):
         import signal as signal_mod
 
@@ -414,7 +404,7 @@ class TestCheckpointer:
         ck = Checkpointer(tmp_path, CheckpointPolicy(every_steps=10**9))
         sim = _mk_rsm(ziff, small_lattice, 42)
         timer = threading.Timer(0.05, os.kill, (os.getpid(), signal_mod.SIGTERM))
-        with use_checkpoints(ck):  # installs the deferred-flush handler
+        with signal_trap(ck._on_signal):  # the deferred-flush handler
             timer.start()
             try:
                 with pytest.raises(KeyboardInterrupt):
@@ -433,91 +423,130 @@ class TestCheckpointer:
 
 # ----------------------------------------------------------------------
 class TestSignalDiscipline:
-    """install_signals/restore_signals pairing under nesting and failure."""
+    """``signal_trap``: every install is undone, in order, on every path."""
+
+    @pytest.fixture(autouse=True)
+    def _saved_handlers(self):
+        """Put the session's handlers back even when a test fails."""
+        import signal as signal_mod
+
+        saved = {
+            sig: signal_mod.getsignal(sig)
+            for sig in (signal_mod.SIGINT, signal_mod.SIGTERM)
+        }
+        yield
+        for sig, handler in saved.items():
+            signal_mod.signal(sig, handler)
+
+    @staticmethod
+    def _handlers():
+        import signal as signal_mod
+
+        return (
+            signal_mod.getsignal(signal_mod.SIGINT),
+            signal_mod.getsignal(signal_mod.SIGTERM),
+        )
 
     def test_double_install_is_idempotent(self, tmp_path):
-        import signal as signal_mod
-
-        original = signal_mod.getsignal(signal_mod.SIGINT)
+        """The same handler trapped twice (nested) unwinds to the original."""
         ck = Checkpointer(tmp_path)
-        try:
-            ck.install_signals()
-            ck.install_signals()  # must NOT record our own handler as "old"
-            assert ck._old_handlers[signal_mod.SIGINT] == original
-            ck.restore_signals()
-            assert signal_mod.getsignal(signal_mod.SIGINT) == original
-        finally:
-            signal_mod.signal(signal_mod.SIGINT, original)
+        before = self._handlers()
+        with signal_trap(ck._on_signal):
+            with signal_trap(ck._on_signal):
+                assert self._handlers() == (ck._on_signal,) * 2
+            assert self._handlers() == (ck._on_signal,) * 2
+        assert self._handlers() == before
 
     def test_nested_install_restore_unwinds_in_order(self, tmp_path):
-        import signal as signal_mod
-
-        original = signal_mod.getsignal(signal_mod.SIGINT)
         outer = Checkpointer(tmp_path / "outer")
         inner = Checkpointer(tmp_path / "inner")
-        try:
-            outer.install_signals()
-            inner.install_signals()
-            assert signal_mod.getsignal(signal_mod.SIGINT) == inner._on_signal
-            inner.restore_signals()
-            assert signal_mod.getsignal(signal_mod.SIGINT) == outer._on_signal
-            outer.restore_signals()
-            assert signal_mod.getsignal(signal_mod.SIGINT) == original
-        finally:
-            signal_mod.signal(signal_mod.SIGINT, original)
+        before = self._handlers()
+        with signal_trap(outer._on_signal):
+            with signal_trap(inner._on_signal):
+                assert self._handlers() == (inner._on_signal,) * 2
+            assert self._handlers() == (outer._on_signal,) * 2
+        assert self._handlers() == before
 
-    def test_restore_after_restore_is_a_no_op(self, tmp_path):
-        import signal as signal_mod
-
-        original = signal_mod.getsignal(signal_mod.SIGINT)
+    def test_trap_restores_on_exception(self, tmp_path):
         ck = Checkpointer(tmp_path)
-        try:
-            ck.install_signals()
-            ck.restore_signals()
-            ck.restore_signals()  # cleared handler map: nothing to undo
-            assert signal_mod.getsignal(signal_mod.SIGINT) == original
-        finally:
-            signal_mod.signal(signal_mod.SIGINT, original)
+        before = self._handlers()
+        with pytest.raises(RuntimeError, match="boom"):
+            with signal_trap(ck._on_signal):
+                assert self._handlers() == (ck._on_signal,) * 2
+                raise RuntimeError("boom")
+        assert self._handlers() == before
 
-    def test_use_checkpoints_restores_on_exception(self, tmp_path):
-        import signal as signal_mod
-
-        original = signal_mod.getsignal(signal_mod.SIGINT)
-        ck = Checkpointer(tmp_path)
-        try:
-            with pytest.raises(RuntimeError, match="boom"):
-                with use_checkpoints(ck):
-                    assert (
-                        signal_mod.getsignal(signal_mod.SIGINT)
-                        == ck._on_signal
-                    )
-                    raise RuntimeError("boom")
-            assert signal_mod.getsignal(signal_mod.SIGINT) == original
-            assert current_checkpointer() is None
-        finally:
-            signal_mod.signal(signal_mod.SIGINT, original)
-
-    def test_nested_use_checkpoints_with_exception_unwinds(self, tmp_path):
-        import signal as signal_mod
-
-        original = signal_mod.getsignal(signal_mod.SIGINT)
+    def test_nested_traps_with_exception_unwind(self, tmp_path):
         outer = Checkpointer(tmp_path / "outer")
         inner = Checkpointer(tmp_path / "inner")
-        try:
-            with use_checkpoints(outer):
-                with pytest.raises(RuntimeError):
-                    with use_checkpoints(inner):
-                        raise RuntimeError("inner failure")
-                # the inner scope unwound to the outer installation
-                assert current_checkpointer() is outer
-                assert (
-                    signal_mod.getsignal(signal_mod.SIGINT)
-                    == outer._on_signal
-                )
-            assert current_checkpointer() is None
-            assert signal_mod.getsignal(signal_mod.SIGINT) == original
-        finally:
-            signal_mod.signal(signal_mod.SIGINT, original)
+        before = self._handlers()
+        with signal_trap(outer._on_signal):
+            with pytest.raises(RuntimeError):
+                with signal_trap(inner._on_signal):
+                    raise RuntimeError("inner failure")
+            # the inner scope unwound to the outer installation
+            assert self._handlers() == (outer._on_signal,) * 2
+        assert self._handlers() == before
+
+    def test_run_scenario_restores_handlers(self, tmp_path, monkeypatch):
+        """A checkpointed scenario run traps signals only while it runs,
+        and puts the caller's handlers back on return and on raise."""
+        import signal as signal_mod
+
+        import repro.scenario.runner as runner
+        from repro.scenario import find_scenario, run_scenario
+
+        def mine(signum, frame):  # pragma: no cover - never delivered
+            pass
+
+        signal_mod.signal(signal_mod.SIGINT, mine)
+        signal_mod.signal(signal_mod.SIGTERM, mine)
+        spec = find_scenario("no-co")
+        assert run_scenario(spec, until=0.2, checkpoint_dir=tmp_path) == 0
+        assert self._handlers() == (mine, mine)
+
+        def boom(engine, until, ckpt):
+            assert self._handlers() == (ckpt._on_signal,) * 2
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(runner, "_run_engine", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_scenario(spec, until=0.2, checkpoint_dir=tmp_path / "b")
+        assert self._handlers() == (mine, mine)
+
+    def test_orchestrator_run_restores_handlers(
+        self, tmp_path, monkeypatch
+    ):
+        """The drain handler is installed while jobs run, and the
+        caller's handlers are back after ``run`` returns or raises."""
+        import io
+        import signal as signal_mod
+
+        from repro.jobs import JobOrchestrator
+        from repro.scenario import find_scenario
+
+        def mine(signum, frame):  # pragma: no cover - never delivered
+            pass
+
+        signal_mod.signal(signal_mod.SIGINT, mine)
+        signal_mod.signal(signal_mod.SIGTERM, mine)
+        orch = JobOrchestrator((find_scenario("no-co"),), n_workers=1)
+
+        def supervise(todo, out, failed):
+            assert self._handlers() == (orch._on_signal,) * 2
+            return []  # nothing left for the serial rung
+
+        monkeypatch.setattr(orch, "_supervise", supervise)
+        assert orch.run(out=io.StringIO()) == 0
+        assert self._handlers() == (mine, mine)
+
+        def boom(todo, out, failed):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(orch, "_supervise", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            orch.run(out=io.StringIO())
+        assert self._handlers() == (mine, mine)
 
 
 # ----------------------------------------------------------------------
@@ -555,6 +584,65 @@ class TestCLI:
         resumed = [ln for ln in capsys.readouterr().out.splitlines()
                    if ln.startswith("digest ")]
         assert base == resumed
+
+    def test_sigterm_flushes_and_resume_matches_straight_run(self, tmp_path):
+        """A real SIGTERM to `repro run <scenario> --checkpoint-dir`: exit
+        130 naming the flushed checkpoint, and a resume from it to H
+        prints the digest of an uninterrupted run to H."""
+        import math
+        import os
+        import re
+        import signal as signal_mod
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        run = [sys.executable, "-m", "repro", "run", "no-co"]
+        d = str(tmp_path / "ckpts")
+        proc = subprocess.Popen(
+            run + ["--until", "100000", "--checkpoint-dir", d,
+                   "--checkpoint-every", "1000000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            # the engine line is printed just before the trapped run starts
+            head = ""
+            while not head.startswith("no-co: engine"):
+                head = proc.stdout.readline()
+                assert head, proc.stderr.read()
+            time.sleep(0.5)
+            proc.send_signal(signal_mod.SIGTERM)
+            out, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 130, err
+        assert re.search(
+            r"^interrupted: signal 15: final checkpoint flushed to \S+ckpt_no-co_\d+\.json$",
+            out, re.M,
+        ), out
+        t = float(re.search(r"^digest [0-9a-f]{16} t=(\S+) ", out, re.M).group(1))
+        horizon = str(math.ceil(t) + 2)
+
+        def digest(argv):
+            done = subprocess.run(
+                run + argv + ["--until", horizon],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            return [ln for ln in done.stdout.splitlines() if ln.startswith("digest ")]
+
+        resumed = digest(["--resume", "--checkpoint-dir", d])
+        assert len(resumed) == 1
+        assert resumed == digest([])
 
     def test_unknown_experiment_still_errors(self, capsys):
         from repro.__main__ import main

@@ -24,6 +24,7 @@ from repro.scenario import (
     provenance,
     run_gates,
     run_scenario,
+    run_sweep_point,
     scenario_names,
 )
 
@@ -314,12 +315,10 @@ class TestPresets:
     def test_unknown_swept_param_exits_2_before_any_point(self, tmp_path, capsys):
         path = tmp_path / "sweep.toml"
         path.write_text(preset_doc(sweep="\n[sweep]\nparams.rate = [1.0, 2.0]\n"))
-        for argv in (["run", str(path), "--sweep"],
-                     ["sweep", str(path), "--journal", str(tmp_path / "j")]):
-            assert main(argv) == 2
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert err.startswith("sweep.params: unknown parameter(s) ['rate']")
+        assert main(["sweep", str(path), "--journal", str(tmp_path / "j")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("sweep.params: unknown parameter(s) ['rate']")
         assert not (tmp_path / "j").exists()
 
     def test_pt100_params_are_its_rate_keys(self):
@@ -471,14 +470,14 @@ class TestRunner:
         assert f"scenario t (<inline>) digest {spec.short_digest()}" in out
         assert self.DIGEST_LINE.search(out)
 
-    def test_sweep_runs_every_grid_point(self, capsys):
+    def test_sweep_runs_every_grid_point(self):
         spec = loads_scenario(BASE + "\n[sweep]\nseed = [0, 1]\nuntil = [0.5]\n")
-        assert run_scenario(spec, sweep=True) == 0
-        out = capsys.readouterr().out
-        assert "sweep: 2 point(s)" in out
-        lines = [ln for ln in out.splitlines() if ln.startswith("sweep seed=")]
-        assert len(lines) == 2
+        lines = [run_sweep_point(spec, o) for o in spec.sweep.grid()]
+        assert [ln.split(" digest ")[0] for ln in lines] == [
+            "sweep seed=0 until=0.5", "sweep seed=1 until=0.5",
+        ]
         assert all(self.DIGEST_LINE.search(ln) for ln in lines)
+        assert lines[0] != lines[1]
 
     def test_run_builds_the_partition_once(self, capsys, monkeypatch):
         import repro.scenario.compile as compile_mod
@@ -492,25 +491,6 @@ class TestRunner:
         # the lint preflight's proven partition is the engine's
         assert run_scenario(find_scenario("no-co"), until=0.5) == 0
         assert len(built) == 1
-
-    def test_sweep_without_table_is_refused(self):
-        with pytest.raises(ScenarioError, match="declares no \\[sweep\\] table"):
-            run_scenario(loads_scenario(BASE), sweep=True)
-
-    def test_sweep_rejects_resume_naming_the_orchestrator(self, tmp_path):
-        spec = loads_scenario(BASE + "\n[sweep]\nseed = [0, 1]\n")
-        with pytest.raises(ScenarioError, match="repro sweep"):
-            run_scenario(spec, sweep=True, resume="", checkpoint_dir=tmp_path)
-
-    def test_sweep_routes_checkpoints_to_per_point_dirs(self, capsys, tmp_path):
-        from repro.jobs.journal import job_key
-
-        spec = loads_scenario(BASE + "\n[sweep]\nseed = [0, 1]\n")
-        assert run_scenario(spec, sweep=True, checkpoint_dir=tmp_path) == 0
-        digest = spec.digest()
-        for seed in (0, 1):
-            sub = tmp_path / job_key(digest, {"seed": seed})
-            assert list(sub.glob("ckpt_*.json"))
 
     def test_checkpoint_and_resume_roundtrip(self, capsys, tmp_path):
         spec = loads_scenario(BASE)
@@ -542,9 +522,15 @@ class TestScenarioCli:
         assert "scenario t" in capsys.readouterr().out
 
     def test_sweep_flag(self, capsys):
-        assert main(["run", "zgb", "--sweep"]) == 0
+        """`repro sweep` is the one sweep command; `run --sweep` is gone."""
+        assert main(["sweep", "zgb", "--jobs", "1"]) == 0
         out = capsys.readouterr().out
         assert "sweep: 3 point(s)" in out
+        assert len([ln for ln in out.splitlines() if ln.startswith("sweep ")]) == 3
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "zgb", "--sweep"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sweep" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text,fragment",
