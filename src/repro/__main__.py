@@ -51,7 +51,7 @@ def _cmd_list(_args) -> int:
 
     print("experiments (python -m repro run <id>):")
     for key in sorted(experiments.REGISTRY):
-        module, _ = experiments.REGISTRY[key]
+        module = experiments.REGISTRY[key][0]
         # docstring-less modules get an empty summary, not a crash
         doc_lines = (module.__doc__ or "").strip().splitlines()
         doc = doc_lines[0] if doc_lines else ""

@@ -14,7 +14,7 @@ updated batch.  The paper's Fig. 3 example — 9 sites, blocks of three,
 rule "a site becomes 0 if at least one of its neighbours (within the
 block) is 0" — is provided by
 :func:`repro.models.majority.zero_spreads_block_rule` and reproduced
-verbatim in ``benchmarks/bench_fig3_bca.py``.
+verbatim by ``python -m repro run fig3`` (``repro.experiments.fig3_bca``).
 """
 
 from __future__ import annotations

@@ -162,7 +162,3 @@ def fast_diffusion_report(result: FastDiffusionResult | None = None) -> str:
         + f"\nCA deviation shrinks with diffusion: {r.deviation_shrinks} "
         "(the paper's full-parallelisation-with-accuracy regime)"
     )
-
-
-if __name__ == "__main__":
-    print(fast_diffusion_report())

@@ -109,7 +109,3 @@ def fig10_report(result: Fig10Result | None = None) -> str:
         f"{r.random_order_oscillates} (the paper's full-parallelisation case)",
     ]
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(fig10_report())

@@ -137,7 +137,3 @@ def fig2_report(points: list[Fig2Point] | None = None) -> str:
             body,
         )
     )
-
-
-if __name__ == "__main__":
-    print(fig2_report())

@@ -82,7 +82,3 @@ def fig3_report(result: Fig3Result | None = None) -> str:
         "of zeros across block edges; the shifting boundaries keep it moving)"
     )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(fig3_report())

@@ -96,7 +96,3 @@ def fig4_report(result: Fig4Result | None = None) -> str:
         "generic colouring here)"
     )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(fig4_report())

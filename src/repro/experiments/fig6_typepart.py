@@ -112,7 +112,3 @@ def fig6_report(result: Fig6Result | None = None) -> str:
         "mass application of one type amplifies correlations)"
     )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(fig6_report())

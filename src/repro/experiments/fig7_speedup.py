@@ -4,13 +4,17 @@ The paper measured wall-clock speedups of PNDCA on a parallel machine
 (p = 2..10, lattice sides 200..1000), finding speedup growing with
 both axes and saturating around 7-8 at p = 10 for the largest
 lattices.  This reproduction has no parallel machine, so the surface
-is generated by the calibrated cost model of
-:mod:`repro.parallel.machine`: the per-trial compute time is
-*measured* from the package's real chunk kernels on the Pt(100)
-workload, while network constants are the documented 2003-era
-defaults.  In addition, the driver runs the *real* multiprocessing
-executor once to verify the algorithm actually parallelises without
-conflicts (bit-identical state to the serial run).
+is generated by the cost model of :mod:`repro.parallel.machine` with
+the documented 2003-era constants :data:`DEFAULT_2003` (a model, not
+a measurement: the report is the same on every host).  In addition,
+the driver runs the *real* multiprocessing executor once to verify
+the algorithm actually parallelises without conflicts (bit-identical
+state to the serial run).
+
+The same report carries the two views the paper's discussion adds to
+the figure: the Segers domain-decomposition route (boundary traffic
+grows as the strips thin) and the strong/weak scaling and
+isoefficiency of the modelled machine.
 
 Expected reproduction shape: monotone growth in N, saturation in p,
 maximum ~7-8 at (N=1000, p=10).
@@ -23,23 +27,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.lattice import Lattice
-from ..io.report import format_surface
+from ..io.report import format_surface, format_table
 from ..lint import preflight_model
-from ..models.pt100 import pt100_model
+from ..models.zgb import ziff_model
+from ..parallel.domain import DomainDecomposedRSM
 from ..parallel.machine import DEFAULT_2003, MachineSpec
-from ..parallel.speedup import calibrated_spec, fig7_surface
+from ..parallel.scaling import isoefficiency_sites, strong_scaling, weak_scaling
+from ..parallel.speedup import fig7_surface
 
 __all__ = ["Fig7Result", "run_fig7", "fig7_report"]
 
 
 @dataclass
 class Fig7Result:
-    """The modelled speedup surface plus its calibration and verification."""
+    """The modelled speedup surface, its verification and the scaling views."""
     sides: list[int]
     ps: list[int]
     surface: np.ndarray
     spec: MachineSpec
     executor_verified: bool  # parallel == serial state on the real executor
+    # (strips p, volume/boundary, boundary events, modelled speedup)
+    domain_decomposition: list[tuple[int, float, int, float]]
+    strong: list[tuple[int, float, float]]        # (p, speedup, efficiency)
+    weak: list[tuple[int, int, float]]            # (p, N, efficiency)
+    isoefficiency: list[tuple[int, int | None]]   # (p, sites for E = 0.7)
 
     @property
     def max_speedup(self) -> float:
@@ -50,7 +61,6 @@ class Fig7Result:
 def _verify_executor(seed: int = 3) -> bool:
     """Serial vs multiprocessing PNDCA: bit-identical final states."""
     from ..ca.pndca import PNDCA
-    from ..models.zgb import ziff_model
     from ..parallel.executor import ParallelChunkExecutor, ParallelPNDCA
     from ..partition.tilings import five_chunk_partition
 
@@ -68,29 +78,28 @@ def _verify_executor(seed: int = 3) -> bool:
     return bool(np.array_equal(rs.final_state.array, rp.final_state.array))
 
 
+def _domain_decomposition(spec: MachineSpec) -> list[tuple[int, float, int, float]]:
+    """The Segers route on 48x48 ZGB: thinner strips, more boundary traffic."""
+    rows = []
+    for p in (2, 4, 8):
+        sim = DomainDecomposedRSM(ziff_model(), Lattice((48, 48)), seed=0, n_strips=p)
+        sim.run(until=2.0)
+        # strips compute concurrently: serial work / modelled time
+        serial = sim.n_trials * spec.t_trial
+        parallel = sim.modelled_parallel_time(spec)
+        rows.append(
+            (p, sim.volume_boundary_ratio(), sim.boundary_events, serial / max(parallel, 1e-12))
+        )
+    return rows
+
+
 def run_fig7(
-    calibrate: bool = True,
-    calibration_side: int = 60,
     sides: list[int] | None = None,
     ps: list[int] | None = None,
     verify_executor: bool = True,
 ) -> Fig7Result:
-    """Generate the Fig. 7 surface (optionally with measured calibration)."""
-    if calibrate:
-        spec = calibrated_spec(pt100_model(), Lattice((calibration_side, calibration_side)))
-        # the python-vectorised kernel is faster per trial than a 2003
-        # sequential C loop; keep the *measured* value but never below
-        # a floor that keeps the latency/compute ratio in the regime
-        # the paper's machine had
-        if spec.t_trial < 0.2e-6:
-            spec = MachineSpec(
-                t_trial=0.2e-6,
-                t_latency=DEFAULT_2003.t_latency * (0.2e-6 / DEFAULT_2003.t_trial),
-                t_update=DEFAULT_2003.t_update * (0.2e-6 / DEFAULT_2003.t_trial),
-                acceptance=spec.acceptance,
-            )
-    else:
-        spec = DEFAULT_2003
+    """Generate the Fig. 7 surface and scaling views on :data:`DEFAULT_2003`."""
+    spec = DEFAULT_2003
     s, p, surf = fig7_surface(spec, sides, ps)
     return Fig7Result(
         sides=s,
@@ -98,6 +107,10 @@ def run_fig7(
         surface=surf,
         spec=spec,
         executor_verified=_verify_executor() if verify_executor else False,
+        domain_decomposition=_domain_decomposition(spec),
+        strong=strong_scaling(spec, 600 * 600, [2, 4, 8, 16]),
+        weak=weak_scaling(spec, sites_per_processor=50_000, ps=[2, 4, 8, 16]),
+        isoefficiency=isoefficiency_sites(spec, 0.7, [2, 4, 8]),
     )
 
 
@@ -115,9 +128,31 @@ def fig7_report(result: Fig7Result | None = None) -> str:
         "(paper: ~7-8)",
         f"real multiprocessing executor bit-identical to serial PNDCA: "
         f"{r.executor_verified}",
+        "",
+        "Domain decomposition (Segers) volume/boundary trade-off",
+        format_table(
+            ["strips p", "volume/boundary", "boundary events", "modelled speedup"],
+            r.domain_decomposition,
+        ),
+        "",
+        "Scaling analysis on the modelled machine (PNDCA, 5 chunks)",
+        "",
+        "strong scaling (N = 600x600):",
+        format_table(
+            ["p", "speedup", "efficiency"],
+            [(p, f"{s:.2f}", f"{e:.2f}") for p, s, e in r.strong],
+        ),
+        "",
+        "weak scaling (50k sites per processor):",
+        format_table(
+            ["p", "N", "efficiency"],
+            [(p, n, f"{e:.2f}") for p, n, e in r.weak],
+        ),
+        "",
+        "isoefficiency (target E = 0.7):",
+        format_table(
+            ["p", "sites needed"],
+            [(p, n if n is not None else "unreachable") for p, n in r.isoefficiency],
+        ),
     ]
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(fig7_report())

@@ -109,7 +109,3 @@ def fig8_report(result: Fig8Result | None = None) -> str:
         f"limits statistically match RSM (within 2x null): {r.limits_match}",
     ]
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(fig8_report())

@@ -111,7 +111,3 @@ def fig9_report(result: Fig9Result | None = None) -> str:
         f"L=1 statistically matches RSM: {r.small_L_matches}",
     ]
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(fig9_report())

@@ -116,7 +116,3 @@ def ndca_bias_report(result: BiasResult | None = None) -> str:
         + "\n(the once-per-site sweep changes kinetic observables on "
         "correlation-sensitive models - the degeneracy the paper cites)"
     )
-
-
-if __name__ == "__main__":
-    print(ndca_bias_report())

@@ -83,9 +83,9 @@ def table1_rows() -> list[Table1Row]:
     return rows
 
 
-def table1_report() -> str:
+def table1_report(rows: list[Table1Row] | None = None) -> str:
     """Render Table I (with a paper-match flag per row)."""
-    rows = table1_rows()
+    rows = rows or table1_rows()
     body = [
         (r.group, r.orientation, r.rendered, "ok" if r.matches_paper() else "MISMATCH")
         for r in rows
@@ -100,9 +100,9 @@ def table2_split() -> TypeSplit:
     return split_by_orientation(ziff_model())
 
 
-def table2_report() -> str:
+def table2_report(split: TypeSplit | None = None) -> str:
     """Render Table II (with a paper-match flag per subset)."""
-    split = table2_split()
+    split = split or table2_split()
     model = split.model
     body = []
     for s in split.subsets:
@@ -113,9 +113,3 @@ def table2_report() -> str:
     return "Table II - reaction-type subsets\n" + format_table(
         ["subset", "members", "K_Tj", "vs paper"], body
     )
-
-
-if __name__ == "__main__":
-    print(table1_report())
-    print()
-    print(table2_report())

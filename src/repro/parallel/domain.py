@@ -13,7 +13,7 @@ require communication — a reaction whose pattern touches a site owned
 by another strip.  Combined with a :class:`~repro.parallel.machine.MachineSpec`
 it yields the modelled parallel time of the domain-decomposition
 method, so the volume/boundary trade-off can be quantified against
-PNDCA (see ``benchmarks/bench_fig7_speedup.py``).
+PNDCA (see the ``fig7`` report, ``repro.experiments.fig7_speedup``).
 
 Accuracy note: within one exchange window each strip simulates with a
 frozen halo, so the kinetics deviate from exact RSM as the window

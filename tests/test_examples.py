@@ -1,8 +1,8 @@
 """Smoke tests for the runnable examples.
 
 Only the fast example is executed end-to-end (the others run for
-minutes and are exercised by the benchmark suite / documented runs);
-for the rest we verify they at least import and expose ``main``.
+minutes and are documented runs); for the rest we verify they at
+least import and expose ``main``.
 """
 
 import importlib.util

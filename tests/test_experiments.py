@@ -87,12 +87,12 @@ class TestFig6:
 
 class TestFig7:
     def test_surface_shape_without_calibration(self):
-        r = fig7_speedup.run_fig7(calibrate=False, verify_executor=False)
+        r = fig7_speedup.run_fig7(verify_executor=False)
         assert r.surface.shape == (9, 9)
         assert 6.5 <= r.max_speedup <= 8.5
 
     def test_report_without_calibration(self):
-        r = fig7_speedup.run_fig7(calibrate=False, verify_executor=False)
+        r = fig7_speedup.run_fig7(verify_executor=False)
         rep = fig7_speedup.fig7_report(r)
         assert "T(1,N)/T(p,N)" in rep
 
