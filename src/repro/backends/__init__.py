@@ -10,6 +10,7 @@ from .registry import (
     DISPATCH_KERNELS,
     Backend,
     BackendFallbackWarning,
+    BoundVisit,
     KernelSet,
     available_backends,
     backend_names,
@@ -28,6 +29,7 @@ __all__ = [
     "DISPATCH_KERNELS",
     "Backend",
     "BackendFallbackWarning",
+    "BoundVisit",
     "KernelSet",
     "available_backends",
     "backend_names",

@@ -32,6 +32,15 @@ conflict-free chunk is a whole-array scatter, where the NumPy reference
 beats a one-trial-at-a-time C loop, so :class:`KernelSet` falls back to
 it.
 
+The stencil
+-----------
+Reaction types are translation invariant (paper, section 2), so the C
+core reads no neighbour table: it computes each touched site from the
+anchor's row and column and a per-type stencil of change offsets
+(``repro_visit_t``, packed once per compiled model by :func:`_stencil`).
+A ``cnative`` run thus builds none of the length-``N`` maps the NumPy
+kernels gather through (``CompiledType.maps``).
+
 All randomness is drawn by the engines *before* these kernels run, so
 the backend cannot perturb RNG streams (draw-parity is asserted
 through ``CountingGenerator`` in the differential suite).
@@ -39,7 +48,7 @@ through ``CountingGenerator`` in the differential suite).
 Safety
 ------
 The wrappers validate everything the C code would otherwise trust:
-dtype/contiguity of the state and table arrays, equal stream lengths,
+dtype/contiguity of the state and stream arrays, equal stream lengths,
 and site/type bounds.  Inputs the C core cannot represent (e.g. a
 non-contiguous state view) fall back to the NumPy reference rather
 than fail — per-call graceful degradation, mirroring the registry's
@@ -54,6 +63,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -62,7 +72,7 @@ from ..core import kernels as _ref
 from ..core.compiled import CompiledModel
 from ..core.contracts import kernel
 from ..core.kernels import _table_key
-from .registry import Backend, register_backend
+from .registry import Backend, BoundVisit, register_backend
 
 __all__ = [
     "CNativeBackend",
@@ -70,7 +80,6 @@ __all__ = [
     "c_run_trials_batch_with_duplicates",
     "c_run_trials_sequential",
     "cnative_available",
-    "cnative_tables",
     "library_path",
 ]
 
@@ -80,41 +89,92 @@ CACHE_ENV = "REPRO_CNATIVE_CACHE"
 _C_SOURCE = r"""
 #include <stdint.h>
 
-/* Execute a trial stream strictly one trial at a time against a flat
- * uint8 state.  Tables are padded per-type: maps (T, C, N) int64,
- * srcs/tgts (T, C) uint8, nch (T,) int32 actual change counts.
- * counts (T,) int64 and rec (n_trials * 3) int64 may be NULL.
- * Returns the number of executed trials. */
+/* What both entry points read, checked once by the caller: the flat
+ * uint8 state, the per-type stencil, the type selection table and the
+ * counts.  The stencil holds, for type t and change c at t * c_max + c,
+ * the change's row and column offsets reduced into [0, rows) and
+ * [0, cols) (a 1-d lattice is 1 x N), with srcs/tgts (T, c_max) uint8
+ * and nch (T,) int32 actual change counts.  cum (n_edges = its length
+ * - 1 interior edges, cum[n_edges] == 1) is read only by
+ * repro_visit_uniforms.  counts (T,) int64 may be NULL. */
+typedef struct {
+    uint8_t *state;
+    const int64_t *drow;
+    const int64_t *dcol;
+    const uint8_t *srcs;
+    const uint8_t *tgts;
+    const int32_t *nch;
+    int64_t c_max;
+    int64_t rows;
+    int64_t cols;
+    const double *cum;
+    int64_t n_edges;
+    int64_t *counts;
+} repro_visit_t;
+
+/* The flat index of the site at (row + dr, col + dc) for an anchor
+ * inside the lattice and offsets reduced into [0, rows) x [0, cols):
+ * one conditional subtraction per axis wraps it. */
+static inline int64_t site_at(
+    int64_t row, int64_t col, int64_t dr, int64_t dc,
+    int64_t rows, int64_t cols)
+{
+    int64_t rr = row + dr;
+    if (rr >= rows)
+        rr -= rows;
+    int64_t cc = col + dc;
+    if (cc >= cols)
+        cc -= cols;
+    const int64_t at = rr * cols + cc;
+    return at;
+}
+
+/* Execute a trial stream strictly one trial at a time against the
+ * handle's state.  rec (n_trials * 3) int64 may be NULL.  Returns the
+ * number of executed trials. */
 int64_t repro_run_trials(
-    uint8_t *state,
-    const int64_t *maps,
-    const uint8_t *srcs,
-    const uint8_t *tgts,
-    const int32_t *nch,
-    int64_t c_max,
-    int64_t n_sites,
+    const repro_visit_t *h,
     const int64_t *sites,
     const int64_t *types,
     int64_t n_trials,
-    int64_t *counts,
     int64_t *rec)
 {
+    uint8_t *state = h->state;
+    const int64_t *drow = h->drow;
+    const int64_t *dcol = h->dcol;
+    const int64_t c_max = h->c_max;
+    const int64_t rows = h->rows;
+    const int64_t cols = h->cols;
+    int64_t *counts = h->counts;
+    const double inv_cols = 1.0 / (double)cols;
     int64_t n_exec = 0;
     for (int64_t i = 0; i < n_trials; ++i) {
         const int64_t s = sites[i];
         const int64_t t = types[i];
-        const int64_t *tm = maps + t * c_max * n_sites;
-        const uint8_t *ts = srcs + t * c_max;
-        const int32_t nc = nch[t];
+        /* the anchor's row from the rounded quotient, off by at most
+         * one either way, then its column */
+        int64_t row = (int64_t)((double)s * inv_cols);
+        int64_t col = s - row * cols;
+        if (col < 0) {
+            --row;
+            col += cols;
+        } else if (col >= cols) {
+            ++row;
+            col -= cols;
+        }
+        const int64_t *tr = drow + t * c_max;
+        const int64_t *tc = dcol + t * c_max;
+        const uint8_t *ts = h->srcs + t * c_max;
+        const int32_t nc = h->nch[t];
         int32_t c = 0;
         for (; c < nc; ++c)
-            if (state[tm[c * n_sites + s]] != ts[c])
+            if (state[site_at(row, col, tr[c], tc[c], rows, cols)] != ts[c])
                 break;
         if (c != nc)
             continue;
-        const uint8_t *tt = tgts + t * c_max;
+        const uint8_t *tt = h->tgts + t * c_max;
         for (c = 0; c < nc; ++c)
-            state[tm[c * n_sites + s]] = tt[c];
+            state[site_at(row, col, tr[c], tc[c], rows, cols)] = tt[c];
         if (counts)
             counts[t] += 1;
         if (rec) {
@@ -127,23 +187,6 @@ int64_t repro_run_trials(
     }
     return n_exec;
 }
-
-/* What a bound chunk visit trusts: the state, the packed tables, the
- * type selection table cum (n_edges = its length - 1 interior edges,
- * cum[n_edges] == 1) and counts (T,) int64 or NULL, all checked once
- * when the visit is bound. */
-typedef struct {
-    uint8_t *state;
-    const int64_t *maps;
-    const uint8_t *srcs;
-    const uint8_t *tgts;
-    const int32_t *nch;
-    int64_t c_max;
-    int64_t n_sites;
-    const double *cum;
-    int64_t n_edges;
-    int64_t *counts;
-} repro_visit_t;
 
 #define REPRO_VISIT_BLOCK 1024
 
@@ -170,9 +213,7 @@ int64_t repro_visit_uniforms(
             for (int64_t j = 0; j < n; ++j)
                 types[j] += ub[j] >= edge;
         }
-        n_exec += repro_run_trials(
-            h->state, h->maps, h->srcs, h->tgts, h->nch, h->c_max,
-            h->n_sites, sites + a, types, n, h->counts, (int64_t *)0);
+        n_exec += repro_run_trials(h, sites + a, types, n, (int64_t *)0);
     }
     return n_exec;
 }
@@ -242,11 +283,7 @@ def library_path() -> str:
 #: an int64 travel in the same register, so a swapped kind would
 #: otherwise go unnoticed at run time.
 CTYPES_SIGNATURES: "dict[str, tuple[tuple[str, ...], str]]" = {
-    "repro_run_trials": (
-        ("ptr", "ptr", "ptr", "ptr", "ptr", "i64", "i64", "ptr", "ptr",
-         "i64", "ptr", "ptr"),
-        "i64",
-    ),
+    "repro_run_trials": (("ptr", "ptr", "ptr", "i64", "ptr"), "i64"),
     "repro_visit_uniforms": (("ptr", "ptr", "ptr", "i64"), "i64"),
 }
 
@@ -332,41 +369,51 @@ def cnative_available() -> bool:
 
 
 # ----------------------------------------------------------------------
-# packed tables
+# the per-type stencil
 # ----------------------------------------------------------------------
 
-def cnative_tables(
-    compiled: CompiledModel,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Padded per-type ``(maps, srcs, tgts, nch)`` in C layout.
+def _rows_cols(compiled: CompiledModel) -> tuple[int, int]:
+    """The lattice as ``rows x cols`` (a 1-d lattice is ``1 x N``)."""
+    shape = compiled.lattice.shape
+    return (1, shape[0]) if len(shape) == 1 else shape
 
-    ``maps`` is ``(T, C, N)`` int64, ``srcs``/``tgts`` are ``(T, C)``
-    uint8 and ``nch`` is ``(T,)`` int32 with the *actual* change count
-    per type — the C loops execute exactly ``nch[t]`` changes in
-    declaration order, so padding never enters the semantics.  Cached
-    on the compiled model, keyed like
+
+def _stencil(
+    compiled: CompiledModel,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-type ``(drow, dcol, srcs, tgts, nch)`` in C layout.
+
+    ``drow``/``dcol`` are ``(T, C)`` int64 change offsets reduced into
+    ``[0, rows)`` and ``[0, cols)``, ``srcs``/``tgts`` ``(T, C)`` uint8
+    and ``nch`` ``(T,)`` int32 with the *actual* change count per type
+    — the C loops execute exactly ``nch[t]`` changes in declaration
+    order, so padding never enters the semantics.  Packed on first use
+    and cached on the compiled model, keyed like
     :func:`repro.core.kernels.seq_tables`.
     """
     key = _table_key(compiled)
-    cached = getattr(compiled, "_cnative_tables", None)
+    cached = getattr(compiled, "_cnative_stencil", None)
     if cached is not None and cached[0] == key:
         return cached[1]
+    rows, cols = _rows_cols(compiled)
     n_types = len(compiled.types)
-    c_max = max(len(ct.maps) for ct in compiled.types)
-    n = compiled.n_sites
-    maps = np.zeros((n_types, c_max, n), dtype=np.int64)
+    c_max = max(len(ct.offsets) for ct in compiled.types)
+    drow = np.zeros((n_types, c_max), dtype=np.int64)
+    dcol = np.zeros((n_types, c_max), dtype=np.int64)
     srcs = np.zeros((n_types, c_max), dtype=np.uint8)
     tgts = np.zeros((n_types, c_max), dtype=np.uint8)
     nch = np.zeros(n_types, dtype=np.int32)
     for t, ct in enumerate(compiled.types):
-        nch[t] = len(ct.maps)
-        for c, m in enumerate(ct.maps):
-            maps[t, c] = m
+        nch[t] = len(ct.offsets)
+        for c, off in enumerate(ct.offsets):
+            dr, dc = (0, off[0]) if len(off) == 1 else off
+            drow[t, c] = dr % rows
+            dcol[t, c] = dc % cols
             srcs[t, c] = ct.srcs[c]
             tgts[t, c] = ct.tgts[c]
-    tables = (maps, srcs, tgts, nch)
-    compiled._cnative_tables = (key, tables)  # type: ignore[attr-defined]
-    return tables
+    stencil = (drow, dcol, srcs, tgts, nch)
+    compiled._cnative_stencil = (key, stencil)  # type: ignore[attr-defined]
+    return stencil
 
 
 # ----------------------------------------------------------------------
@@ -423,22 +470,15 @@ def _run_stream(
     """Shared driver: one trial stream against one flat state, in C."""
     lib = _lib()
     assert lib is not None  # callers guard with _c_usable
-    maps, srcs, tgts, nch = cnative_tables(compiled)
     cbuf, direct = _counts_buffer(counts)
+    handle = _handle(state, compiled, cbuf)
     rec = None if record is None else np.empty((sites.size, 3), dtype=np.int64)
     n_exec = int(
         lib.repro_run_trials(
-            state.ctypes.data,
-            maps.ctypes.data,
-            srcs.ctypes.data,
-            tgts.ctypes.data,
-            nch.ctypes.data,
-            maps.shape[1],
-            compiled.n_sites,
+            ctypes.byref(handle),
             sites.ctypes.data,
             types.ctypes.data,
             sites.size,
-            _ptr(cbuf),
             _ptr(rec),
         )
     )
@@ -537,21 +577,68 @@ def c_run_trials_batch_with_duplicates(
 
 
 class _VisitHandle(ctypes.Structure):
-    """The C ``repro_visit_t``: the addresses a bound visit trusts."""
+    """The C ``repro_visit_t``: the addresses both C entries trust."""
 
     arrays: tuple  # what the addresses point into, kept alive
     _fields_ = [
         ("state", ctypes.c_void_p),
-        ("maps", ctypes.c_void_p),
+        ("drow", ctypes.c_void_p),
+        ("dcol", ctypes.c_void_p),
         ("srcs", ctypes.c_void_p),
         ("tgts", ctypes.c_void_p),
         ("nch", ctypes.c_void_p),
         ("c_max", ctypes.c_int64),
-        ("n_sites", ctypes.c_int64),
+        ("rows", ctypes.c_int64),
+        ("cols", ctypes.c_int64),
         ("cum", ctypes.c_void_p),
         ("n_edges", ctypes.c_int64),
         ("counts", ctypes.c_void_p),
     ]
+
+
+def _handle(
+    state: np.ndarray,
+    compiled: CompiledModel,
+    counts: "np.ndarray | None",
+    cum: "np.ndarray | None" = None,
+) -> _VisitHandle:
+    """Pack the state, the stencil, ``cum`` and the counts into one
+    :class:`_VisitHandle` (``cum`` only for ``repro_visit_uniforms``)."""
+    drow, dcol, srcs, tgts, nch = _stencil(compiled)
+    rows, cols = _rows_cols(compiled)
+    handle = _VisitHandle(
+        state.ctypes.data, drow.ctypes.data, dcol.ctypes.data,
+        srcs.ctypes.data, tgts.ctypes.data, nch.ctypes.data, drow.shape[1],
+        rows, cols, _ptr(cum), 0 if cum is None else cum.size - 1,
+        _ptr(counts),
+    )
+    handle.arrays = (state, drow, dcol, srcs, tgts, nch, cum, counts)
+    return handle
+
+
+class _CVisit:
+    """``cnative``'s bound visit: one ``repro_visit_uniforms`` call.
+
+    The handle's and the uniforms buffer's addresses are taken once, at
+    bind time; :meth:`over` takes a fixed site array's address once
+    too, so a visit of a partition's chunk passes only ints.
+    """
+
+    __slots__ = ("_call", "_ref", "_uniforms", "_u")
+
+    def __init__(self, call, handle: _VisitHandle, uniforms: np.ndarray):
+        self._call = call
+        self._ref = ctypes.byref(handle)  # holds the handle alive
+        self._uniforms = uniforms
+        self._u = uniforms.ctypes.data
+
+    def __call__(self, sites: np.ndarray, lo: int = 0) -> int:
+        return self._call(self._ref, sites.ctypes.data, self._u + 8 * lo, sites.size)
+
+    def over(self, sites: np.ndarray) -> Callable[[], int]:
+        fixed = partial(self._call, self._ref, sites.ctypes.data, self._u, sites.size)
+        fixed.sites = sites  # type: ignore[attr-defined]  # kept alive
+        return fixed
 
 
 #: the visit kernels; on an engine's trial stream each equals strict
@@ -578,14 +665,17 @@ class CNativeBackend(Backend):
         compiled: CompiledModel,
         counts: np.ndarray,
         kernel: str,
-    ) -> Callable[[np.ndarray, np.ndarray], int]:
+        uniforms: np.ndarray,
+    ) -> "_CVisit | BoundVisit":
         """One C call per visit, checked once here.
 
-        The state, the counts and the tables are checked at bind time
-        (dtype, shape, contiguity, ``cum[-1] == 1``) and their
-        addresses packed into a :class:`_VisitHandle`.  A call then
-        passes only the sites pointer, the uniforms pointer and the
-        length: the engines' streams are valid by construction (see
+        The state, the counts, ``cum`` and the uniforms buffer are
+        checked at bind time (dtype, shape, contiguity,
+        ``cum[-1] == 1``), the model's stencil is packed (once per
+        compiled model), and their addresses go into a
+        :class:`_VisitHandle`.  A call then passes only the sites
+        address, the uniforms address and the length: the engines'
+        streams are valid by construction (see
         :mod:`repro.core.contracts`).  Anything the C entry cannot take
         gets the default bind instead.
         """
@@ -606,22 +696,13 @@ class CNativeBackend(Backend):
             and cum.shape == (n_types,)
             and cum.flags.c_contiguous
             and cum[-1] == 1.0
+            and uniforms.dtype == np.float64
+            and uniforms.ndim == 1
+            and uniforms.flags.c_contiguous
         ):
-            return super().bind_visit(state, compiled, counts, kernel)
-        maps, srcs, tgts, nch = cnative_tables(compiled)
-        handle = _VisitHandle(
-            state.ctypes.data, maps.ctypes.data, srcs.ctypes.data,
-            tgts.ctypes.data, nch.ctypes.data, maps.shape[1],
-            compiled.n_sites, cum.ctypes.data, n_types - 1, counts.ctypes.data,
-        )
-        handle.arrays = (state, maps, srcs, tgts, nch, cum, counts)
-        ref = ctypes.byref(handle)
-        call = lib.repro_visit_uniforms
-
-        def visit(sites: np.ndarray, u: np.ndarray) -> int:
-            return call(ref, sites.ctypes.data, u.ctypes.data, sites.size)
-
-        return visit
+            return super().bind_visit(state, compiled, counts, kernel, uniforms)
+        handle = _handle(state, compiled, counts, cum)
+        return _CVisit(lib.repro_visit_uniforms, handle, uniforms)
 
     def kernels(self) -> Mapping[str, Callable]:
         return {

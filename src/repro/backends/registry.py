@@ -52,12 +52,14 @@ from __future__ import annotations
 import sys
 import warnings
 from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Iterator, Mapping
 
 __all__ = [
     "DISPATCH_KERNELS",
     "Backend",
     "BackendFallbackWarning",
+    "BoundVisit",
     "KernelSet",
     "available_backends",
     "backend_names",
@@ -137,30 +139,57 @@ class Backend:
             self._kernel_set = cached
         return cached
 
-    def bind_visit(self, state, compiled, counts, kernel: str) -> Callable:
-        """A chunk visit bound to one state array, model and counts.
+    def bind_visit(
+        self, state, compiled, counts, kernel: str, uniforms
+    ) -> "BoundVisit":
+        """A chunk visit bound to one state array, model, counts and
+        uniforms buffer (see :class:`BoundVisit`).
 
-        Returns ``visit(sites, u)``: it maps the uniforms ``u`` to
-        reaction types with :func:`~repro.core.rng.types_from_uniforms`,
-        runs the :class:`KernelSet` entry named ``kernel`` over
-        ``(sites, types)`` against ``state``, adds the executed counts
-        per type to ``counts`` and returns how many trials executed.
-        Backends may override it with a faster call that trusts the
-        engines' streams (see :mod:`repro.core.contracts`).
+        The default runs :func:`~repro.core.rng.types_from_uniforms`,
+        then the :class:`KernelSet` entry named ``kernel``.  Backends
+        may override it with a faster call that trusts the engines'
+        streams (see :mod:`repro.core.contracts`).
         """
-        from ..core.rng import types_from_uniforms
-
-        run = getattr(self.kernel_set(), kernel)
-        cum = compiled.type_cum
-
-        def visit(sites, u) -> int:
-            types = types_from_uniforms(cum, u)
-            return run(state, compiled, sites, types, counts=counts)
-
-        return visit
+        return BoundVisit(
+            getattr(self.kernel_set(), kernel), state, compiled, counts, uniforms
+        )
 
     def __repr__(self) -> str:
         return f"<Backend {self.name} tier={self.tier}>"
+
+
+class BoundVisit:
+    """A chunk visit bound once to its buffers.
+
+    ``visit(sites, lo=0)`` runs one trial at each of ``sites``: trial
+    ``j`` takes its reaction type from ``uniforms[lo + j]``, and the
+    kernel runs against ``state``, adds the executed counts per type to
+    ``counts`` and returns how many trials executed.
+    ``visit.over(sites)`` is the same visit of fixed ``sites`` as a
+    zero-argument call, for arrays visited again and again (a
+    partition's chunks).
+    """
+
+    __slots__ = ("_run", "_state", "_compiled", "_counts", "_uniforms", "_types")
+
+    def __init__(self, run, state, compiled, counts, uniforms):
+        from ..core.rng import types_from_uniforms
+
+        self._run = run
+        self._state = state
+        self._compiled = compiled
+        self._counts = counts
+        self._uniforms = uniforms
+        self._types = partial(types_from_uniforms, compiled.type_cum)
+
+    def __call__(self, sites, lo: int = 0) -> int:
+        types = self._types(self._uniforms[lo:lo + sites.size])
+        return self._run(
+            self._state, self._compiled, sites, types, counts=self._counts
+        )
+
+    def over(self, sites) -> Callable[[], int]:
+        return partial(self, sites)
 
 
 class NumpyBackend(Backend):

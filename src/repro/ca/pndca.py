@@ -103,6 +103,9 @@ class PNDCA(SimulatorBase):
         self.partition_schedule = partition_schedule
         self._step_no = 0
         self.partition = partitions[0]
+        self._partition_no = 0
+        #: per-site chunk labels by partition number (weighted strategy)
+        self._chunk_labels: dict[int, np.ndarray] = {}
         self.strategy = strategy
         self.uses_sequential_fallback = any(
             not p.is_conflict_free(self.model) for p in partitions
@@ -140,16 +143,22 @@ class PNDCA(SimulatorBase):
         if len(self.partitions) == 1:
             return self.partitions[0]
         if self.partition_schedule == "cycle":
-            p = self.partitions[self._step_no % len(self.partitions)]
+            self._partition_no = self._step_no % len(self.partitions)
         else:
-            p = self.partitions[int(self.rng.integers(0, len(self.partitions)))]
-        self.partition = p
+            self._partition_no = int(self.rng.integers(0, len(self.partitions)))
+        self.partition = p = self.partitions[self._partition_no]
         return p
 
     # ------------------------------------------------------------------
     def _visit_chunk(self, chunk: np.ndarray, index: int = -1) -> None:
-        """One trial per site of the chunk, then advance the time."""
-        executed = self._visit_sites(chunk)
+        """One trial per site of the chunk, then advance the time.
+
+        ``index`` is the chunk's place in the current partition (-1: a
+        chunk of no partition); with it the visit takes the chunk's
+        address once per bind.
+        """
+        key = None if index < 0 else (self._partition_no, index)
+        executed = self._visit_sites(chunk, key)
         self.n_trials += chunk.size
         self.time += self.time_increment(chunk.size)
         m = self.metrics
@@ -163,13 +172,25 @@ class PNDCA(SimulatorBase):
         self._notify()
 
     def _chunk_weights(self) -> np.ndarray:
-        """Total enabled rate per chunk (for the weighted strategy)."""
-        return np.array(
-            [
-                self.compiled.enabled_rate_total(self.state.array, c)
-                for c in self.partition.chunks
-            ]
-        )
+        """Total enabled rate per chunk (for the weighted strategy).
+
+        One whole-lattice enabled mask per type, its anchors counted
+        per chunk; each chunk's sum runs in type order from ``0.0``, as
+        :meth:`~repro.core.compiled.CompiledModel.enabled_rate_total`
+        sums, so the weights equal that method's per-chunk totals bit
+        for bit.
+        """
+        labels = self._chunk_labels.get(self._partition_no)
+        if labels is None:
+            labels = self._chunk_labels[self._partition_no] = self.partition.chunk_of()
+        m = self.partition.m
+        comp = self.compiled
+        state = self.state.array
+        weights = np.zeros(m)
+        for i, ct in enumerate(comp.types):
+            n = np.bincount(labels[comp.enabled_mask(state, i)], minlength=m)
+            weights += ct.rate * n
+        return weights
 
     def _step_block(self, until: float) -> int:
         p = self._choose_partition()

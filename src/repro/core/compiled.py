@@ -9,11 +9,15 @@ primitive operations
 
 Compilation turns each reaction type into
 
+* per-change offsets: the sites touched by type ``t`` anchored at ``s``
+  are ``s + offset`` on the periodic lattice, the same pattern at every
+  anchor (paper, section 2).  The compiled C tier reads these offsets
+  directly as a per-type stencil and computes each touched site from
+  the anchor's row and column (:mod:`repro.backends.cnative`),
 * per-change neighbour index maps (``lattice.neighbor_map(offset)``),
-  so that the sites touched by type ``t`` anchored at ``s`` are
-  ``maps[c][s]`` for each change ``c`` — pure gathers, no coordinate
-  arithmetic at simulation time (cache-friendly per the numpy
-  optimisation guide),
+  built from the offsets on first use, so that those sites are
+  ``maps[c][s]`` for each change ``c`` — pure gathers for the numpy
+  kernels and the event-driven simulators,
 * ``uint8`` source/target vectors,
 * a cumulative rate table for rate-weighted type selection
   (``k_i / K``).
@@ -41,8 +45,11 @@ class CompiledType:
 
     Attributes
     ----------
+    offsets : list[tuple[int, ...]]
+        For each change, its offset from the anchor site.
     maps : list[np.ndarray]
-        For each change, the length-``N`` neighbour map (``intp``).
+        For each change, the length-``N`` neighbour map (``intp``),
+        built from ``offsets`` on first access.
     srcs, tgts : list[int]
         Source/target species codes (plain python ints: fastest in the
         sequential hot loop).
@@ -52,18 +59,33 @@ class CompiledType:
         Rate constant ``k``.
     """
 
-    __slots__ = ("index", "name", "maps", "srcs", "tgts", "src_arr", "tgt_arr", "rate", "n_sites")
+    __slots__ = (
+        "index", "name", "offsets", "lattice", "maps", "srcs", "tgts",
+        "src_arr", "tgt_arr", "rate", "n_sites",
+    )
 
-    def __init__(self, index: int, name: str, maps, srcs, tgts, rate: float):
+    def __init__(
+        self, index: int, name: str, offsets, lattice: Lattice, srcs, tgts,
+        rate: float,
+    ):
         self.index = index
         self.name = name
-        self.maps = maps
+        self.offsets = [tuple(int(o) for o in off) for off in offsets]
+        self.lattice = lattice
         self.srcs = [int(s) for s in srcs]
         self.tgts = [int(t) for t in tgts]
         self.src_arr = np.array(srcs, dtype=np.uint8)
         self.tgt_arr = np.array(tgts, dtype=np.uint8)
         self.rate = float(rate)
-        self.n_sites = len(maps)
+        self.n_sites = len(self.offsets)
+
+    def __getattr__(self, name: str):
+        # only reached while the ``maps`` slot is unset: build the maps
+        # once, after which reads are plain slot reads
+        if name != "maps":
+            raise AttributeError(name)
+        self.maps = [self.lattice.neighbor_map(off) for off in self.offsets]
+        return self.maps
 
     def __repr__(self) -> str:
         return f"CompiledType({self.index}, {self.name!r}, k={self.rate:g})"
@@ -103,10 +125,12 @@ class CompiledModel:
         self.lattice = lattice
         self.types: list[CompiledType] = []
         for i, rt in enumerate(model.reaction_types):
-            maps = [lattice.neighbor_map(c.offset) for c in rt.changes]
+            offsets = [c.offset for c in rt.changes]
             srcs = [model.species.code(c.src) for c in rt.changes]
             tgts = [model.species.code(c.tg) for c in rt.changes]
-            self.types.append(CompiledType(i, rt.name, maps, srcs, tgts, rt.rate))
+            self.types.append(
+                CompiledType(i, rt.name, offsets, lattice, srcs, tgts, rt.rate)
+            )
         self.rates = np.array([t.rate for t in self.types], dtype=np.float64)
         self.type_cum, self.total_rate = selection_table(self.rates)
 
@@ -160,13 +184,17 @@ class CompiledModel:
             mask &= state[m[sites]] == src
         return mask
 
-    def enabled_anchor_sites(self, state: np.ndarray, type_index: int) -> np.ndarray:
-        """Flat indices of every anchor site where the type is enabled."""
+    def enabled_mask(self, state: np.ndarray, type_index: int) -> np.ndarray:
+        """Boolean mask over all anchor sites: where is the type enabled?"""
         ct = self.types[type_index]
         mask = state[ct.maps[0]] == ct.srcs[0]
         for m, src in zip(ct.maps[1:], ct.srcs[1:]):
             mask &= state[m] == src
-        return np.flatnonzero(mask)
+        return mask
+
+    def enabled_anchor_sites(self, state: np.ndarray, type_index: int) -> np.ndarray:
+        """Flat indices of every anchor site where the type is enabled."""
+        return np.flatnonzero(self.enabled_mask(state, type_index))
 
     def enabled_rate_total(self, state: np.ndarray, sites: np.ndarray | None = None) -> float:
         """Sum of rate constants of all enabled reactions (optionally on a site subset).

@@ -55,7 +55,7 @@ __all__ = [
 def _table_key(compiled: CompiledModel) -> tuple:
     """Cache key tying derived tables to the exact model/lattice binding.
 
-    Derived tables (:func:`seq_tables` and the ``cnative`` tables) are
+    Derived tables (:func:`seq_tables` and the ``cnative`` stencil) are
     memoised on the compiled-model instance.
     A ``CompiledModel`` is constructed for one lattice, but nothing
     stops a caller from mutating the binding or reusing an instance

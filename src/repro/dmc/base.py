@@ -316,11 +316,13 @@ class SimulatorBase(ABC):
         self.executed_per_type = np.zeros(model.n_types, dtype=np.int64)
         #: per-type attempted-trial totals (filled only when metrics on)
         self._attempted_per_type = np.zeros(model.n_types, dtype=np.int64)
-        #: the backend's chunk visit and the state array it is bound to
-        #: (see _visit_sites); the uniforms buffer it reads, grown on use
+        #: the backend's chunk visit, the state array and uniforms
+        #: buffer it is bound to, and its visits of fixed site arrays by
+        #: key (see _visit_sites)
         self._visit_state: np.ndarray | None = None
         self._visit: Any = None
         self._uniforms = np.empty(0)
+        self._fixed_visits: dict = {}
 
         #: rate of the per-trial waiting-time distribution, N * K
         self.nk_rate = lattice.n_sites * self.compiled.total_rate
@@ -360,32 +362,47 @@ class SimulatorBase(ABC):
     #: the dispatch kernel a chunk visit runs (engines with visits set it)
     _visit_kernel = "run_trials_sequential"
 
-    def _visit_sites(self, sites: np.ndarray) -> int:
+    def _visit_sites(self, sites: np.ndarray, key: Any = None) -> int:
         """One trial at each of ``sites``: a chunk visit; returns the
         number of trials that executed.
 
         The uniforms that pick the reaction types are drawn into the
         engine's buffer (the very draws :func:`~repro.core.rng.draw_types`
-        makes) and passed with ``sites`` to the backend's bound visit
+        makes) and read from there by the backend's bound visit
         (:meth:`~repro.backends.Backend.bind_visit`).  The visit is bound
         on first use and again whenever ``state.array`` is a different
-        array from the one it was bound to: ``ParallelPNDCA`` rebinds it
-        into shared memory after construction.
+        array from the one it was bound to (``ParallelPNDCA`` rebinds it
+        into shared memory after construction) or the buffer has to
+        grow.  A ``key`` names ``sites`` as an array the engine visits
+        again and again (a partition's chunk; the same key must always
+        name the same array): its visit is prepared once per bind with
+        :meth:`~repro.backends.BoundVisit.over`.
         """
         n = sites.size
-        if self._uniforms.size < n:
-            self._uniforms = np.empty(n)
+        if self._visit_state is not self.state.array or self._uniforms.size < n:
+            self._bind_visit(n)
         u = self.rng.random(out=self._uniforms[:n])
-        if self._visit_state is not self.state.array:
-            self._visit_state = self.state.array
-            self._visit = self.backend.bind_visit(
-                self.state.array, self.compiled, self.executed_per_type,
-                self._visit_kernel,
-            )
-        executed = self._visit(sites, u)
+        if key is None:
+            executed = self._visit(sites)
+        else:
+            fixed = self._fixed_visits.get(key)
+            if fixed is None:
+                fixed = self._fixed_visits[key] = self._visit.over(sites)
+            executed = fixed()
         if self.metrics.enabled:
             self._record_attempts(types_from_uniforms(self.compiled.type_cum, u))
         return executed
+
+    def _bind_visit(self, n: int) -> None:
+        """Bind the visit to ``state.array`` and a buffer of >= ``n`` uniforms."""
+        if self._uniforms.size < n:
+            self._uniforms = np.empty(n)
+        self._visit_state = self.state.array
+        self._visit = self.backend.bind_visit(
+            self.state.array, self.compiled, self.executed_per_type,
+            self._visit_kernel, self._uniforms,
+        )
+        self._fixed_visits = {}
 
     def _record_attempts(self, types: np.ndarray) -> None:
         """Accumulate per-type attempted-trial counts (metrics path only)."""

@@ -100,11 +100,11 @@ def _init_worker(
         backend = resolve_backend("numpy")
     compiled = model.compile(lattice)
     counts = np.zeros(compiled.n_types, dtype=np.int64)
-    visit = backend.bind_visit(state, compiled, counts, "run_trials_batch")
-    return partial(_run_slice, visit, counts, sites, u)
+    visit = backend.bind_visit(state, compiled, counts, "run_trials_batch", u)
+    return partial(_run_slice, visit, counts, sites)
 
 
-def _run_slice(visit, counts, sites, u, job) -> tuple[np.ndarray, float]:
+def _run_slice(visit, counts, sites, job) -> tuple[np.ndarray, float]:
     """Execute trials ``a:b`` of the trial stream, ``job = (a, b)``.
 
     One bound visit maps the slice's uniforms to reaction types and
@@ -115,7 +115,7 @@ def _run_slice(visit, counts, sites, u, job) -> tuple[np.ndarray, float]:
     a, b = job
     w0 = _time.perf_counter()
     counts[:] = 0
-    visit(sites[a:b], u[a:b])
+    visit(sites[a:b], a)
     return counts.copy(), _time.perf_counter() - w0
 
 
@@ -425,12 +425,14 @@ class ParallelChunkExecutor:
         if self._serial is None:
             comp = self.model.compile(self.lattice)
             counts = np.zeros(comp.n_types, dtype=np.int64)
-            visit = self.backend.bind_visit(self.state, comp, counts, "run_trials_batch")
+            visit = self.backend.bind_visit(
+                self.state, comp, counts, "run_trials_batch", self._uniforms
+            )
             self._serial = (visit, counts)
         visit, counts = self._serial
         w0 = _time.perf_counter()
         counts[:] = 0
-        visit(self._sites[:n], self._uniforms[:n])
+        visit(self._sites[:n])
         m = self.metrics
         if m.enabled:
             m.observe("executor.chunk.wall", _time.perf_counter() - w0)

@@ -17,11 +17,15 @@ Layout
   matrix job runs it explicitly);
 * the bound chunk visit: ``cnative``'s one C call against the
   default bind, on uniforms that hit every rate-table edge;
+* the C stencil: every anchor of lattices where the periodic wrap
+  decides the touched sites (odd, non-square, pattern-sized, 5 x 2,
+  1-d), through both C entries;
 * seeded *mutant* twins the harness must catch — a differential
   harness that cannot fail is not evidence — and seeded mutants of the
   shipped C source, each run against the suite in its own subprocess
   (marked ``slow``), plus the prototype checks that kill the two C
-  mutants no execution can see;
+  mutants no execution can see and a ``-Wall -Wextra -Werror`` build
+  of the source;
 * the ``cnative`` build cache (compiler identity, stale eviction);
 * engine-level bit-identity including RNG draw parity
   (``CountingGenerator`` counters) across backends;
@@ -392,10 +396,10 @@ class TestBoundVisit:
             for name in ("numpy", *COMPILED):
                 state = state0.copy()
                 counts = np.zeros(comp.n_types, dtype=np.int64)
-                visit = get_backend(name).bind_visit(state, comp, counts, kernel)
+                visit = get_backend(name).bind_visit(state, comp, counts, kernel, u)
                 if name == "cnative":
-                    assert "CNativeBackend" in visit.__qualname__  # the C path
-                out[name] = (visit(sites, u), state, counts)
+                    assert isinstance(visit, cnative._CVisit)  # the C path
+                out[name] = (visit(sites), state, counts)
             ref = out.pop("numpy")
             for name, got in out.items():
                 assert got[0] == ref[0], (name, seed)
@@ -406,13 +410,156 @@ class TestBoundVisit:
         comp = ziff.compile(small_lattice)
         state = np.zeros(comp.n_sites, dtype=np.uint8)
         counts = np.zeros(comp.n_types, dtype=np.int32)  # not the ABI dtype
-        visit = get_backend("cnative").bind_visit(
-            state, comp, counts, "run_trials_sequential"
-        )
-        assert "CNativeBackend" not in visit.__qualname__
         rng = np.random.default_rng(2)
         sites = rng.integers(0, comp.n_sites, 200).astype(np.intp)
-        assert visit(sites, rng.random(200)) == counts.sum() > 0
+        visit = get_backend("cnative").bind_visit(
+            state, comp, counts, "run_trials_sequential", rng.random(200)
+        )
+        assert not isinstance(visit, cnative._CVisit)
+        assert visit(sites) == counts.sum() > 0
+
+    @pytest.mark.parametrize("name", ["numpy", *COMPILED])
+    def test_slices_and_fixed_sites_equal_one_visit(self, ziff, name):
+        """``visit(sites[a:b], a)`` reads ``uniforms[a:b]`` and
+        ``visit.over(sites)()`` is ``visit(sites)``: a visit split at
+        any point, or prepared once, runs the very same trials."""
+        comp = ziff.compile(Lattice((9, 7)))
+        rng = np.random.default_rng(5)
+        state0 = rng.integers(0, len(ziff.species), comp.n_sites).astype(np.uint8)
+        sites = rng.integers(0, comp.n_sites, 300).astype(np.intp)
+        u = _edge_uniforms(comp.type_cum, rng, sites.size)
+        backend = get_backend(name)
+        kernel = "run_trials_sequential"
+        out = []
+        for split in (None, 0, 1, 137, 300):
+            state = state0.copy()
+            counts = np.zeros(comp.n_types, dtype=np.int64)
+            visit = backend.bind_visit(state, comp, counts, kernel, u)
+            if split is None:
+                executed = visit.over(sites)()
+            else:
+                executed = visit(sites[:split]) + visit(sites[split:], split)
+            out.append((executed, state.tobytes(), counts.tobytes()))
+        assert all(o == out[0] for o in out[1:])
+
+
+def _skew_2d() -> Model:
+    """Offsets of both signs on both axes; the pattern spans 5 rows and
+    4 columns."""
+    return Model(
+        ["*", "A", "B", "C"],
+        [
+            ReactionType(
+                "spray", [((0, 0), "*", "A"), ((-1, 2), "*", "B"), ((2, -1), "*", "C")],
+                1.0,
+            ),
+            ReactionType("clear", [((0, 0), "A", "*"), ((-2, -1), "B", "*")], 0.5),
+        ],
+        name="skew-2d",
+    )
+
+
+def _skew_1d() -> Model:
+    """A 1-d pattern spanning 6 sites, offsets of both signs."""
+    return Model(
+        ["*", "A", "B"],
+        [
+            ReactionType(
+                "spray", [((0,), "*", "A"), ((-2,), "*", "B"), ((3,), "*", "A")], 1.0
+            ),
+            ReactionType("clear", [((0,), "A", "*"), ((-1,), "B", "*")], 0.5),
+        ],
+        name="skew-1d",
+    )
+
+
+@requires_compiled
+class TestStencil:
+    """Both C entries compute each touched site from the anchor's row
+    and column and the type's stencil.  On these lattices the periodic
+    wrap decides where a pattern lands: odd and non-square sides, sides
+    equal to a pattern's extent, the 5 x 2 strip and 1-d chains."""
+
+    CASES = {
+        "skew-7x5": (_skew_2d, (7, 5)),
+        "skew-extent-5x4": (_skew_2d, (5, 4)),
+        "skew-5x11": (_skew_2d, (5, 11)),
+        "skew-9x4": (_skew_2d, (9, 4)),
+        "ziff-3x11": (lambda: ziff_model(k_co=1.0, k_o2=0.5, k_co2=2.0), (3, 11)),
+        "ziff-strip-5x2": (lambda: ziff_model(k_co=1.0, k_o2=0.5, k_co2=2.0), (5, 2)),
+        "skew-1d-extent-6": (_skew_1d, (6,)),
+        "skew-1d-13": (_skew_1d, (13,)),
+    }
+
+    @staticmethod
+    def _type_uniform(cum: np.ndarray, t: int) -> float:
+        """The midpoint of type ``t``'s bin of ``cum``."""
+        lo = cum[t - 1] if t else 0.0
+        return (lo + cum[t]) / 2
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_every_anchor_lands_where_the_lattice_wraps_it(self, case):
+        """One trial of each all-vacant-source type at each anchor of an
+        empty lattice writes its targets at ``lattice.flat_index(anchor
+        + offset)``, through ``repro_run_trials`` and through
+        ``repro_visit_uniforms``."""
+        make, shape = self.CASES[case]
+        lat = Lattice(shape)
+        comp = make().compile(lat)
+        vacant = comp.model.species.code("*")
+        checked = 0
+        for t, ct in enumerate(comp.types):
+            if set(ct.srcs) != {vacant}:
+                continue
+            u = np.array([self._type_uniform(comp.type_cum, t)])
+            for s in range(lat.n_sites):
+                anchor = lat.coords(s)
+                want = np.zeros(lat.n_sites, dtype=np.uint8)
+                for off, tgt in zip(ct.offsets, ct.tgts):
+                    want[lat.flat_index([a + o for a, o in zip(anchor, off)])] = tgt
+                by_kernel = np.zeros(lat.n_sites, dtype=np.uint8)
+                assert cnative.c_run_trials_sequential(by_kernel, comp, [s], [t]) == 1
+                by_visit = np.zeros(lat.n_sites, dtype=np.uint8)
+                counts = np.zeros(comp.n_types, dtype=np.int64)
+                visit = get_backend("cnative").bind_visit(
+                    by_visit, comp, counts, "run_trials_sequential", u
+                )
+                assert visit(np.array([s], dtype=np.intp)) == 1
+                assert np.array_equal(by_kernel, want), (case, t, anchor)
+                assert np.array_equal(by_visit, want), (case, t, anchor)
+                checked += 1
+        assert checked >= lat.n_sites
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_streams_equal_numpy_on_busy_states(self, case):
+        """Fuzzed trial streams on random states, every species present:
+        both C entries equal the NumPy reference exactly."""
+        make, shape = self.CASES[case]
+        comp = make().compile(Lattice(shape))
+        n_species = len(comp.model.species)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            state0 = rng.integers(0, n_species, comp.n_sites).astype(np.uint8)
+            sites = rng.integers(0, comp.n_sites, 400).astype(np.intp)
+            u = _edge_uniforms(comp.type_cum, rng, sites.size)
+            types = np.searchsorted(comp.type_cum, u, side="right").astype(np.intp)
+            kwargs = {"state": state0, "compiled": comp, "sites": sites,
+                      "types": types,
+                      "counts": np.zeros(comp.n_types, dtype=np.int64),
+                      "record": []}
+            assert compare_backends(
+                "run_trials_sequential", kwargs, ("numpy", *COMPILED),
+                label=f"{case} seed {seed}",
+            ) == []
+            out = {}
+            for name in ("numpy", *COMPILED):
+                state = state0.copy()
+                counts = np.zeros(comp.n_types, dtype=np.int64)
+                visit = get_backend(name).bind_visit(
+                    state, comp, counts, "run_trials_sequential", u
+                )
+                out[name] = (visit(sites), state.tobytes(), counts.tobytes())
+            assert all(got == out["numpy"] for got in out.values()), (case, seed)
 
 
 @requires_compiled
@@ -599,9 +746,25 @@ class TestCPrototypes:
             assert is_ptr or (ctype, kind) == ("int64_t", ctypes.c_int64), name
 
 
+class TestCSourceCompilesCleanly:
+    def test_no_warnings_under_wall_wextra(self, tmp_path):
+        """``_C_SOURCE`` builds with every common warning an error."""
+        cc = cnative._find_compiler()
+        if cc is None:
+            pytest.skip("no C compiler on this host")
+        src = tmp_path / "repro_cnative.c"
+        src.write_text(cnative._C_SOURCE)
+        proc = subprocess.run(
+            [cc, "-O3", "-fPIC", "-shared", "-Wall", "-Wextra", "-Werror",
+             "-o", str(tmp_path / "repro_cnative.so"), str(src)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
 #: name -> (target, old, new, count, killer).  The textual mutants of
 #: the shipped C source (``count`` as for ``str.replace``); the
-#: ``CTYPES_SIGNATURES`` mutant swaps ``state`` (ptr) and ``c_max``
+#: ``CTYPES_SIGNATURES`` mutant swaps the handle (ptr) and ``n_trials``
 #: (i64) of ``repro_run_trials``.  ``killer`` names the checks that must
 #: fail against the mutant.
 C_MUTANTS = {
@@ -643,14 +806,21 @@ C_MUTANTS = {
         "source", "types[j] += ub[j] >= edge;", "types[j] += ub[j] > edge;", 1,
         "differential",
     ),
-    "swapped-argtypes": ("ctypes", "repro_run_trials", (0, 5), None, "prototypes"),
+    "swapped-argtypes": ("ctypes", "repro_run_trials", (0, 3), None, "prototypes"),
     "int32-offset": (
         "source",
-        "const int64_t *tm = maps + t * c_max * n_sites;",
-        "const int32_t off = t * c_max * n_sites;\n"
-        "        const int64_t *tm = maps + off;",
+        "const int64_t at = rr * cols + cc;",
+        "const int32_t at = rr * cols + cc;",
         1,
         "prototypes",
+    ),
+    "dropped-row-wrap": (
+        "source", "    if (rr >= rows)\n        rr -= rows;\n", "", 1,
+        "differential",
+    ),
+    "dropped-column-wrap": (
+        "source", "    if (cc >= cols)\n        cc -= cols;\n", "", 1,
+        "differential",
     ),
 }
 

@@ -141,8 +141,8 @@ MUTANTS = {
     # a bound chunk visit kept after state.array was rebound
     "stale-state-handle": (
         "dmc/base.py",
-        "if self._visit_state is not self.state.array:",
-        "if self._visit is None:",
+        "if self._visit_state is not self.state.array or",
+        "if self._visit is None or",
         [
             "tests/test_executor.py::TestParallelPNDCA"
             "::test_mid_run_handover_to_shared_memory"

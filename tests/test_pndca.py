@@ -98,3 +98,44 @@ class TestKinetics:
             ziff, small_lattice, partition=p5, strategy="weighted", seed=2
         ).run(until=2.0)
         assert res.n_executed > 0
+
+    def test_chunk_weights_equal_per_chunk_rate_totals(self, ziff, small_lattice):
+        """The one-pass weights are each chunk's ``enabled_rate_total``,
+        bit for bit, so the weighted draws do not move."""
+        from repro.partition import greedy_partition
+
+        for p in (five_chunk_partition(small_lattice),
+                  greedy_partition(small_lattice, ziff)):
+            sim = PNDCA(ziff, small_lattice, partition=p, strategy="weighted", seed=0)
+            rng = np.random.default_rng(4)
+            n_species = len(ziff.species)
+            for _ in range(5):
+                sim.state.array[:] = rng.integers(0, n_species, small_lattice.n_sites)
+                want = np.array([
+                    sim.compiled.enabled_rate_total(sim.state.array, c)
+                    for c in p.chunks
+                ])
+                assert sim._chunk_weights().tobytes() == want.tobytes()
+
+
+class TestNeighbourMapsStayUnbuilt:
+    """Under ``cnative`` the chunk visits read the per-type stencil, so a
+    run allocates no length-N neighbour map; the peak-memory saving
+    rests on this."""
+
+    @pytest.mark.parametrize("engine", ["pndca", "lpndca"])
+    def test_fresh_cnative_run_leaves_the_map_cache_empty(self, ziff, engine):
+        from repro.backends import available_backends
+        from repro.ca import LPNDCA
+
+        if "cnative" not in available_backends():
+            pytest.skip("cnative does not build on this host")
+        lat = Lattice((20, 20))
+        p = five_chunk_partition(lat)
+        if engine == "pndca":
+            sim = PNDCA(ziff, lat, partition=p, seed=1, backend="cnative")
+        else:
+            sim = LPNDCA(ziff, lat, partition=p, L=7, seed=1, backend="cnative")
+        sim.run(until=2.0)
+        assert sim.n_executed > 0
+        assert lat._maps == {}

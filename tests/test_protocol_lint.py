@@ -108,8 +108,8 @@ MUTANTS = {
     ),
     "worker-reads-slice-prefix": (
         _EXECUTOR,
-        "u[a:b]",
-        "u[:b - a]",
+        "visit(sites[a:b], a)",
+        "visit(sites[a:b], 0)",
         [_BIT_IDENTICAL],
     ),
     "serial-rung-stale-stream": (
